@@ -32,6 +32,7 @@ from .elliptic import (
     phi,
 )
 from .gaussian_ops import (
+    FactoredGamma,
     OperatorPack,
     Posterior,
     PriorSpec,

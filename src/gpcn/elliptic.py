@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussian_ops import Posterior, PriorSpec
+from .gaussian_ops import FactoredGamma, Posterior, PriorSpec
 
 DEFAULT_DX = 2.0 ** -9
 OBS_POINTS = (0.2, 0.4, 0.6, 0.8)
@@ -197,7 +197,8 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     r = [sigma^-1 (y - G(xi)); C^{-1/2} xi], starting from xi = 0.  Damping
     starts at 1e-3, x10 on a failed step and /10 on success; convergence is
     declared at gradient norm < 1e-8 or step norm < 1e-12, with a 500
-    iteration cap (``converged=False`` flags a hit cap).
+    iteration cap (``converged=False`` flags a hit cap).  Each damped normal
+    system (L = J/sigma, r x N) is solved by Woodbury with one r x r solve.
     """
     fwd = forward_fn or (lambda x: forward(x, model))
     jac = jacobian_fn or (lambda x: jacobian(x, model))
@@ -207,27 +208,29 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     def residual(x):
         return np.concatenate([inv_sigma * (obs.y - fwd(x)), inv_std * x])
 
-    def res_jacobian(x):
-        return np.vstack([-inv_sigma * jac(x), np.diag(inv_std)])
+    def linearize(x, r):
+        # L = sigma^-1 J(x) and the gradient J_r^T r = -L^T r_data + C^{-1/2} r_prior
+        l = inv_sigma * np.asarray(jac(x), dtype=float)
+        return l, inv_std * r[l.shape[0]:] - l.T @ r[:l.shape[0]]
 
     xi = np.zeros(prior.dim)
     r = residual(xi)
     cost = 0.5 * (r @ r)
+    l, grad = linearize(xi, r)
     damping = 1e-3
-    grad_norm = np.inf
     for it in range(1, max_iter + 1):
-        jr = res_jacobian(xi)
-        grad = jr.T @ r
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-8:
             return MapResult(xi, True, it - 1, grad_norm)
-        normal = jr.T @ jr
-        step = np.linalg.solve(normal + damping * np.eye(prior.dim), -grad)
+        d_inv = 1.0 / (inv_std * inv_std + damping)
+        ld = l * d_inv                                 # L D^{-1}; solve with I + L D^{-1} L^T
+        step = ld.T @ np.linalg.solve(np.eye(len(l)) + ld @ l.T, ld @ grad) - d_inv * grad
         candidate = xi + step
         r_new = residual(candidate)
         cost_new = 0.5 * (r_new @ r_new)
         if cost_new < cost:
             xi, r, cost = candidate, r_new, cost_new
+            l, grad = linearize(xi, r)
             damping = max(damping / 10.0, 1e-12)
         else:
             damping *= 10.0
@@ -236,29 +239,25 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
             return MapResult(xi, True, it, grad_norm)
         if damping > 1e14:
             break
-    grad_norm = float(np.linalg.norm(res_jacobian(xi).T @ residual(xi)))
+    grad_norm = float(np.linalg.norm(grad))
     return MapResult(xi, grad_norm < 1e-8, max_iter, grad_norm)
 
 
-def build_gamma_from_map(xi_map: np.ndarray, obs: Observation, model: ForwardModel) -> np.ndarray:
-    """Curvature sigma^-2 J^T J of the linearized misfit at the MAP point; rank <= 4."""
-    j = jacobian(xi_map, model)
-    gamma = (j.T @ j) / obs.sigma_eps**2
-    return 0.5 * (gamma + gamma.T)
+def build_gamma_from_map(xi_map: np.ndarray, obs: Observation, model: ForwardModel) -> FactoredGamma:
+    """Curvature sigma^-2 J^T J of the linearized misfit at the MAP point, as
+    its factor J / sigma (4 x N, so rank <= 4)."""
+    return FactoredGamma(jacobian(xi_map, model) / obs.sigma_eps)
 
 
 def build_gamma_averaged(points: Sequence[np.ndarray], sigma_eps: float,
-                         model: ForwardModel) -> np.ndarray:
-    """Average of the linearized curvatures over several expansion points."""
+                         model: ForwardModel) -> FactoredGamma:
+    """Average of the linearized curvatures over P expansion points, as the
+    factor stacking J(xi_i) / (sigma sqrt(P)) (4P x N)."""
     points = list(points)
     if not points:
         raise ValueError("need at least one linearization point")
-    acc = np.zeros((model.n_modes, model.n_modes))
-    for xi in points:
-        j = jacobian(np.asarray(xi, dtype=float), model)
-        acc += j.T @ j
-    gamma = acc / (len(points) * sigma_eps**2)
-    return 0.5 * (gamma + gamma.T)
+    jacobians = [jacobian(np.asarray(xi, dtype=float), model) for xi in points]
+    return FactoredGamma(np.vstack(jacobians) / (sigma_eps * np.sqrt(len(points))))
 
 
 def linear_posterior(L: np.ndarray, b: np.ndarray, y: np.ndarray,

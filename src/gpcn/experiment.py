@@ -19,7 +19,7 @@ import numpy as np
 
 from . import elliptic
 from .diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
-from .gaussian_ops import PriorSpec, build_operator_pack
+from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from .metropolis import ChainConfig, run_chain, tune_step_size, write_state_dump, write_trace_csv
 from .proposals import VARIANTS, ProposalKernel
 
@@ -180,22 +180,33 @@ def truth_object(cfg: ExperimentConfig):
     raise ConfigError(f"unknown truth spec {cfg.truth!r}; use 'default' or 'coeffs:v1,v2,...'")
 
 
+def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
+    """Data and MAP point of cell (i_n, i_sig): (model, prior, data_seed, obs,
+    posterior, map_result)."""
+    n_modes = cfg.n_modes[i_n]
+    model = elliptic.ForwardModel(n_modes, dx=cfg.dx)
+    prior = PriorSpec(n_modes)
+    data_seed = derive_seed(cfg.seed, _SEED_DATA, i_n, i_sig)
+    obs = elliptic.generate_data(truth_object(cfg), cfg.sigma_eps[i_sig], model,
+                                 np.random.default_rng(data_seed), seed=data_seed)
+    posterior = elliptic.make_posterior(obs, model, prior)
+    map_result = elliptic.map_estimate(obs, model, prior)
+    return model, prior, data_seed, obs, posterior, map_result
+
+
 def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
-    if variant == "rw":
-        return ProposalKernel("rw", prior, s)
-    if variant == "pcn":
-        return ProposalKernel("pcn", prior, s)
+    if variant in ("rw", "pcn"):
+        return ProposalKernel(variant, prior, s)
     if variant in ("gn-rw", "gpcn"):
         if cfg.gamma_source == "zero":
-            gamma = np.zeros((prior.dim, prior.dim))
+            gamma = FactoredGamma(np.zeros((0, prior.dim)))
         elif cfg.gamma_source == "averaged":
             rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_POINTS, prior.dim))
             points = [prior.sample(rng) for _ in range(cfg.gamma_points)]
             gamma = elliptic.build_gamma_averaged(points, obs.sigma_eps, model)
         else:
             gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
-        pack = build_operator_pack(prior, gamma, s)
-        return ProposalKernel(variant, prior, s, pack=pack)
+        return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
     gamma_map = lambda u: elliptic.build_gamma_from_map(u, obs, model)
     return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
 
@@ -205,26 +216,17 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
     variant = cfg.variants[iv]
     n_modes = cfg.n_modes[i_n]
     sigma = cfg.sigma_eps[i_sig]
-
-    model = elliptic.ForwardModel(n_modes, dx=cfg.dx)
-    prior = PriorSpec(n_modes)
-    data_seed = derive_seed(cfg.seed, _SEED_DATA, i_n, i_sig)
-    obs = elliptic.generate_data(truth_object(cfg), sigma, model,
-                                 np.random.default_rng(data_seed), seed=data_seed)
-    posterior = elliptic.make_posterior(obs, model, prior)
-    map_result = elliptic.map_estimate(obs, model, prior)
+    model, prior, data_seed, obs, posterior, map_result = build_problem(cfg, i_n, i_sig)
     xi_map = map_result.xi
 
     tuned = cfg.s is None
+    kernel = _build_kernel(cfg, variant, prior, model, obs, xi_map, 0.5 if tuned else cfg.s)
     if tuned:
         tune_seed = derive_seed(cfg.seed, _SEED_TUNE, iv, i_n, i_sig)
-        probe = _build_kernel(cfg, variant, prior, model, obs, xi_map, 0.5)
-        result = tune_step_size(probe, posterior, cfg.target_acceptance, cfg.pilot_n,
+        result = tune_step_size(kernel, posterior, cfg.target_acceptance, cfg.pilot_n,
                                 np.random.default_rng(tune_seed), initial_state=xi_map)
-        s = result.s
-    else:
-        s = cfg.s
-    kernel = _build_kernel(cfg, variant, prior, model, obs, xi_map, s)
+        kernel = kernel.with_step_size(result.s)
+    s = kernel.s
 
     chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, i_n, i_sig, rep)
     chain_cfg = ChainConfig(kernel, posterior, n=cfg.n, n0=cfg.n0, seed=chain_seed,
@@ -319,21 +321,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Compute and persist the MAP point and its curvature for the first sweep cell."""
     out = out_dir or cfg.out_dir
-    n_modes, sigma = cfg.n_modes[0], cfg.sigma_eps[0]
-    model = elliptic.ForwardModel(n_modes, dx=cfg.dx)
-    prior = PriorSpec(n_modes)
-    data_seed = derive_seed(cfg.seed, _SEED_DATA, 0, 0)
-    obs = elliptic.generate_data(truth_object(cfg), sigma, model,
-                                 np.random.default_rng(data_seed), seed=data_seed)
-    result = elliptic.map_estimate(obs, model, prior)
-    gamma = elliptic.build_gamma_from_map(result.xi, obs, model)
+    model, _, data_seed, obs, posterior, result = build_problem(cfg, 0, 0)
     os.makedirs(out, exist_ok=True)
     np.save(os.path.join(out, "xi_map.npy"), result.xi)
-    np.save(os.path.join(out, "gamma.npy"), gamma)
+    np.save(os.path.join(out, "gamma.npy"), elliptic.build_gamma_from_map(result.xi, obs, model).dense())
     summary = {
         "config": dict((k, v) for k, v in cfg.items()),
-        "N": n_modes, "sigma_eps": sigma, "data_seed": data_seed,
-        "phi_at_map": elliptic.phi(result.xi, obs, model),
+        "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,
+        "phi_at_map": posterior.phi(result.xi),
         "converged": result.converged, "iterations": result.iterations,
         "gradient_norm": result.gradient_norm,
         "observation": json.loads(obs.to_json()),

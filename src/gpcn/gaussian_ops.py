@@ -1,23 +1,25 @@
 """Finite-dimensional Gaussian measure algebra for prior-reversible proposals.
 
 Everything is realized in truncated spectral coordinates of the prior
-covariance C = diag(lambda_1, ..., lambda_N).  Given a PSD curvature
-operator Gamma, the module builds the derived operators
+covariance C = diag(lambda_1, ..., lambda_N).  The curvature enters as a
+factor F (r x N), Gamma = F^T F (``FactoredGamma``); one thin SVD of
+F C^{1/2} gives V (N x r, orthonormal columns) and w, with a0 = sqrt(1-s^2)
+and f(t) = sqrt(1 - s^2/(1+t)):
 
-    H       = C^{1/2} Gamma C^{1/2}          (prior-whitened curvature)
-    C_Gamma = (C^{-1} + Gamma)^{-1}          (adapted proposal covariance)
-    A       = C^{1/2} f(H) C^{-1/2},  f(t) = sqrt(1 - s^2/(1+t))
+    H       = C^{1/2} Gamma C^{1/2} = V diag(w) V^T   (prior-whitened curvature)
+    C_Gamma = (C^{-1} + Gamma)^{-1} = C - C^{1/2} V diag(w/(1+w)) V^T C^{1/2}
+    A       = C^{1/2} f(H) C^{-1/2} = a0 I + C^{1/2} V diag(f(w) - a0) V^T C^{-1/2}
     B       = C^{1/2} f(H)^{1/2} C^{-1/2}    (half step, B^2 = A)
-    Delta   = sqrt(1-s^2) I - A              (mean shift vs. plain pCN)
+    Delta   = a0 I - A                       (mean shift vs. plain pCN)
 
-all via one symmetric eigendecomposition of H, and evaluates the
-Radon-Nikodym densities between N(0,C) and N(0,C_Gamma) and between the
-plain and adapted autoregressive proposal kernels.
+So applying an operator, and the Radon-Nikodym densities between N(0,C) and
+N(0,C_Gamma) and between the plain and adapted autoregressive proposal
+kernels, cost O(N r); dense N x N matrices are built only on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Truncated spectral representation of the centered Gaussian prior N(0, C).
 
@@ -68,109 +70,125 @@ class Posterior:
     prior: PriorSpec
     phi: Callable[[np.ndarray], float]
 
-    def log_prior_pdf_unnorm(self, u: np.ndarray) -> float:
-        """-1/2 ||C^{-1/2} u||^2, the prior log-density up to its constant."""
-        return -0.5 * float(np.sum(u * u / self.prior.eigenvalues))
+
+@dataclass(frozen=True, eq=False)
+class FactoredGamma:
+    """A curvature Gamma = F^T F held as its factor F (r x N, any r >= 0)."""
+
+    factor: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        return self.factor.T @ self.factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPack:
-    """All Gamma-derived operators for one (Gamma, s), built once and reused.
+    """All Gamma-derived operators for one (Gamma, s), from H = V diag(w) V^T.
 
-    Fields follow the algebra above; ``h_eigs``/``h_vecs`` hold the
-    eigendecomposition of H (eigenvalues clamped at zero), ``cov_factor``
-    satisfies F F^T = C_Gamma, ``cm_norm`` is the largest singular value of
-    C^{-1/2} Delta.
+    ``logdet_ih`` = log det(I + H), ``h_norm`` = ||H||, ``a0`` and the
+    s-scaled N x r factors are derived on construction, so
+    ``dataclasses.replace(pack, s=...)`` needs no new SVD; ``cm_norm`` =
+    ||C^{-1/2} Delta|| is computed on access (only the moment bound reads it).
     """
 
     prior: PriorSpec
-    gamma: np.ndarray
     s: float
-    h: np.ndarray
-    c_gamma: np.ndarray
-    a: np.ndarray
-    delta: np.ndarray
-    b_half: np.ndarray
-    d: np.ndarray
-    cov_factor: np.ndarray
-    h_eigs: np.ndarray = field(repr=False, default=None)
-    h_vecs: np.ndarray = field(repr=False, default=None)
-    logdet_ih: float = 0.0
-    h_norm: float = 0.0
-    cm_norm: float = 0.0
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        s, w, std = self.s, self.w, self.prior.std
+        if not 0.0 <= s < 1.0:
+            raise ValueError(f"step size s must lie in [0, 1), got {s}")
+        a0 = np.sqrt(1.0 - s * s)
+        mean_coef = np.sqrt(1.0 - s * s / (1.0 + w)) - a0     # f(w) - a0
+        derived = {
+            "logdet_ih": float(np.sum(np.log1p(w))),
+            "h_norm": float(w.max(initial=0.0)),
+            "a0": a0,
+            "_left": std[:, None] * self.v,                   # C^{1/2} V
+            "_mean_right": mean_coef[:, None] * (self.v.T / std[None, :]),   # (f(w) - a0) V^T C^{-1/2}
+            "_noise_right": (s * (1.0 / np.sqrt(1.0 + w) - 1.0))[:, None] * self.v.T,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def cm_norm(self) -> float:
+        # ||C^{-1/2} Delta|| = ||diag(f(w) - a0) V^T C^{-1/2}||, an r x N norm.
+        return float(np.linalg.norm(self._mean_right, 2))
+
+    def apply_a(self, u: np.ndarray) -> np.ndarray:
+        """A u = a0 u + C^{1/2} V (f(w) - a0) V^T C^{-1/2} u."""
+        return self.a0 * u + self._left @ (self._mean_right @ u)
+
+    def scaled_noise(self, z: np.ndarray) -> np.ndarray:
+        """s C_Gamma^{1/2} z with the symmetric root C^{1/2}(I + V((1+w)^{-1/2} - 1) V^T)."""
+        return self.s * (self.prior.std * z) + self._left @ (self._noise_right @ z)
+
+    @property
+    def h(self) -> np.ndarray:
+        return (self.v * self.w) @ self.v.T
+
+    @property
+    def c_gamma(self) -> np.ndarray:
+        return np.diag(self.prior.eigenvalues) - (self._left * (self.w / (1.0 + self.w))) @ self._left.T
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.a0 * np.eye(self.prior.dim) + self._left @ self._mean_right
+
+    @property
+    def delta(self) -> np.ndarray:
+        return -(self._left @ self._mean_right)
+
+    @property
+    def b_half(self) -> np.ndarray:
+        root_a0, root_f = np.sqrt(self.a0), np.sqrt(np.sqrt(1.0 - self.s**2 / (1.0 + self.w)))
+        whiten = self.v.T / self.prior.std[None, :]
+        return root_a0 * np.eye(self.prior.dim) + (self._left * (root_f - root_a0)) @ whiten
+
+    @property
+    def d(self) -> np.ndarray:
+        b_half, cmat = self.b_half, self.prior.cov
+        return cmat - b_half @ cmat @ b_half.T
+
+    @property
+    def cov_factor(self) -> np.ndarray:
+        """The symmetric root F = F^T of C_Gamma."""
+        return np.diag(self.prior.std) + (self._left * (1.0 / np.sqrt(1.0 + self.w) - 1.0)) @ self.v.T
 
 
-def build_operator_pack(prior: PriorSpec, gamma: np.ndarray, s: float) -> OperatorPack:
+def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma | np.ndarray, s: float) -> OperatorPack:
     """Construct the operator pack for step size ``s`` and curvature ``gamma``.
 
-    Operator functions (square root, fourth root, inverse) are evaluated on
-    the spectrum of H; a clamped eigendecomposition supplies ``h_norm`` and
-    ``logdet_ih`` for free.
-
-    Raises
-    ------
-    ValueError
-        If ``s`` is outside [0, 1) or ``gamma`` is not symmetric PSD to
-        tolerance (1e-10, scaled by the matrix magnitude).
+    A ``FactoredGamma`` F (r x N, r = 0 is plain pCN) costs one thin SVD of
+    F C^{1/2}.  A dense N x N ``gamma`` is first factored by one symmetric
+    eigendecomposition, keeping the eigenvalues above PSD_TOL (a dropped one
+    moves H by at most PSD_TOL * ||C||).
+    Raises ValueError if ``s`` is outside [0, 1), the factor does not have N
+    columns, or a dense ``gamma`` is not symmetric PSD to tolerance (1e-10,
+    scaled by the matrix magnitude).
     """
-    if not 0.0 <= s < 1.0:
-        raise ValueError(f"step size s must lie in [0, 1), got {s}")
-    gamma = np.asarray(gamma, dtype=float)
     n = prior.dim
-    if gamma.shape != (n, n):
-        raise ValueError(f"gamma must be {n}x{n}, got {gamma.shape}")
-    scale = max(1.0, float(np.abs(gamma).max()))
-    asym = float(np.abs(gamma - gamma.T).max())
-    if asym > PSD_TOL * scale:
-        raise ValueError(f"gamma is not symmetric: max asymmetry {asym:.3e}")
-
-    lam = prior.eigenvalues
-    std = prior.std
-    eye = np.eye(n)
-
-    if not gamma.any():
-        # Exact zero-curvature reduction: the pack collapses to plain pCN data.
-        a0 = np.sqrt(1.0 - s * s)
-        return OperatorPack(
-            prior=prior, gamma=gamma, s=s,
-            h=np.zeros((n, n)),
-            c_gamma=np.diag(lam),
-            a=a0 * eye,
-            delta=np.zeros((n, n)),
-            b_half=np.sqrt(a0) * eye,
-            d=(1.0 - a0) * np.diag(lam),
-            cov_factor=np.diag(std),
-            h_eigs=np.zeros(n), h_vecs=eye,
-            logdet_ih=0.0, h_norm=0.0, cm_norm=0.0,
-        )
-
-    h = std[:, None] * gamma * std[None, :]
-    h = 0.5 * (h + h.T)
-    w, vecs = np.linalg.eigh(h)
-    if w[0] < -PSD_TOL * max(1.0, abs(w[-1])):
-        raise ValueError(f"gamma is not positive semidefinite: min whitened eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-
-    fvals = np.sqrt(1.0 - s * s / (1.0 + w))
-    left = std[:, None] * vecs                       # C^{1/2} U
-    right = vecs.T / std[None, :]                    # U^T C^{-1/2}
-    a = left @ (fvals[:, None] * right)
-    b_half = left @ (np.sqrt(fvals)[:, None] * right)
-    c_gamma = left @ ((1.0 / (1.0 + w))[:, None] * left.T)
-    cov_factor = left * (1.0 / np.sqrt(1.0 + w))[None, :]
-    delta = np.sqrt(1.0 - s * s) * eye - a
-    cmat = np.diag(lam)
-    d = cmat - b_half @ cmat @ b_half.T
-    cm_norm = float(np.linalg.norm(delta / std[:, None], 2))
-
-    return OperatorPack(
-        prior=prior, gamma=gamma, s=s,
-        h=h, c_gamma=c_gamma, a=a, delta=delta, b_half=b_half, d=d,
-        cov_factor=cov_factor, h_eigs=w, h_vecs=vecs,
-        logdet_ih=float(np.sum(np.log1p(w))),
-        h_norm=float(w[-1]),
-        cm_norm=cm_norm,
-    )
+    if not isinstance(gamma, FactoredGamma):
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.shape != (n, n):
+            raise ValueError(f"gamma must be {n}x{n}, got {gamma.shape}")
+        scale = max(1.0, float(np.abs(gamma).max()))
+        asym = float(np.abs(gamma - gamma.T).max())
+        if asym > PSD_TOL * scale:
+            raise ValueError(f"gamma is not symmetric: max asymmetry {asym:.3e}")
+        lam, vecs = np.linalg.eigh(0.5 * (gamma + gamma.T))
+        if lam[0] < -PSD_TOL * max(1.0, abs(lam[-1])):
+            raise ValueError(f"gamma is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
+        keep = lam > PSD_TOL
+        gamma = FactoredGamma(np.sqrt(lam[keep])[:, None] * vecs[:, keep].T)
+    factor = np.asarray(gamma.factor, dtype=float)
+    if factor.ndim != 2 or factor.shape[1] != n:
+        raise ValueError(f"factor must have shape (r, {n}), got {factor.shape}")
+    _, sv, vt = np.linalg.svd(factor * prior.std[None, :], full_matrices=False)
+    return OperatorPack(prior, s, vt.T, sv * sv)
 
 
 def sample_gaussian(mean: np.ndarray, cov_factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -201,7 +219,8 @@ def pi_cm(prior: PriorSpec, h: np.ndarray, v: np.ndarray) -> float:
 
 def log_pi_gamma(pack: OperatorPack, v: np.ndarray) -> float:
     """log of dN(0,C)/dN(0,C_Gamma) at v: 1/2 <Gamma v, v> - 1/2 log det(I+H)."""
-    return float(0.5 * v @ (pack.gamma @ v) - 0.5 * pack.logdet_ih)
+    x = pack.v.T @ (v / pack.prior.std)               # <Gamma v, v> = sum w x^2
+    return float(0.5 * (pack.w @ (x * x)) - 0.5 * pack.logdet_ih)
 
 
 def pi_gamma(pack: OperatorPack, v: np.ndarray) -> float:
@@ -222,9 +241,9 @@ def log_rho_gamma(pack: OperatorPack, u: np.ndarray, v: np.ndarray) -> float:
     """
     if pack.s <= 0.0:
         raise ValueError("proposal density requires s > 0 (degenerate proposals at s = 0)")
-    t = (v - pack.a @ u) / pack.s
-    shift = (pack.delta @ u) / pack.s
-    return log_pi_cm(pack.prior, shift, t) + log_pi_gamma(pack, t)
+    range_part = pack._left @ (pack._mean_right @ u)     # A u - a0 u = -Delta u
+    t = (v - pack.a0 * u - range_part) / pack.s
+    return log_pi_cm(pack.prior, -range_part / pack.s, t) + log_pi_gamma(pack, t)
 
 
 def admissible_exponent_bound(pack: OperatorPack) -> float:
@@ -251,20 +270,21 @@ def integrability_bound(pack: OperatorPack, p: float, u: np.ndarray) -> tuple[fl
     if not 0.0 < p < p_max:
         raise ValueError(f"exponent p = {p} is outside the admissible range (0, {p_max})")
 
-    w = pack.h_eigs
+    w = pack.w
     if pack.cm_norm == 0.0 and pack.h_norm == 0.0:
         return 1.0, 1.0                              # rho == 1 identically
     if pack.s <= 0.0:
         raise ValueError("moment computation requires s > 0")
 
-    shift = (pack.delta @ u) / pack.prior.std / pack.s   # C^{-1/2} Delta u / s
-    shift_h = pack.h_vecs.T @ shift
+    # C^{-1/2} Delta u / s lies in range(V), with coordinates shift_h; the
+    # complement (w = 0, q = 1) carries no shift and adds nothing below.
+    shift_h = -(pack._mean_right @ u) / pack.s
     q = 1.0 - (p - 1.0) * w                              # > 0 on the admissible range
     log_exact = (
         -0.5 * np.sum(np.log(q))
         - 0.5 * (p - 1.0) * np.sum(np.log1p(w))
         + 0.5 * p * p * np.sum(shift_h * shift_h / q)
-        - 0.5 * p * np.sum(shift * shift)
+        - 0.5 * p * np.sum(shift_h * shift_h)
     )
     b = max(2.0 * p * p - p, 0.0) * (pack.cm_norm / pack.s) ** 2
     log_c = -0.25 * (np.sum(np.log(1.0 - (2.0 * p - 2.0) * w))

@@ -17,13 +17,13 @@ phi(u) - phi(v) + correction(u, v).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .gaussian_ops import (
+    FactoredGamma,
     OperatorPack,
     PriorSpec,
     build_operator_pack,
@@ -38,19 +38,23 @@ _LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 
 @dataclass(frozen=True)
 class ProposalKernel:
+    """One proposal family at step size ``s``.  ``gn-rw``/``gpcn`` carry a pack
+    built at ``s``; the local variants a ``gamma_map`` u -> Gamma(u), given as
+    a ``FactoredGamma`` or a dense symmetric PSD matrix."""
+
     variant: str
     prior: PriorSpec
     s: float
     pack: Optional[OperatorPack] = None
-    gamma_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    cache_size: int = 0
-    _pack_cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
+    gamma_map: Optional[Callable[[np.ndarray], FactoredGamma | np.ndarray]] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
         if self.variant in _PACK_VARIANTS and self.pack is None:
             raise ValueError(f"{self.variant} requires an OperatorPack")
+        if self.pack is not None and self.pack.s != self.s:
+            raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
         if self.variant in _LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
         if self.variant in ("pcn", "gpcn") + _LOCAL_VARIANTS and not 0.0 <= self.s < 1.0:
@@ -60,26 +64,13 @@ class ProposalKernel:
             raise ValueError(f"step size must be nonnegative, got {self.s}")
 
     def with_step_size(self, s: float) -> "ProposalKernel":
-        """Copy of this kernel at a new step size, rebuilding the pack if any."""
-        pack = self.pack
-        if pack is not None:
-            pack = build_operator_pack(self.prior, pack.gamma, s)
-        return replace(self, s=s, pack=pack, _pack_cache=OrderedDict())
+        """Copy of this kernel at a new step size; a pack keeps its V and w."""
+        pack = None if self.pack is None else replace(self.pack, s=s)
+        return replace(self, s=s, pack=pack)
 
     def pack_at(self, u: np.ndarray) -> OperatorPack:
         """Operator pack for the state-dependent curvature at u (local variants)."""
-        if self.cache_size > 0:
-            key = u.tobytes()
-            cached = self._pack_cache.get(key)
-            if cached is not None:
-                self._pack_cache.move_to_end(key)
-                return cached
-        pack = build_operator_pack(self.prior, self.gamma_map(u), self.s)
-        if self.cache_size > 0:
-            self._pack_cache[key] = pack
-            while len(self._pack_cache) > self.cache_size:
-                self._pack_cache.popitem(last=False)
-        return pack
+        return build_operator_pack(self.prior, self.gamma_map(u), self.s)
 
 
 def random_walk(prior: PriorSpec, s: float) -> ProposalKernel:
@@ -98,12 +89,12 @@ def gpcn(pack: OperatorPack) -> ProposalKernel:
     return ProposalKernel("gpcn", pack.prior, pack.s, pack=pack)
 
 
-def local_gpcn(prior: PriorSpec, gamma_map, s: float, cache_size: int = 0) -> ProposalKernel:
-    return ProposalKernel("local-gpcn", prior, s, gamma_map=gamma_map, cache_size=cache_size)
+def local_gpcn(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
+    return ProposalKernel("local-gpcn", prior, s, gamma_map=gamma_map)
 
 
-def local_gpcn2(prior: PriorSpec, gamma_map, s: float, cache_size: int = 0) -> ProposalKernel:
-    return ProposalKernel("local-gpcn2", prior, s, gamma_map=gamma_map, cache_size=cache_size)
+def local_gpcn2(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
+    return ProposalKernel("local-gpcn2", prior, s, gamma_map=gamma_map)
 
 
 def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -116,13 +107,11 @@ def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator) -> 
     if v == "pcn":
         return np.sqrt(1.0 - s * s) * u + s * (kernel.prior.std * z)
     if v == "gn-rw":
-        return u + s * (kernel.pack.cov_factor @ z)
-    if v == "gpcn":
-        return kernel.pack.a @ u + s * (kernel.pack.cov_factor @ z)
-    pack = kernel.pack_at(u)
-    if v == "local-gpcn":
-        return pack.a @ u + s * (pack.cov_factor @ z)
-    return np.sqrt(1.0 - s * s) * u + s * (pack.cov_factor @ z)
+        return u + kernel.pack.scaled_noise(z)
+    pack = kernel.pack if v == "gpcn" else kernel.pack_at(u)
+    if v == "local-gpcn2":
+        return pack.a0 * u + pack.scaled_noise(z)
+    return pack.apply_a(u) + pack.scaled_noise(z)
 
 
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray) -> float:
@@ -143,20 +132,19 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
         raise ValueError("local proposal corrections require s > 0")
     gamma_u = kernel.gamma_map(u)
     gamma_v = kernel.gamma_map(v)
+    if variant == "local-gpcn" and type(gamma_u) is type(gamma_v) and np.array_equal(
+            getattr(gamma_u, "factor", gamma_u), getattr(gamma_v, "factor", gamma_v)):
+        # Constant curvature map: the two density factors coincide, the
+        # correction is exactly the global-gpcn one (zero).
+        return 0.0
+    pack_u = build_operator_pack(kernel.prior, gamma_u, kernel.s)
+    pack_v = build_operator_pack(kernel.prior, gamma_v, kernel.s)
     if variant == "local-gpcn":
-        if np.array_equal(gamma_u, gamma_v):
-            # Constant curvature map: the two density factors coincide, the
-            # correction is exactly the global-gpcn one (zero).
-            return 0.0
-        pack_u = kernel.pack_at(u)
-        pack_v = kernel.pack_at(v)
         return log_rho_gamma(pack_u, u, v) - log_rho_gamma(pack_v, v, u)
     # local-gpcn2: only the covariance is state dependent, the mean is the
     # plain autoregressive one, so the correction reduces to the two
     # covariance-change factors at the scaled residuals.
-    a0 = np.sqrt(1.0 - kernel.s * kernel.s)
-    pack_u = kernel.pack_at(u)
-    pack_v = kernel.pack_at(v)
-    tu = (v - a0 * u) / kernel.s
-    tv = (u - a0 * v) / kernel.s
+    tu = (v - pack_u.a0 * u) / kernel.s
+    tv = (u - pack_u.a0 * v) / kernel.s
     return log_pi_gamma(pack_u, tu) - log_pi_gamma(pack_v, tv)
+

@@ -67,10 +67,6 @@ def detailed_balance_gap(chain: FiniteChain) -> float:
     return float(np.abs(flow - flow.T).max())
 
 
-def is_reversible(chain: FiniteChain, tol: float = _REVERSIBLE_TOL) -> bool:
-    return detailed_balance_gap(chain) <= tol
-
-
 def _require_reversible(chain: FiniteChain, what: str) -> None:
     gap = detailed_balance_gap(chain)
     if gap > _REVERSIBLE_TOL:

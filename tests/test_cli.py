@@ -167,7 +167,7 @@ class TestMapCommand:
         model = elliptic.ForwardModel(12)
         obs = elliptic.observation_from_json(json.dumps(summary["observation"]))
         assert summary["phi_at_map"] == elliptic.phi(xi, obs, model)
-        rebuilt = elliptic.build_gamma_from_map(xi, obs, model)
+        rebuilt = elliptic.build_gamma_from_map(xi, obs, model).dense()
         assert np.array_equal(gamma, rebuilt)
         assert json.loads((out / "map.json").read_text())["converged"] is True
         assert PriorSpec(12).dim == xi.shape[0]

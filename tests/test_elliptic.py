@@ -194,7 +194,7 @@ class TestGamma:
         model = ForwardModel(12)
         prior = PriorSpec(12)
         obs = generate_data(default_truth, 0.1, model, np.random.default_rng(9), seed=9)
-        gamma = build_gamma_from_map(map_estimate(obs, model, prior).xi, obs, model)
+        gamma = build_gamma_from_map(map_estimate(obs, model, prior).xi, obs, model).dense()
         eigs = np.sort(np.linalg.eigvalsh(gamma))[::-1]
         assert eigs.min() > -1e-12 * eigs.max()
         assert eigs[4:].max() < 1e-12 * eigs.max()
@@ -204,7 +204,7 @@ class TestGamma:
         rng = np.random.default_rng(10)
         xi = rng.standard_normal(10) * 0.2
         obs = make_obs(LINEAR_G, sigma=0.25)
-        gamma = build_gamma_from_map(xi, obs, model)
+        gamma = build_gamma_from_map(xi, obs, model).dense()
         sv = np.linalg.svd(jacobian(xi, model) / obs.sigma_eps, compute_uv=False)
         eigs = np.sort(np.linalg.eigvalsh(gamma))[::-1][:4]
         assert np.allclose(eigs, sv**2, rtol=1e-10, atol=1e-12)
@@ -213,7 +213,7 @@ class TestGamma:
         model = ForwardModel(6)
         rng = np.random.default_rng(11)
         pts = [rng.standard_normal(6) * 0.2 for _ in range(3)]
-        avg = build_gamma_averaged(pts, 0.1, model)
+        avg = build_gamma_averaged(pts, 0.1, model).dense()
         direct = sum(jacobian(p, model).T @ jacobian(p, model) for p in pts) / (3 * 0.01)
         assert np.allclose(avg, direct)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpcn.gaussian_ops import (
+    FactoredGamma,
     PriorSpec,
     admissible_exponent_bound,
     build_operator_pack,
@@ -18,6 +19,27 @@ from helpers import gaussian_logpdf, random_psd
 
 def diag_prior():
     return PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
+
+
+def dense_reference(prior, gamma, s):
+    """The operator pack by dense N x N algebra: one eigendecomposition of H."""
+    std = prior.std
+    h = std[:, None] * gamma * std[None, :]
+    w, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    w = np.clip(w, 0.0, None)
+    left, right = std[:, None] * vecs, vecs.T / std[None, :]
+    a = left @ (np.sqrt(1.0 - s * s / (1.0 + w))[:, None] * right)
+    delta = np.sqrt(1.0 - s * s) * np.eye(prior.dim) - a
+    return {"gamma": gamma, "s": s, "a": a, "delta": delta,
+            "c_gamma": left @ ((1.0 / (1.0 + w))[:, None] * left.T),
+            "logdet_ih": float(np.sum(np.log1p(w))), "h_norm": float(w[-1]),
+            "cm_norm": float(np.linalg.norm(delta / std[:, None], 2))}
+
+
+def dense_log_rho(prior, ref, u, v):
+    t = (v - ref["a"] @ u) / ref["s"]
+    shift = ref["delta"] @ u / ref["s"]
+    return log_pi_cm(prior, shift, t) + 0.5 * t @ ref["gamma"] @ t - 0.5 * ref["logdet_ih"]
 
 
 def random_pack(n, rng, s=None, scale=1.0):
@@ -39,6 +61,14 @@ class TestPriorSpec:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             PriorSpec(0)
+
+    def test_equality_and_hash_do_not_raise(self):
+        # ndarray fields: equality and hashing are by identity, not by value.
+        prior = PriorSpec(3)
+        assert (PriorSpec(3) == PriorSpec(3)) is False and prior == prior
+        assert isinstance(hash(PriorSpec(3)), int)
+        pack = build_operator_pack(prior, np.eye(3), 0.5)
+        assert pack == pack and isinstance(hash(pack), int)
 
 
 class TestBuildOperatorPack:
@@ -95,6 +125,32 @@ class TestBuildOperatorPack:
             assert np.linalg.norm(pack.b_half @ pack.b_half - pack.a) < 1e-9
             assert np.linalg.eigvalsh(0.5 * (pack.d + pack.d.T)).min() >= -1e-10
             assert np.allclose(pack.cov_factor @ pack.cov_factor.T, pack.c_gamma)
+
+    def test_factor_pack_matches_dense_reference(self):
+        # r = 0, 0 < r < N, and r > N (stacked linearizations, as for averaged Gamma)
+        rng = np.random.default_rng(37)
+        for n, r in ((6, 0), (7, 3), (8, 12), (5, 5)):
+            prior = PriorSpec(n)
+            factor = rng.standard_normal((r, n))
+            s = float(rng.uniform(0.1, 0.9))
+            ref = dense_reference(prior, factor.T @ factor, s)
+            u, v = prior.sample(rng), prior.sample(rng)
+            for pack in (build_operator_pack(prior, FactoredGamma(factor), s),
+                         build_operator_pack(prior, factor.T @ factor, s)):
+                assert np.abs(pack.a - ref["a"]).max() < 1e-12
+                assert np.abs(pack.c_gamma - ref["c_gamma"]).max() < 1e-12
+                for name in ("logdet_ih", "h_norm", "cm_norm"):
+                    assert abs(getattr(pack, name) - ref[name]) < 1e-12, name
+                expected = dense_log_rho(prior, ref, u, v)
+                assert abs(log_rho_gamma(pack, u, v) - expected) < 1e-12 * max(1.0, abs(expected))
+
+    def test_pack_memory_is_linear_in_n(self):
+        n, r = 2000, 4
+        prior = PriorSpec(n)
+        pack = build_operator_pack(prior, FactoredGamma(np.random.default_rng(41).standard_normal((r, n))), 0.5)
+        arrays = [value for value in vars(pack).values() if isinstance(value, np.ndarray)]
+        assert arrays and all(value.size <= n * r for value in arrays)
+        assert sum(value.nbytes for value in arrays) <= 8 * 8 * n * r
 
     def test_larger_step_contracts_the_mean_operator(self):
         prior = PriorSpec(6)

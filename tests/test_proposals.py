@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpcn.gaussian_ops import PriorSpec, build_operator_pack, log_rho_gamma
+from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack, log_rho_gamma
 from gpcn.proposals import (
     ProposalKernel,
     gauss_newton_rw,
@@ -172,6 +172,20 @@ class TestCorrections:
                 u, v = prior.sample(rng), prior.sample(rng)
                 assert_hastings_identity(kernel, u, v)
 
+    def test_local_factored_map_matches_dense_map(self):
+        rng = np.random.default_rng(17)
+        prior = PriorSpec(5)
+        b = rng.standard_normal((2, 5))
+        factored = lambda u: FactoredGamma(np.vstack([b, u / np.sqrt(1.0 + u @ u)]))
+        dense = lambda u: factored(u).dense()
+        u, v = prior.sample(rng), prior.sample(rng)
+        for factory in (local_gpcn, local_gpcn2):
+            kernels = [factory(prior, gamma_map, 0.4) for gamma_map in (factored, dense)]
+            draws = [propose(k, u, np.random.default_rng(3)) for k in kernels]
+            assert np.abs(draws[0] - draws[1]).max() < 1e-12
+            corrections = [log_acceptance_correction(k, u, v) for k in kernels]
+            assert abs(corrections[0] - corrections[1]) < 1e-10
+
     def test_local_requires_positive_step(self):
         prior = PriorSpec(3)
         kernel = local_gpcn(prior, lambda u: np.zeros((3, 3)), 0.0)
@@ -191,29 +205,26 @@ class TestKernelPlumbing:
     def test_with_step_size_rebuilds_pack(self):
         rng = np.random.default_rng(3)
         prior = PriorSpec(4)
-        kernel = gpcn(build_operator_pack(prior, random_psd(4, rng), 0.3))
+        gamma = random_psd(4, rng)
+        kernel = gpcn(build_operator_pack(prior, gamma, 0.3))
         rescaled = kernel.with_step_size(0.7)
         assert rescaled.s == 0.7 and rescaled.pack.s == 0.7
         assert not np.allclose(rescaled.pack.a, kernel.pack.a)
         c = prior.cov
         resid = rescaled.pack.a @ c @ rescaled.pack.a.T + 0.49 * rescaled.pack.c_gamma - c
         assert np.linalg.norm(resid) < 1e-10
+        # matches a fresh build at the new step size, for both pack variants
+        fresh = build_operator_pack(prior, gamma, 0.7)
+        for name in ("a", "c_gamma", "cov_factor"):
+            assert np.abs(getattr(rescaled.pack, name) - getattr(fresh, name)).max() < 1e-12
+        for name in ("logdet_ih", "h_norm", "cm_norm"):
+            assert abs(getattr(rescaled.pack, name) - getattr(fresh, name)) < 1e-12
+        u = prior.sample(rng)
+        for factory in (gpcn, gauss_newton_rw):
+            v = propose(factory(kernel.pack).with_step_size(0.7), u, np.random.default_rng(5))
+            v_fresh = propose(factory(fresh), u, np.random.default_rng(5))
+            assert np.abs(v - v_fresh).max() < 1e-12
 
     def test_rw_allows_step_above_one(self):
         kernel = random_walk(PriorSpec(2), 1.7)
         assert kernel.s == 1.7
-
-    def test_local_pack_cache_hits(self):
-        rng = np.random.default_rng(4)
-        prior = PriorSpec(3)
-        calls = []
-
-        def gamma_map(u):
-            calls.append(1)
-            return np.zeros((3, 3))
-
-        kernel = local_gpcn(prior, gamma_map, 0.5, cache_size=4)
-        u = prior.sample(rng)
-        kernel.pack_at(u)
-        kernel.pack_at(u)
-        assert len(calls) == 1
