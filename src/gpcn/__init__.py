@@ -12,7 +12,6 @@ from .diagnostics import (
     ess_batch_means,
     ess_ims,
     qoi_exp_integral,
-    write_reports_csv,
 )
 from .elliptic import (
     ForwardModel,
@@ -41,9 +40,6 @@ from .gaussian_ops import (
     log_pi_cm,
     log_pi_gamma,
     log_rho_gamma,
-    pi_cm,
-    pi_gamma,
-    sample_gaussian,
 )
 from .metropolis import (
     ChainConfig,

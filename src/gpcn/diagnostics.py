@@ -113,16 +113,4 @@ def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:
 
 def qoi_exp_integral(xi, model: ForwardModel) -> float:
     """Quantity of interest int_0^1 exp(u(x)) dx by the trapezoidal rule."""
-    return float(model.trapz(np.exp(kl_to_field(xi, model))))
-
-
-def write_reports_csv(entries, path) -> None:
-    """Serialize reports as CSV, one row per (run, qoi, estimator).
-
-    ``entries`` is an iterable of (run_id, qoi_name, DiagnosticsReport).
-    """
-    with open(path, "w") as fh:
-        fh.write("run,qoi,method,n,n0,iact,ess\n")
-        for run_id, qoi_name, report in entries:
-            fh.write(f"{run_id},{qoi_name},{report.method},{report.n},{report.n0},"
-                     f"{report.iact:.17g},{report.ess:.17g}\n")
+    return float(model.weights[-1] @ np.exp(kl_to_field(xi, model)))

@@ -8,8 +8,11 @@ phi_k(x) = (sqrt(2)/pi) sin(k pi x) with coefficients xi; the flow equation
 
 observed at x = 0.2, 0.4, 0.6, 0.8 under additive Gaussian noise.  Integrals
 use the trapezoidal rule on a uniform grid; the observation points are not
-grid nodes, so p is evaluated there by linear interpolation (the O(dx^2)
-interpolation error is far below the noise level).
+grid nodes, so the cumulative integrals are evaluated there by linear
+interpolation (the O(dx^2) interpolation error is far below the noise level).
+Both are folded into one weight matrix W with a row per observation point
+plus a full-interval row, so every integral the forward map, its Jacobian and
+the QoI need is one product with W.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ def default_truth(x):
 
 @dataclass(frozen=True)
 class ForwardModel:
-    """Grid, sine table and observation stencil; immutable and shareable."""
+    """Grid, sine table and quadrature weights; immutable and shareable.
+
+    ``weights`` (W) has one row per observation point x, holding the
+    cumulative trapezoid weights to x with the linear interpolation between
+    the two nearest nodes folded in, and a last row of full trapezoid
+    weights, so ``W @ f`` gives S_x(f) at every observation point and S_1(f).
+    """
 
     n_modes: int
     dx: float = DEFAULT_DX
@@ -43,6 +52,10 @@ class ForwardModel:
         steps = round(1.0 / self.dx)
         if abs(steps * self.dx - 1.0) > 1e-12:
             raise ValueError(f"dx = {self.dx} does not evenly divide [0, 1]")
+        if self.n_modes >= steps:
+            # mode steps + m aliases to -(mode steps - m) on the grid
+            raise ValueError(f"{self.n_modes} modes at or above the Nyquist limit of a "
+                             f"{steps}-interval grid (dx = {self.dx:g}); use n_modes < {steps}")
         x = np.linspace(0.0, 1.0, steps + 1)
         k = np.arange(1, self.n_modes + 1)
         sine = (np.sqrt(2.0) / np.pi) * np.sin(np.outer(k, np.pi * x))
@@ -50,29 +63,22 @@ class ForwardModel:
         if np.any(obs <= 0.0) or np.any(obs >= 1.0):
             raise ValueError("observation points must lie strictly inside (0, 1)")
         idx = np.minimum((obs / self.dx).astype(int), steps - 1)
-        frac = obs / self.dx - idx
+        frac = (obs / self.dx - idx)[:, None]
+        nodes = np.arange(steps + 1)
+
+        def prefix(end):                      # trapezoid weights of int_0^{x_end}, a row per end
+            end = end[:, None]
+            return 0.5 * self.dx * ((nodes < end).astype(float) + ((nodes >= 1) & (nodes <= end)))
+
+        weights = np.vstack([(1.0 - frac) * prefix(idx) + frac * prefix(idx + 1),
+                             prefix(np.array([steps]))])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "sine_table", sine)
-        object.__setattr__(self, "_obs_idx", idx)
-        object.__setattr__(self, "_obs_frac", frac)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_nodes(self) -> int:
         return self.x.shape[0]
-
-    def interp_obs(self, values: np.ndarray) -> np.ndarray:
-        """Linear interpolation of grid values at the observation points."""
-        i, t = self._obs_idx, self._obs_frac
-        return values[..., i] * (1.0 - t) + values[..., i + 1] * t
-
-    def trapz(self, values: np.ndarray) -> np.ndarray:
-        return self.dx * (values[..., :-1].sum(axis=-1) + values[..., 1:].sum(axis=-1)) / 2.0
-
-    def cumtrapz(self, values: np.ndarray) -> np.ndarray:
-        mid = 0.5 * self.dx * (values[..., :-1] + values[..., 1:])
-        out = np.zeros(values.shape)
-        np.cumsum(mid, axis=-1, out=out[..., 1:])
-        return out
 
 
 def kl_to_field(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
@@ -83,15 +89,10 @@ def kl_to_field(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
     return xi @ model.sine_table
 
 
-def pressure_profile(u_grid: np.ndarray, model: ForwardModel) -> np.ndarray:
-    """Pressure p on the grid for a given log-diffusivity field."""
-    w = np.exp(-u_grid)
-    flux = model.cumtrapz(w)
-    return 2.0 * flux / flux[-1]
-
-
 def forward_from_field(u_grid: np.ndarray, model: ForwardModel) -> np.ndarray:
-    return model.interp_obs(pressure_profile(u_grid, model))
+    """Pressure p(x) = 2 S_x(e^{-u}) / S_1(e^{-u}) at the observation points."""
+    flux = model.weights @ np.exp(-u_grid)
+    return 2.0 * flux[:-1] / flux[-1]
 
 
 def forward(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
@@ -165,18 +166,15 @@ def jacobian(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
 
         dp/dxi_k = (-2 S_x(phi_k w) + p(x) S_1(phi_k w)) / S_1(w),
 
-    evaluated at the observation points with the same linear interpolation
-    as the forward map (so finite differences of ``forward`` match exactly
-    in the limit).
+    with S_x and S_1 taken by the forward map's own weights W, so finite
+    differences of ``forward`` match exactly in the limit.  All N modes'
+    integrals come from one (W * w) @ sine_table^T product.
     """
-    u_grid = kl_to_field(xi, model)
-    w = np.exp(-u_grid)
-    flux = model.cumtrapz(w)
-    total = flux[-1]
-    p = 2.0 * flux / total
-    mode_flux = model.cumtrapz(model.sine_table * w[None, :])
-    dp = (-2.0 * mode_flux + p[None, :] * mode_flux[:, -1:]) / total
-    return model.interp_obs(dp).T
+    w = np.exp(-kl_to_field(xi, model))
+    flux = model.weights @ w
+    mode_flux = (model.weights * w) @ model.sine_table.T
+    p = 2.0 * flux[:-1] / flux[-1]
+    return (-2.0 * mode_flux[:-1] + p[:, None] * mode_flux[-1]) / flux[-1]
 
 
 @dataclass
@@ -279,13 +277,3 @@ def linear_posterior(L: np.ndarray, b: np.ndarray, y: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular observation system: {exc}") from exc
     return mean, cov
-
-
-def write_grid_csv(xi: np.ndarray, model: ForwardModel, path) -> None:
-    """Dump x, u(x), p(x) on the grid as CSV."""
-    u_grid = kl_to_field(xi, model)
-    p = pressure_profile(u_grid, model)
-    with open(path, "w") as fh:
-        fh.write("x,u,p\n")
-        for xv, uv, pv in zip(model.x, u_grid, p):
-            fh.write(f"{xv:.17g},{uv:.17g},{pv:.17g}\n")

@@ -123,7 +123,7 @@ def resolve_config(text: str) -> ExperimentConfig:
         seed=_typed(values, lines, "seed", int, required=True),
         n_modes=_typed(values, lines, "problem.N", _int_list, required=True),
         sigma_eps=_typed(values, lines, "problem.sigma_eps", _float_list, required=True),
-        dx=_typed(values, lines, "problem.dx", float, default=elliptic.DEFAULT_DX),
+        dx=_typed(values, lines, "problem.dx", float),
         truth=_typed(values, lines, "problem.truth", str, default="default"),
         variants=_typed(values, lines, "sampler.variant", _str_list, required=True),
         s=_typed(values, lines, "sampler.s", float),
@@ -138,6 +138,13 @@ def resolve_config(text: str) -> ExperimentConfig:
         out_dir=_typed(values, lines, "output.dir", str, default="out"),
         formats=_typed(values, lines, "output.formats", _str_list, default=["csv", "json"]),
     )
+    n_max = max(cfg.n_modes, default=1)
+    if cfg.dx is None:
+        # one dx for every cell: the largest 2^-k <= 2^-9 whose grid resolves n_max modes
+        cfg.dx = 2.0 ** -max(9, n_max.bit_length())
+    elif not 0.0 < cfg.dx or n_max >= round(1.0 / cfg.dx):
+        raise ConfigError(f"line {lines['problem.dx']}: dx = {cfg.dx:g} does not resolve "
+                          f"problem.N = {n_max} modes (need 0 < dx and N < 1/dx)")
     known = {key for key, _ in cfg.items()}
     for key in values:
         if key not in known:
@@ -194,18 +201,23 @@ def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
     return model, prior, data_seed, obs, posterior, map_result
 
 
+def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> FactoredGamma:
+    """The fixed curvature Gamma that ``sampler.gamma`` selects: at the MAP
+    point, zero, or averaged over prior draws from the points stream."""
+    if cfg.gamma_source == "zero":
+        return FactoredGamma(np.zeros((0, prior.dim)))
+    if cfg.gamma_source == "averaged":
+        rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_POINTS, prior.dim))
+        points = [prior.sample(rng) for _ in range(cfg.gamma_points)]
+        return elliptic.build_gamma_averaged(points, obs.sigma_eps, model)
+    return elliptic.build_gamma_from_map(xi_map, obs, model)
+
+
 def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
     if variant in ("rw", "pcn"):
         return ProposalKernel(variant, prior, s)
     if variant in ("gn-rw", "gpcn"):
-        if cfg.gamma_source == "zero":
-            gamma = FactoredGamma(np.zeros((0, prior.dim)))
-        elif cfg.gamma_source == "averaged":
-            rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_POINTS, prior.dim))
-            points = [prior.sample(rng) for _ in range(cfg.gamma_points)]
-            gamma = elliptic.build_gamma_averaged(points, obs.sigma_eps, model)
-        else:
-            gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
+        gamma = build_curvature(cfg, prior, model, obs, xi_map)
         return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
     gamma_map = lambda u: elliptic.build_gamma_from_map(u, obs, model)
     return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
@@ -263,6 +275,9 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
             **cell_seeds, "s": s, "tuned": tuned,
             "acceptance_rate": trace.acceptance_rate,
             "phi_at_map": posterior.phi(xi_map),
+            "map": {"iterations": map_result.iterations,
+                    "gradient_norm": map_result.gradient_norm,
+                    "converged": map_result.converged},
             "observation": json.loads(obs.to_json()),
             "ess": {"ims": ims_summary, "batch_means": ess_bm},
         }
@@ -319,12 +334,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 
 def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
-    """Compute and persist the MAP point and its curvature for the first sweep cell."""
+    """Compute and persist the MAP point and the curvature ``sampler.gamma``
+    selects for the first sweep cell."""
     out = out_dir or cfg.out_dir
-    model, _, data_seed, obs, posterior, result = build_problem(cfg, 0, 0)
+    model, prior, data_seed, obs, posterior, result = build_problem(cfg, 0, 0)
     os.makedirs(out, exist_ok=True)
     np.save(os.path.join(out, "xi_map.npy"), result.xi)
-    np.save(os.path.join(out, "gamma.npy"), elliptic.build_gamma_from_map(result.xi, obs, model).dense())
+    np.save(os.path.join(out, "gamma.npy"), build_curvature(cfg, prior, model, obs, result.xi).dense())
     summary = {
         "config": dict((k, v) for k, v in cfg.items()),
         "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,

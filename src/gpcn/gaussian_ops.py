@@ -191,19 +191,6 @@ def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma | np.ndarray, s: 
     return OperatorPack(prior, s, vt.T, sv * sv)
 
 
-def sample_gaussian(mean: np.ndarray, cov_factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw from N(mean, F F^T); a 1-D ``cov_factor`` is taken as a diagonal."""
-    mean = np.asarray(mean, dtype=float)
-    z = rng.standard_normal(mean.shape[0])
-    if cov_factor.ndim == 1:
-        if cov_factor.shape[0] != mean.shape[0]:
-            raise ValueError("cov_factor length does not match mean")
-        return mean + cov_factor * z
-    if cov_factor.shape[0] != mean.shape[0]:
-        raise ValueError("cov_factor rows do not match mean")
-    return mean + cov_factor @ z
-
-
 def log_pi_cm(prior: PriorSpec, h: np.ndarray, v: np.ndarray) -> float:
     """log of the shifted-mean density dN(h,C)/dN(0,C) at v.
 
@@ -213,18 +200,10 @@ def log_pi_cm(prior: PriorSpec, h: np.ndarray, v: np.ndarray) -> float:
     return float(-0.5 * np.sum(h * h / lam) + np.sum(h * v / lam))
 
 
-def pi_cm(prior: PriorSpec, h: np.ndarray, v: np.ndarray) -> float:
-    return float(np.exp(log_pi_cm(prior, h, v)))
-
-
 def log_pi_gamma(pack: OperatorPack, v: np.ndarray) -> float:
     """log of dN(0,C)/dN(0,C_Gamma) at v: 1/2 <Gamma v, v> - 1/2 log det(I+H)."""
     x = pack.v.T @ (v / pack.prior.std)               # <Gamma v, v> = sum w x^2
     return float(0.5 * (pack.w @ (x * x)) - 0.5 * pack.logdet_ih)
-
-
-def pi_gamma(pack: OperatorPack, v: np.ndarray) -> float:
-    return float(np.exp(log_pi_gamma(pack, v)))
 
 
 def log_rho_gamma(pack: OperatorPack, u: np.ndarray, v: np.ndarray) -> float:

@@ -70,6 +70,17 @@ class TestConfigParsing:
         assert items["sampler.target_acceptance"] == "0.25"
         assert items["problem.dx"] == format(2.0**-9, ".17g")
 
+    def test_dx_resolves_every_mode_of_the_sweep(self):
+        base = ("seed = 1\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
+                "run.n = 10\nrun.n0 = 0\n")
+        for n_list, dx in (("511", 2.0**-9), ("50, 512", 2.0**-10), ("800", 2.0**-10),
+                           ("1024", 2.0**-11)):
+            cfg = resolve_config(base + f"problem.N = {n_list}\n")
+            assert dict(cfg.items())["problem.dx"] == format(dx, ".17g")
+        assert resolve_config(base + "problem.N = 800\nproblem.dx = 0.0009765625\n").dx == 2.0**-10
+        with pytest.raises(ConfigError, match="line 7"):
+            resolve_config(base + "problem.N = 800\nproblem.dx = 0.001953125\n")
+
     def test_seed_split_is_deterministic_and_stream_separated(self):
         assert derive_seed(5, 0, 1, 2) == derive_seed(5, 0, 1, 2)
         assert derive_seed(5, 0, 1, 2) != derive_seed(5, 1, 1, 2)
@@ -87,6 +98,7 @@ class TestRunCommand:
         report = json.loads((out / "diagnostics_gpcn_N10_sig0.1_r0.json").read_text())
         assert report["chain_seed"] == derive_seed(7, 2, 0, 0, 0, 0)
         assert report["config"]["run.n"] == 1000
+        assert set(report["map"]) == {"iterations", "gradient_norm", "converged"}
 
     def test_sweep_emits_row_per_cell(self, tmp_path):
         out = tmp_path / "sweep"
@@ -171,6 +183,25 @@ class TestMapCommand:
         assert np.array_equal(gamma, rebuilt)
         assert json.loads((out / "map.json").read_text())["converged"] is True
         assert PriorSpec(12).dim == xi.shape[0]
+
+    def test_curvature_follows_sampler_gamma(self, tmp_path):
+        from gpcn import elliptic
+        from gpcn.gaussian_ops import PriorSpec
+
+        gammas = {}
+        for source in ("zero", "averaged"):
+            out = tmp_path / source
+            text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
+                    f"sampler.variant = gpcn\nsampler.gamma = {source}\n"
+                    f"sampler.gamma_points = 3\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
+            run_map_command(resolve_config(text))
+            gammas[source] = np.load(out / "gamma.npy")
+        assert gammas["zero"].shape == (12, 12) and not gammas["zero"].any()
+        prior = PriorSpec(12)
+        rng = np.random.default_rng(derive_seed(11, 3, 12))
+        points = [prior.sample(rng) for _ in range(3)]
+        expected = elliptic.build_gamma_averaged(points, 0.1, elliptic.ForwardModel(12)).dense()
+        assert np.array_equal(gammas["averaged"], expected)
 
     def test_consistent_data_gives_near_zero_map(self, tmp_path):
         out = tmp_path / "map0"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gpcn import elliptic
+from gpcn.diagnostics import qoi_exp_integral
 from gpcn.elliptic import (
     ForwardModel,
     Observation,
@@ -19,10 +19,9 @@ from gpcn.elliptic import (
     map_estimate,
     observation_from_json,
     phi,
-    write_grid_csv,
 )
 from gpcn.gaussian_ops import PriorSpec
-from helpers import simpson
+from helpers import cumulative_trapezoid, elliptic_pipeline, interp_at, simpson
 
 LINEAR_G = np.array([0.4, 0.8, 1.2, 1.6])
 
@@ -46,6 +45,15 @@ class TestModelAndField:
     def test_bad_dx_rejected(self):
         with pytest.raises(ValueError):
             ForwardModel(3, dx=0.3)
+
+    def test_modes_at_nyquist_limit_rejected(self):
+        # mode 512 vanishes on the 512-interval grid and 512 + m aliases to -(512 - m)
+        model = ForwardModel(512, dx=2.0 ** -10)
+        assert np.abs(model.sine_table[511, ::2]).max() < 1e-13
+        ForwardModel(511)
+        for n_modes in (512, 800):
+            with pytest.raises(ValueError, match="Nyquist"):
+                ForwardModel(n_modes)
 
     def test_zero_coefficients(self):
         model = ForwardModel(4)
@@ -74,12 +82,6 @@ class TestForward:
         rng = np.random.default_rng(1)
         u = kl_to_field(rng.standard_normal(4), model)
         assert np.allclose(forward_from_field(u, model), forward_from_field(u + 1.7, model))
-
-    def test_boundary_values(self):
-        model = ForwardModel(4)
-        u = kl_to_field(np.random.default_rng(2).standard_normal(4), model)
-        p = elliptic.pressure_profile(u, model)
-        assert p[0] == 0.0 and np.isclose(p[-1], 2.0)
 
     def test_reference_truth_against_refined_quadrature(self):
         # The trapezoid + interpolation error at dx = 2^-9 is ~2e-5 for this
@@ -141,14 +143,30 @@ class TestJacobian:
         # the second term vanishes for even k since S_1(phi_k) = 0 there.
         model = ForwardModel(8)
         jac = jacobian(np.zeros(8), model)
-        mode_flux = model.cumtrapz(model.sine_table)
+        mode_flux = cumulative_trapezoid(model.sine_table, model.dx)
         closed = -2.0 * mode_flux + 2.0 * model.x[None, :] * mode_flux[:, -1:]
-        assert np.allclose(jac, model.interp_obs(closed).T, atol=1e-13)
+        assert np.allclose(jac, interp_at(closed, model.x, model.obs_points).T, atol=1e-13)
         k = np.arange(1, 9)
         analytic_s1 = (np.sqrt(2.0) / np.pi) * (1.0 - np.cos(k * np.pi)) / (k * np.pi)
+        s1 = model.sine_table @ model.weights[-1]
         # trapezoid error on these integrals grows like k dx^2 (~1e-6 k)
-        assert np.allclose(mode_flux[:, -1], analytic_s1, atol=1e-5)
-        assert np.abs(mode_flux[1::2, -1]).max() < 1e-15
+        assert np.allclose(s1, analytic_s1, atol=1e-5)
+        assert np.abs(s1[1::2]).max() < 1e-15
+
+
+@pytest.mark.parametrize("n_modes,dx", [(5, 2.0 ** -9), (50, 2.0 ** -9), (400, 2.0 ** -9),
+                                        (800, 2.0 ** -10)])
+def test_quadrature_operator_matches_full_grid_pipeline(n_modes, dx):
+    # The weight matrix replaces a cumulative trapezoid over every node plus
+    # interpolation; only the summation order differs, so agreement is to round-off.
+    model = ForwardModel(n_modes, dx=dx)
+    rng = np.random.default_rng(n_modes)
+    for _ in range(3):
+        xi = 3.0 * rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
+        g, jac, qoi = elliptic_pipeline(xi, model)
+        assert np.abs(forward(xi, model) - g).max() <= 1e-13 * np.abs(g).max()
+        assert np.abs(jacobian(xi, model) - jac).max() <= 1e-13 * np.abs(jac).max()
+        assert abs(qoi_exp_integral(xi, model) - qoi) <= 1e-13 * qoi
 
 
 class TestMapEstimate:
@@ -292,14 +310,3 @@ class TestGenerateData:
         ga = generate_data(coeffs, 1e-14, model, np.random.default_rng(0)).y
         gb = generate_data(default_truth, 1e-14, model, np.random.default_rng(0)).y
         assert np.abs(ga - gb).max() < 1e-10
-
-
-def test_grid_csv_dump(tmp_path):
-    model = ForwardModel(3)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(np.zeros(3), model, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "x,u,p"
-    assert len(rows) == 1 + model.n_nodes
-    last = rows[-1].split(",")
-    assert float(last[0]) == 1.0 and float(last[2]) == 2.0
