@@ -154,6 +154,9 @@ def resolve_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lines['sampler.variant']}: unknown variant {v!r}")
     if cfg.gamma_source not in ("map", "zero", "averaged"):
         raise ConfigError(f"line {lines['sampler.gamma']}: gamma source must be map, zero or averaged")
+    if cfg.s is not None and not (np.isfinite(cfg.s) and cfg.s >= 0.0):
+        raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be finite and nonnegative, "
+                          f"got {cfg.s}")
     if not 0.0 < cfg.target_acceptance < 1.0:
         raise ConfigError(f"line {lines['sampler.target_acceptance']}: target_acceptance must be in (0, 1)")
     if any(v <= 0 for v in cfg.sigma_eps):

@@ -75,8 +75,8 @@ class ChainConfig:
         object.__setattr__(self, "initial_state", start)
         r = self.restriction_radius
         if r is not None:
-            if r <= 0:
-                raise ValueError("restriction radius must be positive")
+            if not (np.isfinite(r) and r > 0):
+                raise ValueError(f"restriction radius must be positive and finite, got {r}")
             if np.linalg.norm(start) >= r:
                 raise ValueError("initial state violates the restriction radius")
 
@@ -98,8 +98,10 @@ def run_chain(config: ChainConfig) -> ChainTrace:
     """Run n0 burn-in plus n sampling steps; deterministic for a fixed seed.
 
     Burn-in states are discarded from ``states`` but counted in ``accepts``;
-    QoI functionals are evaluated at every post burn-in step, thinning
-    applies to state storage only.
+    the QoI series has a value at every post burn-in step, and thinning
+    applies to state storage only.  A QoI is evaluated at the first post
+    burn-in state and after each accepted step; a rejected step keeps the
+    state, so its value is copied from the previous step.
     """
     rng = np.random.default_rng(config.seed)
     kernel, posterior = config.kernel, config.posterior
@@ -126,7 +128,7 @@ def run_chain(config: ChainConfig) -> ChainTrace:
         if j < 0:
             continue
         for name, fn in config.qoi.items():
-            qoi_series[name][j] = fn(u)
+            qoi_series[name][j] = fn(u) if j == 0 or accepted else qoi_series[name][j - 1]
         if j % thin == 0:
             states[kept] = u
             kept += 1

@@ -51,6 +51,8 @@ class ProposalKernel:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
+        if not np.isfinite(self.s):
+            raise ValueError(f"step size s must be finite, got {self.s}")
         if self.variant in _PACK_VARIANTS and self.pack is None:
             raise ValueError(f"{self.variant} requires an OperatorPack")
         if self.pack is not None and self.pack.s != self.s:

@@ -81,6 +81,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 7"):
             resolve_config(base + "problem.N = 800\nproblem.dx = 0.001953125\n")
 
+    def test_nonfinite_or_negative_step_size_names_its_line(self):
+        base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
+                "run.n = 10\nrun.n0 = 0\n")
+        for value in ("nan", "inf", "-0.1"):
+            with pytest.raises(ConfigError, match="line 7.*sampler.s"):
+                resolve_config(base + f"sampler.s = {value}\n")
+
     def test_seed_split_is_deterministic_and_stream_separated(self):
         assert derive_seed(5, 0, 1, 2) == derive_seed(5, 0, 1, 2)
         assert derive_seed(5, 0, 1, 2) != derive_seed(5, 1, 1, 2)
@@ -113,18 +120,21 @@ class TestRunCommand:
         assert len(lines) == 1 + 5
 
     def test_rerun_reproduces_identical_artifacts(self, tmp_path):
-        out = tmp_path / "a"
-        cfg = write_config(tmp_path, MINIMAL.format(out=out))
-        assert main(["run", "--config", str(cfg)]) == 0
-        trace_path = out / "trace_gpcn_N10_sig0.1_r0.csv"
-        diag_path = out / "diagnostics_gpcn_N10_sig0.1_r0.json"
-        first_trace = trace_path.read_bytes()
-        first_diag = diag_path.read_bytes()
-        first_summary = summary_without_wall_time(out / "summary.csv")
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert trace_path.read_bytes() == first_trace
-        assert diag_path.read_bytes() == first_diag
-        assert summary_without_wall_time(out / "summary.csv") == first_summary
+        # N = 10 applies the sine basis by table, N = 300 (dx 2^-9) by FFT
+        for n_modes in (10, 300):
+            out = tmp_path / f"N{n_modes}"
+            text = MINIMAL.format(out=out).replace("problem.N = 10", f"problem.N = {n_modes}")
+            cfg = write_config(tmp_path, text)
+            assert main(["run", "--config", str(cfg)]) == 0
+            trace_path = out / f"trace_gpcn_N{n_modes}_sig0.1_r0.csv"
+            diag_path = out / f"diagnostics_gpcn_N{n_modes}_sig0.1_r0.json"
+            first_trace = trace_path.read_bytes()
+            first_diag = diag_path.read_bytes()
+            first_summary = summary_without_wall_time(out / "summary.csv")
+            assert main(["run", "--config", str(cfg)]) == 0
+            assert trace_path.read_bytes() == first_trace
+            assert diag_path.read_bytes() == first_diag
+            assert summary_without_wall_time(out / "summary.csv") == first_summary
 
     def test_invalid_config_is_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "seed = 1\nnonsense\n")

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.elliptic import (
+    FFT_MIN_SIZE,
     ForwardModel,
     Observation,
     build_gamma_averaged,
@@ -21,7 +23,7 @@ from gpcn.elliptic import (
     phi,
 )
 from gpcn.gaussian_ops import PriorSpec
-from helpers import cumulative_trapezoid, elliptic_pipeline, interp_at, simpson
+from helpers import cumulative_trapezoid, elliptic_pipeline, interp_at, simpson, sine_basis
 
 LINEAR_G = np.array([0.4, 0.8, 1.2, 1.6])
 
@@ -49,11 +51,21 @@ class TestModelAndField:
     def test_modes_at_nyquist_limit_rejected(self):
         # mode 512 vanishes on the 512-interval grid and 512 + m aliases to -(512 - m)
         model = ForwardModel(512, dx=2.0 ** -10)
-        assert np.abs(model.sine_table[511, ::2]).max() < 1e-13
+        assert np.abs(sine_basis(model)[511, ::2]).max() < 1e-13
         ForwardModel(511)
         for n_modes in (512, 800):
             with pytest.raises(ValueError, match="Nyquist"):
                 ForwardModel(n_modes)
+
+    def test_fft_side_allocates_no_table(self):
+        tracemalloc.start()
+        try:
+            model = ForwardModel(800, dx=2.0 ** -10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.sine_table is None
+        assert peak < 0.1 * 800 * model.n_nodes * 8
 
     def test_zero_coefficients(self):
         model = ForwardModel(4)
@@ -154,12 +166,19 @@ class TestJacobian:
         assert np.abs(s1[1::2]).max() < 1e-15
 
 
-@pytest.mark.parametrize("n_modes,dx", [(5, 2.0 ** -9), (50, 2.0 ** -9), (400, 2.0 ** -9),
-                                        (800, 2.0 ** -10)])
+# Table side: N <= 255 at dx 2^-9, N <= 127 at dx 2^-10; FFT side above.
+@pytest.mark.parametrize("n_modes,dx", [(1, 2.0 ** -9), (5, 2.0 ** -9), (50, 2.0 ** -9),
+                                        (255, 2.0 ** -9), (256, 2.0 ** -9), (400, 2.0 ** -9),
+                                        (511, 2.0 ** -9), (127, 2.0 ** -10), (128, 2.0 ** -10),
+                                        (800, 2.0 ** -10), (1023, 2.0 ** -10)])
 def test_quadrature_operator_matches_full_grid_pipeline(n_modes, dx):
     # The weight matrix replaces a cumulative trapezoid over every node plus
-    # interpolation; only the summation order differs, so agreement is to round-off.
+    # interpolation, and the sine transform a product with the dense basis;
+    # only the summation order differs, so agreement is to round-off.
     model = ForwardModel(n_modes, dx=dx)
+    fft = n_modes > (255 if dx == 2.0 ** -9 else 127)
+    assert (model.n_modes * model.n_nodes >= FFT_MIN_SIZE) == fft
+    assert (model.sine_table is None) == fft
     rng = np.random.default_rng(n_modes)
     for _ in range(3):
         xi = 3.0 * rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)

@@ -129,6 +129,29 @@ class TestRunChain:
             ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0,
                         initial_state=np.array([2.0, 0.0]), restriction_radius=1.0)
 
+    def test_nonfinite_radius_rejected(self):
+        posterior = flat_posterior(2)
+        for radius in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0,
+                            restriction_radius=radius)
+
+    def test_qoi_evaluated_only_at_new_states(self):
+        posterior, _, _, _ = linear_gaussian_setup()
+        calls = []
+
+        def first(u):
+            calls.append(u.copy())
+            return float(u[0])
+
+        n0 = 50
+        cfg = ChainConfig(pcn(posterior.prior, 0.6), posterior, n=400, n0=n0, seed=12,
+                          qoi={"first": first})
+        trace = run_chain(cfg)
+        assert 0 < trace.accepts[n0 + 1:].sum() < 399        # some steps rejected
+        assert len(calls) == 1 + trace.accepts[n0 + 1:].sum()
+        assert np.array_equal(trace.qoi_series["first"], [first(u) for u in trace.states])
+
     def test_recovers_linear_gaussian_posterior_mean(self):
         posterior, mean, cov, gamma = linear_gaussian_setup()
         kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.5))

@@ -3,6 +3,7 @@ import pytest
 
 from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack, log_rho_gamma
 from gpcn.proposals import (
+    VARIANTS,
     ProposalKernel,
     gauss_newton_rw,
     gpcn,
@@ -224,6 +225,14 @@ class TestKernelPlumbing:
             v = propose(factory(kernel.pack).with_step_size(0.7), u, np.random.default_rng(5))
             v_fresh = propose(factory(fresh), u, np.random.default_rng(5))
             assert np.abs(v - v_fresh).max() < 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_nonfinite_step_rejected(self, variant):
+        prior = PriorSpec(3)
+        pack = build_operator_pack(prior, np.eye(3), 0.5)
+        for s in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ProposalKernel(variant, prior, s, pack=pack, gamma_map=lambda u: np.eye(3))
 
     def test_rw_allows_step_above_one(self):
         kernel = random_walk(PriorSpec(2), 1.7)
