@@ -219,6 +219,7 @@ class MapResult:
     converged: bool
     iterations: int
     gradient_norm: float
+    stop: str               # "gradient", "step", "damping" or "max_iter"
 
 
 def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
@@ -231,8 +232,13 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     r = [sigma^-1 (y - G(xi)); C^{-1/2} xi], starting from xi = 0.  Damping
     starts at 1e-3, x10 on a failed step and /10 on success; convergence is
     declared at gradient norm < 1e-8 or step norm < 1e-12, with a 500
-    iteration cap (``converged=False`` flags a hit cap).  Each damped normal
-    system (L = J/sigma, r x N) is solved by Woodbury with one r x r solve.
+    iteration cap and a damping cap of 1e14 (``converged=False`` flags a
+    hit cap).  Each damped normal system (L = J/sigma, r x N) is solved by
+    Woodbury with one r x r solve.
+
+    ``stop`` says which rule ended the solve: ``"gradient"`` (gradient norm
+    below tolerance), ``"step"`` (collapsed step, flagged converged whatever
+    the gradient norm), ``"damping"`` (damping above 1e14) or ``"max_iter"``.
     """
     fwd = forward_fn or (lambda x: forward(x, model))
     jac = jacobian_fn or (lambda x: jacobian(x, model))
@@ -255,7 +261,7 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     for it in range(1, max_iter + 1):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < 1e-8:
-            return MapResult(xi, True, it - 1, grad_norm)
+            return MapResult(xi, True, it - 1, grad_norm, "gradient")
         d_inv = 1.0 / (inv_std * inv_std + damping)
         ld = l * d_inv                                 # L D^{-1}; solve with I + L D^{-1} L^T
         step = ld.T @ np.linalg.solve(np.eye(len(l)) + ld @ l.T, ld @ grad) - d_inv * grad
@@ -270,11 +276,12 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
             damping *= 10.0
         # A collapsed trust-region step means no further progress is possible.
         if np.linalg.norm(step) < 1e-12:
-            return MapResult(xi, True, it, grad_norm)
+            return MapResult(xi, True, it, grad_norm, "step")
         if damping > 1e14:
-            break
+            # only a failed step raises the damping, so grad_norm is current
+            return MapResult(xi, False, it, grad_norm, "damping")
     grad_norm = float(np.linalg.norm(grad))
-    return MapResult(xi, grad_norm < 1e-8, max_iter, grad_norm)
+    return MapResult(xi, grad_norm < 1e-8, max_iter, grad_norm, "max_iter")
 
 
 def build_gamma_from_map(xi_map: np.ndarray, obs: Observation, model: ForwardModel) -> FactoredGamma:

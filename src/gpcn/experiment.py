@@ -21,7 +21,7 @@ from . import elliptic
 from .diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
 from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from .metropolis import ChainConfig, run_chain, tune_step_size, write_state_dump, write_trace_csv
-from .proposals import VARIANTS, ProposalKernel
+from .proposals import LOCAL_VARIANTS, VARIANTS, ProposalKernel
 
 QOI_NAME = "exp_integral"
 _SEED_DATA, _SEED_TUNE, _SEED_CHAIN, _SEED_POINTS = 0, 1, 2, 3
@@ -154,9 +154,19 @@ def resolve_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lines['sampler.variant']}: unknown variant {v!r}")
     if cfg.gamma_source not in ("map", "zero", "averaged"):
         raise ConfigError(f"line {lines['sampler.gamma']}: gamma source must be map, zero or averaged")
-    if cfg.s is not None and not (np.isfinite(cfg.s) and cfg.s >= 0.0):
-        raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be finite and nonnegative, "
-                          f"got {cfg.s}")
+    if cfg.s is not None:
+        if not (np.isfinite(cfg.s) and cfg.s >= 0.0):
+            raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be finite and nonnegative, "
+                              f"got {cfg.s}")
+        for v in cfg.variants:
+            # The autoregressive families need sqrt(1 - s^2); the local
+            # corrections divide by s.
+            if v in ("pcn", "gpcn") + LOCAL_VARIANTS and cfg.s >= 1.0:
+                raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be below 1 "
+                                  f"for {v}, got {cfg.s}")
+            if v in LOCAL_VARIANTS and cfg.s == 0.0:
+                raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be positive "
+                                  f"for {v}, got {cfg.s}")
     if not 0.0 < cfg.target_acceptance < 1.0:
         raise ConfigError(f"line {lines['sampler.target_acceptance']}: target_acceptance must be in (0, 1)")
     if any(v <= 0 for v in cfg.sigma_eps):
@@ -280,10 +290,14 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
             "phi_at_map": posterior.phi(xi_map),
             "map": {"iterations": map_result.iterations,
                     "gradient_norm": map_result.gradient_norm,
-                    "converged": map_result.converged},
+                    "converged": map_result.converged,
+                    "stop": map_result.stop},
             "observation": json.loads(obs.to_json()),
             "ess": {"ims": ims_summary, "batch_means": ess_bm},
         }
+        if tuned:
+            report["tune"] = {"converged": result.converged,
+                              "acceptance_rate": result.acceptance_rate}
         with open(os.path.join(cfg.out_dir, f"diagnostics_{stem}.json"), "w") as fh:
             json.dump(report, fh, indent=2)
 
@@ -349,7 +363,7 @@ def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
         "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,
         "phi_at_map": posterior.phi(result.xi),
         "converged": result.converged, "iterations": result.iterations,
-        "gradient_norm": result.gradient_norm,
+        "gradient_norm": result.gradient_norm, "stop": result.stop,
         "observation": json.loads(obs.to_json()),
     }
     with open(os.path.join(out, "map.json"), "w") as fh:

@@ -16,36 +16,45 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gaussian_ops import Posterior
-from .proposals import ProposalKernel, log_acceptance_correction, propose
+from .proposals import LOCAL_VARIANTS, ProposalKernel, log_acceptance_correction, propose
 
 S_LO = 1e-4
 S_HI = 0.999
 
 
-def mh_step(kernel, posterior, u, rng, radius=None, phi_u=None):
-    """One Metropolis transition from u.
+def mh_step(kernel, posterior, u, rng, radius=None, phi_u=None, pack_u=None):
+    """One Metropolis transition from the state record (u, phi(u), pack(u)).
 
     Accepts the proposal v with probability min{1, exp(phi(u) - phi(v) +
     correction)}, additionally multiplied by the indicator ||v|| < radius
     when a restriction radius is given.  Non-finite phi(v) counts as a
     rejection.
 
-    Returns ``(state, accepted, phi_state)``; passing ``phi_u`` skips one
-    potential evaluation.
+    ``pack(u)`` is the local variants' operator pack at u and None for every
+    other variant; v is drawn from it.  The candidate's pack is built once,
+    with ``kernel.pack_at(v)``, and only when v passed the radius and
+    finite-phi checks; the correction reads both packs.  Passing ``phi_u``
+    and ``pack_u`` skips their evaluation at u.
+
+    Returns ``(state, accepted, phi_state, pack_state)``: the candidate's
+    record on accept, the current one otherwise.
     """
     if phi_u is None:
         phi_u = posterior.phi(u)
-    v = propose(kernel, u, rng)
+    if pack_u is None and kernel.variant in LOCAL_VARIANTS:
+        pack_u = kernel.pack_at(u)
+    v = propose(kernel, u, rng, pack_u)
     accept_u = rng.random()
     if radius is not None and np.linalg.norm(v) >= radius:
-        return u, False, phi_u
+        return u, False, phi_u, pack_u
     phi_v = posterior.phi(v)
     if not np.isfinite(phi_v):
-        return u, False, phi_u
-    log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v)
+        return u, False, phi_u, pack_u
+    pack_v = None if pack_u is None else kernel.pack_at(v)
+    log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v, pack_u, pack_v)
     if np.log(accept_u) < log_alpha:
-        return v, True, phi_v
-    return u, False, phi_u
+        return v, True, phi_v, pack_v
+    return u, False, phi_u, pack_u
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,11 @@ def run_chain(config: ChainConfig) -> ChainTrace:
     applies to state storage only.  A QoI is evaluated at the first post
     burn-in state and after each accepted step; a rejected step keeps the
     state, so its value is copied from the previous step.
+
+    The chain state is the record (u, phi(u), pack(u)) that ``mh_step``
+    takes and returns: the initial state's record is built once here, and a
+    local-variant step then costs one pack build (one curvature evaluation),
+    for its candidate.
     """
     rng = np.random.default_rng(config.seed)
     kernel, posterior = config.kernel, config.posterior
@@ -111,6 +125,7 @@ def run_chain(config: ChainConfig) -> ChainTrace:
     phi_u = posterior.phi(u)
     if not np.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
+    pack_u = kernel.pack_at(u) if kernel.variant in LOCAL_VARIANTS else None
 
     total = n0 + n
     accepts = np.zeros(total, dtype=bool)
@@ -121,8 +136,9 @@ def run_chain(config: ChainConfig) -> ChainTrace:
     t0 = time.perf_counter()
     kept = 0
     for i in range(total):
-        u, accepted, phi_u = mh_step(kernel, posterior, u, rng,
-                                     radius=config.restriction_radius, phi_u=phi_u)
+        u, accepted, phi_u, pack_u = mh_step(kernel, posterior, u, rng,
+                                             radius=config.restriction_radius,
+                                             phi_u=phi_u, pack_u=pack_u)
         accepts[i] = accepted
         j = i - n0
         if j < 0:

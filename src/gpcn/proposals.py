@@ -33,7 +33,7 @@ from .gaussian_ops import (
 
 VARIANTS = ("rw", "pcn", "gn-rw", "gpcn", "local-gpcn", "local-gpcn2")
 _PACK_VARIANTS = ("gn-rw", "gpcn")
-_LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
+LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class ProposalKernel:
             raise ValueError(f"{self.variant} requires an OperatorPack")
         if self.pack is not None and self.pack.s != self.s:
             raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
-        if self.variant in _LOCAL_VARIANTS and self.gamma_map is None:
+        if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
-        if self.variant in ("pcn", "gpcn") + _LOCAL_VARIANTS and not 0.0 <= self.s < 1.0:
+        if self.variant in ("pcn", "gpcn") + LOCAL_VARIANTS and not 0.0 <= self.s < 1.0:
             raise ValueError(f"step size s must lie in [0, 1) for {self.variant}, got {self.s}")
         if self.variant in ("rw", "gn-rw") and self.s < 0.0:
             # Random walks need no sqrt(1-s^2); any positive step is allowed.
@@ -99,8 +99,13 @@ def local_gpcn2(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
     return ProposalKernel("local-gpcn2", prior, s, gamma_map=gamma_map)
 
 
-def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one candidate state from the kernel's law at u."""
+def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator,
+            pack_u: Optional[OperatorPack] = None) -> np.ndarray:
+    """Draw one candidate state from the kernel's law at u.
+
+    The local variants draw from ``pack_u``, their pack at u, and build it
+    with ``kernel.pack_at(u)`` when it is not given.
+    """
     z = rng.standard_normal(kernel.prior.dim)
     s = kernel.s
     v = kernel.variant
@@ -110,19 +115,25 @@ def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator) -> 
         return np.sqrt(1.0 - s * s) * u + s * (kernel.prior.std * z)
     if v == "gn-rw":
         return u + kernel.pack.scaled_noise(z)
-    pack = kernel.pack if v == "gpcn" else kernel.pack_at(u)
+    if v == "gpcn":
+        pack = kernel.pack
+    else:
+        pack = kernel.pack_at(u) if pack_u is None else pack_u
     if v == "local-gpcn2":
         return pack.a0 * u + pack.scaled_noise(z)
     return pack.apply_a(u) + pack.scaled_noise(z)
 
 
-def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray) -> float:
+def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
+                              pack_u: Optional[OperatorPack] = None,
+                              pack_v: Optional[OperatorPack] = None) -> float:
     """Additive log term completing the acceptance ratio phi(u) - phi(v) + correction.
 
     pcn and gpcn are prior-reversible, so their correction vanishes.  rw and
     gn-rw are symmetric Lebesgue proposals; keeping the chain reversible for
     the posterior requires the prior log-density ratio.  The local variants
-    carry the density ratio of their state-dependent laws.
+    carry the density ratio of their state-dependent laws, from their packs
+    at u and v; a pack that is not given is built with ``kernel.pack_at``.
     """
     variant = kernel.variant
     if variant in ("pcn", "gpcn"):
@@ -132,15 +143,16 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
         return float(0.5 * (np.sum(u * u / lam) - np.sum(v * v / lam)))
     if kernel.s <= 0.0:
         raise ValueError("local proposal corrections require s > 0")
-    gamma_u = kernel.gamma_map(u)
-    gamma_v = kernel.gamma_map(v)
-    if variant == "local-gpcn" and type(gamma_u) is type(gamma_v) and np.array_equal(
-            getattr(gamma_u, "factor", gamma_u), getattr(gamma_v, "factor", gamma_v)):
-        # Constant curvature map: the two density factors coincide, the
-        # correction is exactly the global-gpcn one (zero).
+    if pack_u is None:
+        pack_u = kernel.pack_at(u)
+    if pack_v is None:
+        pack_v = kernel.pack_at(v)
+    if variant == "local-gpcn" and np.array_equal(pack_u.w, pack_v.w) and np.array_equal(
+            pack_u.v, pack_v.v):
+        # Constant curvature map: one Gamma gives bit-identical packs, the two
+        # density factors coincide and the correction is exactly the
+        # global-gpcn one (zero).
         return 0.0
-    pack_u = build_operator_pack(kernel.prior, gamma_u, kernel.s)
-    pack_v = build_operator_pack(kernel.prior, gamma_v, kernel.s)
     if variant == "local-gpcn":
         return log_rho_gamma(pack_u, u, v) - log_rho_gamma(pack_v, v, u)
     # local-gpcn2: only the covariance is state dependent, the mean is the
@@ -149,4 +161,3 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     tu = (v - pack_u.a0 * u) / kernel.s
     tv = (u - pack_u.a0 * v) / kernel.s
     return log_pi_gamma(pack_u, tu) - log_pi_gamma(pack_v, tv)
-

@@ -77,3 +77,41 @@ def elliptic_pipeline(xi, model):
     forward = interp_at(p, model.x, model.obs_points)
     jacobian = interp_at(dp, model.x, model.obs_points).T
     return forward, jacobian, trapezoid(np.exp(u), model.dx)
+
+
+def reference_chain(config):
+    """``run_chain`` by the step rule without state records: every step
+    builds the local packs at u and v from scratch, through ``propose`` and
+    ``log_acceptance_correction`` called without packs.
+
+    Returns (accepts, retained states, QoI series, steps that reached the
+    acceptance test), with the QoI evaluated at every post burn-in state.
+    """
+    from gpcn.proposals import log_acceptance_correction, propose
+
+    rng = np.random.default_rng(config.seed)
+    kernel, posterior, radius = config.kernel, config.posterior, config.restriction_radius
+    u = config.initial_state.copy()
+    accepts, states, tested = [], [], 0
+    qoi = {name: [] for name in config.qoi}
+    for i in range(config.n0 + config.n):
+        v = propose(kernel, u, rng)
+        accept_u = rng.random()
+        accepted = False
+        if radius is None or np.linalg.norm(v) < radius:
+            phi_v = posterior.phi(v)
+            if np.isfinite(phi_v):
+                tested += 1
+                log_alpha = posterior.phi(u) - phi_v + log_acceptance_correction(kernel, u, v)
+                accepted = bool(np.log(accept_u) < log_alpha)
+        if accepted:
+            u = v
+        accepts.append(accepted)
+        j = i - config.n0
+        if j >= 0:
+            for name, fn in config.qoi.items():
+                qoi[name].append(fn(u))
+            if j % config.thin == 0:
+                states.append(u)
+    states = np.array(states).reshape(-1, config.kernel.prior.dim)
+    return np.array(accepts), states, {k: np.array(s) for k, s in qoi.items()}, tested

@@ -88,6 +88,23 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="line 7.*sampler.s"):
                 resolve_config(base + f"sampler.s = {value}\n")
 
+    @pytest.mark.parametrize("variant, value", [
+        ("pcn", "1.5"), ("pcn", "1"), ("gpcn", "1.0"), ("local-gpcn", "1.2"),
+        ("local-gpcn2", "1"), ("local-gpcn", "0"), ("local-gpcn2", "0.0")])
+    def test_step_size_outside_the_variants_range_names_its_line(self, variant, value):
+        base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
+                f"sampler.variant = rw, {variant}\nrun.n = 10\nrun.n0 = 0\n")
+        with pytest.raises(ConfigError, match=f"line 7.*sampler.s.*{variant}"):
+            resolve_config(base + f"sampler.s = {value}\n")
+
+    def test_step_size_within_the_variants_range_accepted(self):
+        base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
+                "run.n = 10\nrun.n0 = 0\n")
+        for variants, value in (("rw, gn-rw", 1.5), ("pcn, gpcn", 0.0),
+                                ("local-gpcn, local-gpcn2", 0.999)):
+            cfg = resolve_config(base + f"sampler.variant = {variants}\nsampler.s = {value}\n")
+            assert cfg.s == value
+
     def test_seed_split_is_deterministic_and_stream_separated(self):
         assert derive_seed(5, 0, 1, 2) == derive_seed(5, 0, 1, 2)
         assert derive_seed(5, 0, 1, 2) != derive_seed(5, 1, 1, 2)
@@ -105,7 +122,22 @@ class TestRunCommand:
         report = json.loads((out / "diagnostics_gpcn_N10_sig0.1_r0.json").read_text())
         assert report["chain_seed"] == derive_seed(7, 2, 0, 0, 0, 0)
         assert report["config"]["run.n"] == 1000
-        assert set(report["map"]) == {"iterations", "gradient_norm", "converged"}
+        assert set(report["map"]) == {"iterations", "gradient_norm", "converged", "stop"}
+        assert "tune" not in report               # s is fixed
+
+    def test_tuned_cell_records_the_tuner_outcome(self, tmp_path):
+        out = tmp_path / "tuned"
+        text = (f"seed = 5\nproblem.N = 6\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
+                f"run.n = 200\nrun.n0 = 0\nrun.pilot_n = 1000\noutput.dir = {out}\n")
+        rows = run_experiment(resolve_config(text))
+        report = json.loads((out / "diagnostics_pcn_N6_sig0.1_r0.json").read_text())
+        assert report["tuned"] is True
+        assert set(report["tune"]) == {"converged", "acceptance_rate"}
+        assert isinstance(report["tune"]["converged"], bool)
+        assert 0.0 <= report["tune"]["acceptance_rate"] <= 1.0
+        if report["tune"]["converged"]:
+            assert abs(report["tune"]["acceptance_rate"] - 0.25) <= 0.05
+        assert report["s"] == rows[0]["s"]
 
     def test_sweep_emits_row_per_cell(self, tmp_path):
         out = tmp_path / "sweep"
@@ -120,14 +152,16 @@ class TestRunCommand:
         assert len(lines) == 1 + 5
 
     def test_rerun_reproduces_identical_artifacts(self, tmp_path):
-        # N = 10 applies the sine basis by table, N = 300 (dx 2^-9) by FFT
-        for n_modes in (10, 300):
-            out = tmp_path / f"N{n_modes}"
-            text = MINIMAL.format(out=out).replace("problem.N = 10", f"problem.N = {n_modes}")
+        # N = 10 applies the sine basis by table, N = 300 (dx 2^-9) by FFT;
+        # local-gpcn carries a per-state pack through the chain
+        for variant, n_modes in (("gpcn", 10), ("gpcn", 300), ("local-gpcn", 10)):
+            out = tmp_path / f"{variant}_N{n_modes}"
+            text = (MINIMAL.format(out=out).replace("problem.N = 10", f"problem.N = {n_modes}")
+                    .replace("sampler.variant = gpcn", f"sampler.variant = {variant}"))
             cfg = write_config(tmp_path, text)
             assert main(["run", "--config", str(cfg)]) == 0
-            trace_path = out / f"trace_gpcn_N{n_modes}_sig0.1_r0.csv"
-            diag_path = out / f"diagnostics_gpcn_N{n_modes}_sig0.1_r0.json"
+            trace_path = out / f"trace_{variant}_N{n_modes}_sig0.1_r0.csv"
+            diag_path = out / f"diagnostics_{variant}_N{n_modes}_sig0.1_r0.json"
             first_trace = trace_path.read_bytes()
             first_diag = diag_path.read_bytes()
             first_summary = summary_without_wall_time(out / "summary.csv")
@@ -192,6 +226,7 @@ class TestMapCommand:
         rebuilt = elliptic.build_gamma_from_map(xi, obs, model).dense()
         assert np.array_equal(gamma, rebuilt)
         assert json.loads((out / "map.json").read_text())["converged"] is True
+        assert summary["stop"] in ("gradient", "step")
         assert PriorSpec(12).dim == xi.shape[0]
 
     def test_curvature_follows_sampler_gamma(self, tmp_path):

@@ -225,6 +225,26 @@ class TestMapEstimate:
             draw = prior.sample(rng)
             assert phi(result.xi, obs, model) <= phi(draw, obs, model)
 
+    def test_stop_reason_names_the_rule_that_ended_the_solve(self):
+        model = ForwardModel(12)
+        prior = PriorSpec(12)
+        # consistent data at the prior mean: zero gradient at the start
+        result = map_estimate(make_obs(LINEAR_G), ForwardModel(6), PriorSpec(6))
+        assert (result.stop, result.iterations, result.converged) == ("gradient", 0, True)
+        obs = generate_data(default_truth, 0.01, model, np.random.default_rng(0), seed=0)
+        result = map_estimate(obs, model, prior)
+        assert result.stop == "step" and result.converged
+        assert result.gradient_norm > 1e-8        # flagged converged above the tolerance
+        result = map_estimate(obs, model, prior, max_iter=2)
+        assert (result.stop, result.iterations, result.converged) == ("max_iter", 2, False)
+        # every candidate but the start is worse, so the damping grows until it is capped
+        lin = np.random.default_rng(1).standard_normal((4, 12))
+        result = map_estimate(obs, model, prior,
+                              forward_fn=lambda x: np.full(4, 1e6) if x.any() else np.zeros(4),
+                              jacobian_fn=lambda x: lin)
+        assert result.stop == "damping" and not result.converged
+        assert result.iterations < 500 and not result.xi.any()
+
 
 class TestGamma:
     def test_rank_at_most_four(self):

@@ -13,7 +13,8 @@ from gpcn.metropolis import (
     write_state_dump,
     write_trace_csv,
 )
-from gpcn.proposals import gpcn, pcn, random_walk
+from gpcn.proposals import gpcn, local_gpcn, local_gpcn2, pcn, random_walk
+from helpers import reference_chain
 
 
 def flat_posterior(n):
@@ -45,7 +46,7 @@ class TestMhStep:
         rng = np.random.default_rng(0)
         u = np.zeros(4)
         for _ in range(50):
-            u, accepted, _ = mh_step(kernel, posterior, u, rng)
+            u, accepted, _, _ = mh_step(kernel, posterior, u, rng)
             assert accepted
 
     def test_restriction_rejects_outside_ball(self):
@@ -53,7 +54,7 @@ class TestMhStep:
         kernel = random_walk(posterior.prior, 50.0)   # surely leaves the tiny ball
         rng = np.random.default_rng(1)
         u = np.zeros(3)
-        state, accepted, _ = mh_step(kernel, posterior, u, rng, radius=1e-3)
+        state, accepted, _, _ = mh_step(kernel, posterior, u, rng, radius=1e-3)
         assert accepted is False
         assert np.array_equal(state, u)
 
@@ -62,7 +63,7 @@ class TestMhStep:
         posterior = Posterior(prior, lambda u: np.inf if u[0] > 0 else 0.0)
         kernel = pcn(prior, 0.9)
         rng = np.random.default_rng(2)
-        state, accepted, phi_state = mh_step(kernel, posterior, np.array([-0.5, 0.0]), rng)
+        state, accepted, phi_state, _ = mh_step(kernel, posterior, np.array([-0.5, 0.0]), rng)
         if state[0] > 0:
             raise AssertionError("moved to a forbidden state")
         assert np.isfinite(phi_state)
@@ -79,7 +80,7 @@ class TestMhStep:
             phi_u = posterior.phi(u)
             hits = 0
             for _ in range(10000):
-                u, accepted, phi_u = mh_step(kernel, posterior, u, rng, phi_u=phi_u)
+                u, accepted, phi_u, _ = mh_step(kernel, posterior, u, rng, phi_u=phi_u)
                 hits += accepted
             counts[name] = hits
         assert counts["gpcn"] > counts["pcn"]
@@ -160,6 +161,85 @@ class TestRunChain:
         err = np.abs(trace.states.mean(axis=0) - mean)
         marginal_sd = np.sqrt(np.diag(cov))
         assert np.all(err < 6.0 * marginal_sd / np.sqrt(1000))  # ~ess lower bound
+
+
+class TestStateRecords:
+    """The local variants carry (u, phi(u), pack(u)) as the chain state."""
+
+    def local_setup(self, n=20):
+        model = elliptic.ForwardModel(n)
+        prior = PriorSpec(n)
+        obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
+                                     np.random.default_rng(30), seed=30)
+        posterior = elliptic.make_posterior(obs, model, prior)
+        xi_map = elliptic.map_estimate(obs, model, prior).xi
+        calls = []
+
+        def gamma_map(u):
+            calls.append(1)
+            return elliptic.build_gamma_from_map(u, obs, model)
+
+        qoi = {"exp_integral": lambda u: qoi_exp_integral(u, model)}
+        return prior, posterior, xi_map, gamma_map, calls, qoi
+
+    @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
+    def test_chain_matches_the_step_rule_without_records(self, factory):
+        prior, posterior, xi_map, gamma_map, _, qoi = self.local_setup()
+        for radius in (None, np.linalg.norm(xi_map) + 0.05):
+            cfg = ChainConfig(factory(prior, gamma_map, 0.3), posterior, n=50, n0=10,
+                              seed=31, initial_state=xi_map, restriction_radius=radius,
+                              qoi=qoi)
+            trace = run_chain(cfg)
+            accepts, states, series, _ = reference_chain(cfg)
+            assert 0 < trace.accepts.sum() < 60
+            assert np.array_equal(trace.accepts, accepts)
+            assert np.array_equal(trace.states, states)
+            assert np.array_equal(trace.qoi_series["exp_integral"], series["exp_integral"])
+
+    @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
+    def test_one_curvature_evaluation_per_tested_candidate(self, factory):
+        prior, posterior, xi_map, gamma_map, calls, _ = self.local_setup()
+        n0, n = 10, 50
+        for radius in (None, np.linalg.norm(xi_map) + 0.05):
+            cfg = ChainConfig(factory(prior, gamma_map, 0.3), posterior, n=n, n0=n0,
+                              seed=31, initial_state=xi_map, restriction_radius=radius)
+            calls.clear()
+            run_chain(cfg)
+            chain_calls = len(calls)
+            tested = reference_chain(cfg)[3]
+            assert chain_calls <= n0 + n + 1
+            # the initial record plus one per candidate inside the ball
+            assert chain_calls == 1 + tested
+            if radius is not None:
+                assert tested < n0 + n          # some candidates left the ball
+
+    def test_step_returns_the_candidate_record_on_accept(self):
+        prior, posterior, xi_map, gamma_map, calls, _ = self.local_setup()
+        kernel = local_gpcn(prior, gamma_map, 0.3)
+        rng = np.random.default_rng(5)
+        u, phi_u, pack_u = xi_map, posterior.phi(xi_map), kernel.pack_at(xi_map)
+        moves = 0
+        for _ in range(20):
+            u_new, accepted, phi_new, pack_new = mh_step(kernel, posterior, u, rng,
+                                                         phi_u=phi_u, pack_u=pack_u)
+            if accepted:
+                moves += 1
+                assert phi_new == posterior.phi(u_new)
+                fresh = kernel.pack_at(u_new)
+                assert np.array_equal(pack_new.v, fresh.v) and np.array_equal(pack_new.w, fresh.w)
+            else:
+                assert u_new is u and phi_new == phi_u and pack_new is pack_u
+            u, phi_u, pack_u = u_new, phi_new, pack_new
+        assert 0 < moves < 20
+
+    def test_non_local_variants_carry_no_pack(self):
+        posterior, _, _, gamma = linear_gaussian_setup()
+        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.4))
+        rng = np.random.default_rng(3)
+        u = np.zeros(posterior.prior.dim)
+        for _ in range(10):
+            u, _, _, pack = mh_step(kernel, posterior, u, rng)
+            assert pack is None
 
 
 class TestTuner:
