@@ -297,7 +297,8 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
         }
         if tuned:
             report["tune"] = {"converged": result.converged,
-                              "acceptance_rate": result.acceptance_rate}
+                              "acceptance_rate": result.acceptance_rate,
+                              "pilots": [list(p) for p in result.pilots]}
         with open(os.path.join(cfg.out_dir, f"diagnostics_{stem}.json"), "w") as fh:
             json.dump(report, fh, indent=2)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class ChainTrace:
     thin: int
 
 
-def run_chain(config: ChainConfig) -> ChainTrace:
+def run_chain(config: ChainConfig,
+              stop: Optional[Callable[[int, int], bool]] = None) -> ChainTrace:
     """Run n0 burn-in plus n sampling steps; deterministic for a fixed seed.
 
     Burn-in states are discarded from ``states`` but counted in ``accepts``;
@@ -116,6 +117,11 @@ def run_chain(config: ChainConfig) -> ChainTrace:
     takes and returns: the initial state's record is built once here, and a
     local-variant step then costs one pack build (one curvature evaluation),
     for its candidate.
+
+    ``stop(steps, accepted)``, when given, is called after each step with
+    the steps run so far and how many of them were accepted; once it returns
+    True the run ends, and the trace covers only the steps that ran (its
+    ``n0`` and ``n`` say how many of each kind).
     """
     rng = np.random.default_rng(config.seed)
     kernel, posterior = config.kernel, config.posterior
@@ -135,31 +141,40 @@ def run_chain(config: ChainConfig) -> ChainTrace:
 
     t0 = time.perf_counter()
     kept = 0
+    steps, n_accepted = total, 0
     for i in range(total):
         u, accepted, phi_u, pack_u = mh_step(kernel, posterior, u, rng,
                                              radius=config.restriction_radius,
                                              phi_u=phi_u, pack_u=pack_u)
         accepts[i] = accepted
         j = i - n0
-        if j < 0:
-            continue
-        for name, fn in config.qoi.items():
-            qoi_series[name][j] = fn(u) if j == 0 or accepted else qoi_series[name][j - 1]
-        if j % thin == 0:
-            states[kept] = u
-            kept += 1
+        if j >= 0:
+            for name, fn in config.qoi.items():
+                qoi_series[name][j] = fn(u) if j == 0 or accepted else qoi_series[name][j - 1]
+            if j % thin == 0:
+                states[kept] = u
+                kept += 1
+        if stop is not None:
+            n_accepted += accepted
+            if stop(i + 1, n_accepted):
+                steps = i + 1
+                break
     wall = time.perf_counter() - t0
 
-    rate = float(accepts.mean()) if total > 0 else 0.0
-    return ChainTrace(states=states, accepts=accepts, qoi_series=qoi_series,
+    accepts = accepts[:steps]
+    n_run = max(steps - n0, 0)
+    rate = float(accepts.mean()) if steps > 0 else 0.0
+    return ChainTrace(states=states[:kept], accepts=accepts,
+                      qoi_series={name: series[:n_run] for name, series in qoi_series.items()},
                       acceptance_rate=rate, seed=config.seed, wall_time=wall,
-                      n=n, n0=n0, thin=thin)
+                      n=n_run, n0=steps - n_run, thin=thin)
 
 
 class TuneResult(NamedTuple):
     s: float
     acceptance_rate: float
     converged: bool         # False = boundary / out-of-band warning
+    pilots: tuple           # (s, steps run, steps accepted) per pilot, in order
 
 
 def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
@@ -170,44 +185,85 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     Acceptance decreases monotonically in s for these proposal families, so
     bisection applies; if even a boundary step size cannot reach the target
     band, the boundary value is returned with ``converged=False``.
+
+    Each pilot ends as soon as its accept count fixes the decision it feeds,
+    whatever its remaining steps would do: the S_HI pilot once its rate can
+    no longer reach the target, the S_LO pilot once it can no longer fall to
+    the target, a bisection pilot once its rate is out of band on a side it
+    can no longer leave.  A pilot whose rate may be returned runs all
+    ``pilot_n`` steps.  The stop is exact: the returned ``TuneResult``
+    (``pilots`` aside) is the one that full-length pilots give.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must lie in (0, 1)")
     if pilot_n < 1000:
         raise ValueError("pilot_n must be at least 1000")
+    if not (np.isfinite(tol) and 0.0 < tol < 1.0):
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
-    def pilot(s):
+    pilots = []
+
+    def pilot(s, stop=None):
         cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius)
-        return run_chain(cfg).acceptance_rate
+        trace = run_chain(cfg, stop=stop)
+        pilots.append((s, int(trace.accepts.size), int(trace.accepts.sum())))
+        return trace.acceptance_rate
+
+    def result(s, rate, converged):
+        return TuneResult(s, rate, converged, tuple(pilots))
+
+    # After k of pilot_n steps with a accepted, the full rate lies between
+    # a / pilot_n and (a + pilot_n - k) / pilot_n.  These are the float
+    # divisions that give the full rate, and every decision below is
+    # monotone in the rate, so a decision both bounds agree on is the one
+    # the full pilot makes.  A stopped pilot reports its rate so far, a / k,
+    # which lies between the bounds and so takes the same branch.
+    def band_side(rate):
+        """-1 below the target band, 0 inside it, +1 above it."""
+        if abs(rate - target_rate) <= tol:
+            return 0
+        return 1 if rate > target_rate else -1
+
+    def below_target(k, a):
+        return (a + pilot_n - k) / pilot_n < target_rate
+
+    def above_target(k, a):
+        return a / pilot_n > target_rate
+
+    def out_of_band(k, a):
+        side = band_side(a / pilot_n)
+        return side != 0 and side == band_side((a + pilot_n - k) / pilot_n)
 
     # Acceptance decreases in s, so acc(S_HI) is the attainable floor and
     # acc(S_LO) the ceiling; boundaries are returned only when the target
     # band cannot be bracketed.
-    hi_rate = pilot(S_HI)
+    hi_rate = pilot(S_HI, below_target)
     if hi_rate > target_rate + tol:
-        return TuneResult(S_HI, hi_rate, False)
+        return result(S_HI, hi_rate, False)
     if hi_rate >= target_rate:
-        return TuneResult(S_HI, hi_rate, True)
-    lo_rate = pilot(S_LO)
+        return result(S_HI, hi_rate, True)
+    lo_rate = pilot(S_LO, above_target)
     if lo_rate < target_rate - tol:
-        return TuneResult(S_LO, lo_rate, False)
+        return result(S_LO, lo_rate, False)
     if lo_rate <= target_rate:
-        return TuneResult(S_LO, lo_rate, True)
+        return result(S_LO, lo_rate, True)
 
     lo, hi = S_LO, S_HI
-    mid, rate = lo, lo_rate
-    for _ in range(max_iters):
+    for i in range(max_iters):
         mid = float(np.sqrt(lo * hi))
-        rate = pilot(mid)
-        if abs(rate - target_rate) <= tol:
-            return TuneResult(mid, rate, True)
-        if rate > target_rate:
+        rate = pilot(mid, out_of_band if i < max_iters - 1 else None)
+        side = band_side(rate)
+        if side == 0:
+            return result(mid, rate, True)
+        if side > 0:
             lo = mid
         else:
             hi = mid
-    return TuneResult(mid, rate, False)
+    return result(mid, rate, False)
 
 
 def write_trace_csv(trace: ChainTrace, path, header: Optional[dict] = None) -> None:

@@ -59,8 +59,11 @@ class ProposalKernel:
             raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
         if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
-        if self.variant in ("pcn", "gpcn") + LOCAL_VARIANTS and not 0.0 <= self.s < 1.0:
+        if self.variant in ("pcn", "gpcn") and not 0.0 <= self.s < 1.0:
             raise ValueError(f"step size s must lie in [0, 1) for {self.variant}, got {self.s}")
+        if self.variant in LOCAL_VARIANTS and not 0.0 < self.s < 1.0:
+            # The correction divides by s: at s = 0 the proposal law is degenerate.
+            raise ValueError(f"step size s must lie in (0, 1) for {self.variant}, got {self.s}")
         if self.variant in ("rw", "gn-rw") and self.s < 0.0:
             # Random walks need no sqrt(1-s^2); any positive step is allowed.
             raise ValueError(f"step size must be nonnegative, got {self.s}")
@@ -141,8 +144,6 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     lam = kernel.prior.eigenvalues
     if variant in ("rw", "gn-rw"):
         return float(0.5 * (np.sum(u * u / lam) - np.sum(v * v / lam)))
-    if kernel.s <= 0.0:
-        raise ValueError("local proposal corrections require s > 0")
     if pack_u is None:
         pack_u = kernel.pack_at(u)
     if pack_v is None:

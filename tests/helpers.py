@@ -115,3 +115,48 @@ def reference_chain(config):
                 states.append(u)
     states = np.array(states).reshape(-1, config.kernel.prior.dim)
     return np.array(accepts), states, {k: np.array(s) for k, s in qoi.items()}, tested
+
+
+def reference_tune(kernel, posterior, target_rate, pilot_n, rng, initial_state=None,
+                   radius=None, tol=0.05, max_iters=30):
+    """``tune_step_size`` with every pilot run to its end: the bisection on
+    log s as it stood before pilots stopped early.  Each entry of
+    ``pilots`` is (s, pilot_n, accepted)."""
+    from gpcn.metropolis import S_HI, S_LO, ChainConfig, TuneResult, run_chain
+
+    pilots = []
+
+    def pilot(s):
+        cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
+                          seed=int(rng.integers(0, 2**63)),
+                          initial_state=initial_state, restriction_radius=radius)
+        trace = run_chain(cfg)
+        pilots.append((s, pilot_n, int(trace.accepts.sum())))
+        return trace.acceptance_rate
+
+    def result(s, rate, converged):
+        return TuneResult(s, rate, converged, tuple(pilots))
+
+    hi_rate = pilot(S_HI)
+    if hi_rate > target_rate + tol:
+        return result(S_HI, hi_rate, False)
+    if hi_rate >= target_rate:
+        return result(S_HI, hi_rate, True)
+    lo_rate = pilot(S_LO)
+    if lo_rate < target_rate - tol:
+        return result(S_LO, lo_rate, False)
+    if lo_rate <= target_rate:
+        return result(S_LO, lo_rate, True)
+
+    lo, hi = S_LO, S_HI
+    mid, rate = lo, lo_rate
+    for _ in range(max_iters):
+        mid = float(np.sqrt(lo * hi))
+        rate = pilot(mid)
+        if abs(rate - target_rate) <= tol:
+            return result(mid, rate, True)
+        if rate > target_rate:
+            lo = mid
+        else:
+            hi = mid
+    return result(mid, rate, False)

@@ -132,7 +132,12 @@ class TestRunCommand:
         rows = run_experiment(resolve_config(text))
         report = json.loads((out / "diagnostics_pcn_N6_sig0.1_r0.json").read_text())
         assert report["tuned"] is True
-        assert set(report["tune"]) == {"converged", "acceptance_rate"}
+        assert set(report["tune"]) == {"converged", "acceptance_rate", "pilots"}
+        pilots = report["tune"]["pilots"]
+        assert pilots and all(len(p) == 3 and 0 <= p[2] <= p[1] <= 1000 for p in pilots)
+        s_last, steps_last, accepted_last = pilots[-1]
+        assert s_last == report["s"]
+        assert steps_last == 1000 and accepted_last / 1000 == report["tune"]["acceptance_rate"]
         assert isinstance(report["tune"]["converged"], bool)
         assert 0.0 <= report["tune"]["acceptance_rate"] <= 1.0
         if report["tune"]["converged"]:

@@ -5,6 +5,8 @@ from gpcn import elliptic
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.gaussian_ops import Posterior, PriorSpec, build_operator_pack
 from gpcn.metropolis import (
+    S_HI,
+    S_LO,
     ChainConfig,
     mh_step,
     read_trace_csv,
@@ -13,8 +15,15 @@ from gpcn.metropolis import (
     write_state_dump,
     write_trace_csv,
 )
-from gpcn.proposals import gpcn, local_gpcn, local_gpcn2, pcn, random_walk
-from helpers import reference_chain
+from gpcn.proposals import (
+    gauss_newton_rw,
+    gpcn,
+    local_gpcn,
+    local_gpcn2,
+    pcn,
+    random_walk,
+)
+from helpers import reference_chain, reference_tune
 
 
 def flat_posterior(n):
@@ -113,6 +122,27 @@ class TestRunChain:
         assert trace.states.shape == (15, 2)      # ceil(100 / 7)
         assert trace.qoi_series["norm"].shape == (100,)
         assert trace.accepts.shape == (110,)
+
+    def test_stop_ends_the_run_with_the_steps_it_ran(self):
+        posterior = flat_posterior(2)
+        cfg = ChainConfig(random_walk(posterior.prior, 2.0), posterior, n=100, n0=10,
+                          seed=5, thin=3, qoi={"norm": lambda u: float(np.linalg.norm(u))})
+        full = run_chain(cfg)
+        for steps in (4, 10, 11, 47, 110):
+            calls = []
+
+            def stop(k, a):
+                calls.append((k, a))
+                return k == steps
+
+            trace = run_chain(cfg, stop=stop)
+            assert calls == [(k, int(full.accepts[:k].sum())) for k in range(1, steps + 1)]
+            assert np.array_equal(trace.accepts, full.accepts[:steps])
+            assert trace.n0 == min(steps, 10) and trace.n == steps - trace.n0
+            assert trace.acceptance_rate == full.accepts[:steps].mean()
+            assert np.array_equal(trace.qoi_series["norm"], full.qoi_series["norm"][:trace.n])
+            assert np.array_equal(trace.states, full.states[:len(range(0, trace.n, 3))])
+        assert 0 < full.acceptance_rate < 1
 
     def test_restricted_chain_stays_in_ball(self):
         prior = PriorSpec(3)
@@ -289,6 +319,62 @@ class TestTuner:
             tune_step_size(kernel, posterior, 1.5, 1000, np.random.default_rng(0))
         with pytest.raises(ValueError):
             tune_step_size(kernel, posterior, 0.3, 100, np.random.default_rng(0))
+        for tol in (float("nan"), float("inf"), 0.0, -0.1, 1.0):
+            with pytest.raises(ValueError, match="tol"):
+                tune_step_size(kernel, posterior, 0.3, 1000, np.random.default_rng(0), tol=tol)
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                tune_step_size(kernel, posterior, 0.3, 1000, np.random.default_rng(0),
+                               max_iters=max_iters)
+
+    def test_early_stopped_pilots_match_full_pilots(self):
+        # Each case runs tune_step_size and its full-pilot oracle from the
+        # same tune stream; the outcome must agree exactly, and only pilots
+        # whose rate is not returned may end early.
+        model = elliptic.ForwardModel(20)
+        prior = PriorSpec(20)
+        cases = []
+        for sigma, data_seed in ((0.1, 30), (0.01, 31)):
+            obs = elliptic.generate_data(elliptic.default_truth, sigma, model,
+                                         np.random.default_rng(data_seed), seed=data_seed)
+            posterior = elliptic.make_posterior(obs, model, prior)
+            xi_map = elliptic.map_estimate(obs, model, prior).xi
+            pack = build_operator_pack(prior, elliptic.build_gamma_from_map(xi_map, obs, model),
+                                       0.5)
+            kernels = (random_walk(prior, 0.5), pcn(prior, 0.5), gauss_newton_rw(pack),
+                       gpcn(pack))
+            for kernel in kernels:
+                for tol in (0.05, 0.02):
+                    cases.append((kernel, posterior, 0.25, dict(initial_state=xi_map, tol=tol)))
+            for max_iters in (1, 2, 3):
+                cases.append((pcn(prior, 0.5), posterior, 0.25,
+                              dict(initial_state=xi_map, tol=0.02, max_iters=max_iters)))
+        flat = flat_posterior(3)
+        cases.append((pcn(flat.prior, 0.5), flat, 0.25, {}))
+        # A potential so steep that even S_LO accepts only about half its
+        # proposals, below the band around 0.9.
+        steep = Posterior(PriorSpec(3), lambda u: 1e7 * u[0])
+        cases.append((random_walk(steep.prior, 0.5), steep, 0.9, {}))
+
+        returned = set()
+        steps_full = steps_stopped = 0
+        for seed, (kernel, posterior, target, kwargs) in enumerate(cases):
+            full = reference_tune(kernel, posterior, target, 1000,
+                                  np.random.default_rng(seed), **kwargs)
+            fast = tune_step_size(kernel, posterior, target, 1000,
+                                  np.random.default_rng(seed), **kwargs)
+            assert fast.s == full.s
+            assert fast.acceptance_rate == full.acceptance_rate
+            assert fast.converged == full.converged
+            assert fast.pilots[-1] == full.pilots[-1]        # the returned pilot ran to its end
+            for (s, k, a), (s_full, _, a_full) in zip(fast.pilots, full.pilots, strict=True):
+                # a stopped pilot ran a prefix of the full pilot's steps
+                assert s == s_full and 0 < k <= 1000 and a <= a_full <= a + 1000 - k
+            steps_full += sum(k for _, k, _ in full.pilots)
+            steps_stopped += sum(k for _, k, _ in fast.pilots)
+            returned.add(fast.s if fast.s in (S_LO, S_HI) else "bisection")
+        assert returned == {S_LO, S_HI, "bisection"}
+        assert steps_stopped < 0.8 * steps_full
 
     def test_adapted_kernel_acceptance_stable_across_dimension(self):
         # dimension robustness: the step tuned at N = 50 keeps its acceptance

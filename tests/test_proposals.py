@@ -95,8 +95,8 @@ class TestPropose:
         u = prior.sample(rng)
         for factory, uses_adapted_mean in ((local_gpcn, True), (local_gpcn2, False)):
             kernel = factory(prior, make_gamma_map(base, 4), 0.35)
-            draws = np.array([propose(kernel, u, rng) for _ in range(50000)])
             pack = kernel.pack_at(u)
+            draws = np.array([propose(kernel, u, rng, pack) for _ in range(50000)])
             mean = pack.a @ u if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
 
@@ -189,9 +189,9 @@ class TestCorrections:
 
     def test_local_requires_positive_step(self):
         prior = PriorSpec(3)
-        kernel = local_gpcn(prior, lambda u: np.zeros((3, 3)), 0.0)
-        with pytest.raises(ValueError):
-            log_acceptance_correction(kernel, np.zeros(3), np.ones(3))
+        for factory in (local_gpcn, local_gpcn2):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                factory(prior, lambda u: np.zeros((3, 3)), 0.0)
 
 
 class TestKernelPlumbing:
