@@ -10,8 +10,10 @@ seeds and reruns are bit-reproducible.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -173,8 +175,16 @@ def resolve_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"line {lines['problem.sigma_eps']}: sigma_eps must be positive")
     if any(v < 1 for v in cfg.n_modes):
         raise ConfigError(f"line {lines['problem.N']}: N must be positive")
-    if cfg.n < 0 or cfg.n0 < 0:
-        raise ConfigError("run.n and run.n0 must be nonnegative")
+    for key, value, low in (("run.n", cfg.n, 0), ("run.n0", cfg.n0, 0),
+                            ("run.thin", cfg.thin, 1), ("run.replicates", cfg.replicates, 1)):
+        if value < low:
+            raise ConfigError(f"line {lines[key]}: {key} must be at least {low}, got {value}")
+    if cfg.s is None and cfg.pilot_n < 1000:
+        raise ConfigError(f"line {lines['run.pilot_n']}: run.pilot_n must be at least 1000 "
+                          f"when sampler.s is tuned, got {cfg.pilot_n}")
+    if cfg.gamma_source == "averaged" and cfg.gamma_points < 1:
+        raise ConfigError(f"line {lines['sampler.gamma_points']}: sampler.gamma_points must be "
+                          f"at least 1 for sampler.gamma = averaged, got {cfg.gamma_points}")
     for fmt in cfg.formats:
         if fmt not in ("csv", "json", "npy"):
             raise ConfigError(f"line {lines['output.formats']}: unknown format {fmt!r}")
@@ -338,11 +348,39 @@ def _cell_args(cfg):
                     yield (cfg, iv, i_n, i_sig, rep)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """A process pool whose workers each run BLAS on one thread.
+
+    Forked workers would share the parent's loaded BLAS and its thread
+    pool, so the workers are spawned: each imports numpy afresh and reads
+    ``BLAS_THREAD_VARS``, which are set to 1 in the environment for as long
+    as the pool lives (the pool starts its workers on demand) and restored
+    afterwards.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Run every sweep cell, write per-cell artifacts and the summary table."""
+    """Run every sweep cell, write per-cell artifacts and the summary table;
+    ``threads > 1`` runs cells in that many worker processes."""
     args = list(_cell_args(cfg))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with worker_pool(threads) as pool:
             rows = list(pool.map(run_cell, *zip(*args)))
     else:
         rows = [run_cell(*a) for a in args]

@@ -9,6 +9,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -20,6 +21,13 @@ from .proposals import LOCAL_VARIANTS, ProposalKernel, log_acceptance_correction
 
 S_LO = 1e-4
 S_HI = 0.999
+# Failure probability of the tuner's confidence stop, per pilot.  A pilot of
+# n steps checks its Hoeffding interval after every step, so each check gets
+# PILOT_DELTA / n (a union bound).  At 1e-3, with independent accepts, at
+# most one pilot in a thousand stops on the wrong side, and the half-width's
+# log factor ln(2n / delta) is 14.5 for n = 1000: a tenfold smaller delta
+# would lengthen every pilot the confidence rule stops by about 16%.
+PILOT_DELTA = 1e-3
 
 
 def mh_step(kernel, posterior, u, rng, radius=None, phi_u=None, pack_u=None):
@@ -186,13 +194,25 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     bisection applies; if even a boundary step size cannot reach the target
     band, the boundary value is returned with ``converged=False``.
 
-    Each pilot ends as soon as its accept count fixes the decision it feeds,
-    whatever its remaining steps would do: the S_HI pilot once its rate can
-    no longer reach the target, the S_LO pilot once it can no longer fall to
-    the target, a bisection pilot once its rate is out of band on a side it
-    can no longer leave.  A pilot whose rate may be returned runs all
-    ``pilot_n`` steps.  The stop is exact: the returned ``TuneResult``
-    (``pilots`` aside) is the one that full-length pilots give.
+    Each pilot ends as soon as either of two rules puts its rate on the side
+    of its threshold where that rate is not returned: for the S_HI pilot,
+    below the target; for the S_LO pilot, above it; for a bisection pilot
+    that is not the last, out of the band on one side.  After k of
+    n = ``pilot_n`` steps with a accepted:
+
+    - exact rule: the full-pilot rate, which lies in [a / n, (a + n - k) / n],
+      is on that side whatever the remaining steps do;
+    - confidence rule: the interval a / k +- h(k) lies wholly on that side,
+      with the Hoeffding half-width h(k) = sqrt(ln(2 n / delta) / (2 k)) and
+      delta = ``PILOT_DELTA`` = 1e-3 shared by the n checks (a union bound).
+
+    A stopped pilot reports its rate so far, a / k, which lies on the side
+    its rule found.  Hoeffding's bound assumes independent accepts; a
+    Markov chain's are correlated, so the confidence rule steers the search
+    and does not guarantee the branch a full pilot would take.  What holds
+    regardless: every returned rate comes from a pilot that ran all
+    ``pilot_n`` steps, so a converged s has a full-length pilot in the band,
+    and an unconverged s is a boundary or the last of ``max_iters`` pilots.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must lie in (0, 1)")
@@ -216,37 +236,44 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     def result(s, rate, converged):
         return TuneResult(s, rate, converged, tuple(pilots))
 
-    # After k of pilot_n steps with a accepted, the full rate lies between
-    # a / pilot_n and (a + pilot_n - k) / pilot_n.  These are the float
-    # divisions that give the full rate, and every decision below is
-    # monotone in the rate, so a decision both bounds agree on is the one
-    # the full pilot makes.  A stopped pilot reports its rate so far, a / k,
-    # which lies between the bounds and so takes the same branch.
+    # Exact rule: after k of pilot_n steps with a accepted, the full rate
+    # lies between a / pilot_n and (a + pilot_n - k) / pilot_n.  These are
+    # the float divisions that give the full rate, and every decision below
+    # is monotone in the rate, so a decision both bounds agree on is the one
+    # the full pilot makes.  Confidence rule: the same test on a / k -+ h(k).
+    # A stopped pilot reports a / k, which lies between the bounds of the
+    # rule that fired and so takes the same branch.
+    log_term = math.log(2 * pilot_n / PILOT_DELTA)
+
     def band_side(rate):
         """-1 below the target band, 0 inside it, +1 above it."""
         if abs(rate - target_rate) <= tol:
             return 0
         return 1 if rate > target_rate else -1
 
-    def below_target(k, a):
-        return (a + pilot_n - k) / pilot_n < target_rate
+    def stop_when(decides):
+        """The pilot's stop: whether ``decides(low, high)`` holds for the
+        exact or for the confidence bounds on its rate."""
+        def stop(k, a):
+            if decides(a / pilot_n, (a + pilot_n - k) / pilot_n):
+                return True
+            rate, h = a / k, math.sqrt(log_term / (2 * k))
+            return decides(rate - h, rate + h)
+        return stop
 
-    def above_target(k, a):
-        return a / pilot_n > target_rate
-
-    def out_of_band(k, a):
-        side = band_side(a / pilot_n)
-        return side != 0 and side == band_side((a + pilot_n - k) / pilot_n)
+    def out_of_band(low, high):
+        side = band_side(low)
+        return side != 0 and side == band_side(high)
 
     # Acceptance decreases in s, so acc(S_HI) is the attainable floor and
     # acc(S_LO) the ceiling; boundaries are returned only when the target
     # band cannot be bracketed.
-    hi_rate = pilot(S_HI, below_target)
+    hi_rate = pilot(S_HI, stop_when(lambda low, high: high < target_rate))
     if hi_rate > target_rate + tol:
         return result(S_HI, hi_rate, False)
     if hi_rate >= target_rate:
         return result(S_HI, hi_rate, True)
-    lo_rate = pilot(S_LO, above_target)
+    lo_rate = pilot(S_LO, stop_when(lambda low, high: low > target_rate))
     if lo_rate < target_rate - tol:
         return result(S_LO, lo_rate, False)
     if lo_rate <= target_rate:
@@ -255,7 +282,7 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     lo, hi = S_LO, S_HI
     for i in range(max_iters):
         mid = float(np.sqrt(lo * hi))
-        rate = pilot(mid, out_of_band if i < max_iters - 1 else None)
+        rate = pilot(mid, stop_when(out_of_band) if i < max_iters - 1 else None)
         side = band_side(rate)
         if side == 0:
             return result(mid, rate, True)

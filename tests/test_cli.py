@@ -1,16 +1,19 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from gpcn.cli import main
 from gpcn.experiment import (
+    BLAS_THREAD_VARS,
     ConfigError,
     derive_seed,
     diagnose_trace,
     resolve_config,
     run_experiment,
     run_map_command,
+    worker_pool,
 )
 from gpcn.metropolis import ChainTrace, write_trace_csv
 from helpers import ar1_series
@@ -105,6 +108,29 @@ class TestConfigParsing:
             cfg = resolve_config(base + f"sampler.variant = {variants}\nsampler.s = {value}\n")
             assert cfg.s == value
 
+    @pytest.mark.parametrize("key, value, context", [
+        ("run.pilot_n", "500", {}),
+        ("run.thin", "0", {}),
+        ("run.replicates", "0", {}),
+        ("sampler.gamma_points", "0", {"sampler.gamma": "averaged"}),
+        ("run.n", "-1", {}),
+        ("run.n0", "-5", {})])
+    def test_count_below_its_minimum_names_its_line(self, key, value, context):
+        lines = {"seed": "1", "problem.N": "4", "problem.sigma_eps": "0.1",
+                 "sampler.variant": "gpcn", "run.n": "10", "run.n0": "0", **context, key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(ConfigError, match=f"line {list(lines).index(key) + 1}: {key}"):
+            resolve_config(text)
+
+    def test_short_pilots_and_single_points_accepted_where_unused(self):
+        base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\nsampler.variant = gpcn\n"
+                "run.n = 0\nrun.n0 = 0\n")
+        assert resolve_config(base + "sampler.s = 0.5\nrun.pilot_n = 500\n").pilot_n == 500
+        assert resolve_config(base + "sampler.gamma = map\nsampler.gamma_points = 0\n") \
+            .gamma_points == 0
+        assert resolve_config(base + "sampler.gamma = averaged\nsampler.gamma_points = 1\n") \
+            .gamma_points == 1
+
     def test_seed_split_is_deterministic_and_stream_separated(self):
         assert derive_seed(5, 0, 1, 2) == derive_seed(5, 0, 1, 2)
         assert derive_seed(5, 0, 1, 2) != derive_seed(5, 1, 1, 2)
@@ -174,6 +200,24 @@ class TestRunCommand:
             assert trace_path.read_bytes() == first_trace
             assert diag_path.read_bytes() == first_diag
             assert summary_without_wall_time(out / "summary.csv") == first_summary
+
+    def test_worker_processes_write_the_same_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        with worker_pool(2) as pool:
+            assert list(pool.map(os.getenv, BLAS_THREAD_VARS, timeout=60)) == ["1"] * 3
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4" and "MKL_NUM_THREADS" not in os.environ
+
+        text = (MINIMAL.replace("sampler.variant = gpcn", "sampler.variant = pcn, gpcn")
+                .replace("problem.sigma_eps = 0.1", "problem.sigma_eps = 0.1, 0.01"))
+        out, outputs = tmp_path / "out", {}
+        for threads in (1, 2):      # one output dir: the trace headers record it
+            rows = run_experiment(resolve_config(text.format(out=out)), threads=threads)
+            assert len(rows) == 4
+            outputs[threads] = {path.name: path.read_bytes() for path in out.iterdir()
+                                if path.name.startswith(("trace_", "diagnostics_"))}
+            outputs[threads]["summary"] = summary_without_wall_time(out / "summary.csv")
+        assert len(outputs[1]) == 9 and outputs[2] == outputs[1]
 
     def test_invalid_config_is_nonzero_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "seed = 1\nnonsense\n")

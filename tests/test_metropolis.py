@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gpcn import elliptic
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.gaussian_ops import Posterior, PriorSpec, build_operator_pack
 from gpcn.metropolis import (
+    PILOT_DELTA,
     S_HI,
     S_LO,
     ChainConfig,
@@ -375,6 +378,20 @@ class TestTuner:
             returned.add(fast.s if fast.s in (S_LO, S_HI) else "bisection")
         assert returned == {S_LO, S_HI, "bisection"}
         assert steps_stopped < 0.8 * steps_full
+
+    def test_confidence_stop_ends_a_pilot_that_never_accepts(self):
+        # S_HI never accepts on this potential, so after k steps the
+        # Hoeffding interval is [-h(k), h(k)]; it falls below the target at
+        # the first k above ln(2 n / delta) / (2 target^2), where the exact
+        # rule alone needs k > (1 - target) n.
+        steep = Posterior(PriorSpec(3), lambda u: 1e7 * float(u @ u))
+        n, target = 1000, 0.25
+        bound = math.ceil(math.log(2 * n / PILOT_DELTA) / (2 * target**2))
+        assert bound == 117
+        result = tune_step_size(pcn(steep.prior, 0.5), steep, target, n,
+                                np.random.default_rng(3))
+        assert result.pilots[0] == (S_HI, bound, 0)
+        assert result.converged and result.pilots[-1][1] == n   # the returned pilot ran to its end
 
     def test_adapted_kernel_acceptance_stable_across_dimension(self):
         # dimension robustness: the step tuned at N = 50 keeps its acceptance
