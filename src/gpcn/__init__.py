@@ -24,10 +24,8 @@ from .elliptic import (
     generate_data,
     jacobian,
     kl_to_field,
-    linear_posterior,
     make_posterior,
     map_estimate,
-    observation_from_json,
     phi,
 )
 from .gaussian_ops import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,12 +151,6 @@ class Observation:
                            "truth": self.truth, "seed": self.seed}, indent=2)
 
 
-def observation_from_json(text: str) -> Observation:
-    data = json.loads(text)
-    return Observation(y=np.asarray(data["y"], dtype=float), sigma_eps=data["sigma_eps"],
-                       truth=data["truth"], seed=data.get("seed"))
-
-
 def generate_data(truth, sigma_eps: float, model: ForwardModel,
                   rng: np.random.Generator, seed: Optional[int] = None) -> Observation:
     """Synthesize y = G(truth) + sigma_eps * z with 4 iid standard normal z.
@@ -223,8 +217,6 @@ class MapResult:
 
 
 def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
-                 forward_fn: Optional[Callable] = None,
-                 jacobian_fn: Optional[Callable] = None,
                  max_iter: int = 500) -> MapResult:
     """Levenberg-Marquardt minimizer of the regularized misfit.
 
@@ -240,17 +232,15 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     below tolerance), ``"step"`` (collapsed step, flagged converged whatever
     the gradient norm), ``"damping"`` (damping above 1e14) or ``"max_iter"``.
     """
-    fwd = forward_fn or (lambda x: forward(x, model))
-    jac = jacobian_fn or (lambda x: jacobian(x, model))
     inv_sigma = 1.0 / obs.sigma_eps
     inv_std = 1.0 / prior.std
 
     def residual(x):
-        return np.concatenate([inv_sigma * (obs.y - fwd(x)), inv_std * x])
+        return np.concatenate([inv_sigma * (obs.y - forward(x, model)), inv_std * x])
 
     def linearize(x, r):
         # L = sigma^-1 J(x) and the gradient J_r^T r = -L^T r_data + C^{-1/2} r_prior
-        l = inv_sigma * np.asarray(jac(x), dtype=float)
+        l = inv_sigma * jacobian(x, model)
         return l, inv_std * r[l.shape[0]:] - l.T @ r[:l.shape[0]]
 
     xi = np.zeros(prior.dim)
@@ -299,24 +289,3 @@ def build_gamma_averaged(points: Sequence[np.ndarray], sigma_eps: float,
         raise ValueError("need at least one linearization point")
     jacobians = [jacobian(np.asarray(xi, dtype=float), model) for xi in points]
     return FactoredGamma(np.vstack(jacobians) / (sigma_eps * np.sqrt(len(points))))
-
-
-def linear_posterior(L: np.ndarray, b: np.ndarray, y: np.ndarray,
-                     Sigma: np.ndarray, prior: PriorSpec):
-    """Exact Gaussian posterior (mean, covariance) for the affine model y = L xi + b + noise.
-
-    mean = C L^T (L C L^T + Sigma)^{-1} (y - b),
-    cov  = (C^{-1} + L^T Sigma^{-1} L)^{-1}.
-    """
-    L = np.asarray(L, dtype=float)
-    Sigma = np.asarray(Sigma, dtype=float)
-    lam = prior.eigenvalues
-    cl = lam[None, :] * L                      # C L^T transposed
-    gram = L @ cl.T + Sigma
-    try:
-        mean = cl.T @ np.linalg.solve(gram, np.asarray(y, dtype=float) - np.asarray(b, dtype=float))
-        precision = np.diag(1.0 / lam) + L.T @ np.linalg.solve(Sigma, L)
-        cov = np.linalg.inv(precision)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular observation system: {exc}") from exc
-    return mean, cov

@@ -23,7 +23,7 @@ from . import elliptic
 from .diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
 from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from .metropolis import ChainConfig, run_chain, tune_step_size, write_state_dump, write_trace_csv
-from .proposals import LOCAL_VARIANTS, VARIANTS, ProposalKernel
+from .proposals import VARIANTS, ProposalKernel, check_step_size
 
 QOI_NAME = "exp_integral"
 _SEED_DATA, _SEED_TUNE, _SEED_CHAIN, _SEED_POINTS = 0, 1, 2, 3
@@ -157,18 +157,11 @@ def resolve_config(text: str) -> ExperimentConfig:
     if cfg.gamma_source not in ("map", "zero", "averaged"):
         raise ConfigError(f"line {lines['sampler.gamma']}: gamma source must be map, zero or averaged")
     if cfg.s is not None:
-        if not (np.isfinite(cfg.s) and cfg.s >= 0.0):
-            raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be finite and nonnegative, "
-                              f"got {cfg.s}")
         for v in cfg.variants:
-            # The autoregressive families need sqrt(1 - s^2); the local
-            # corrections divide by s.
-            if v in ("pcn", "gpcn") + LOCAL_VARIANTS and cfg.s >= 1.0:
-                raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be below 1 "
-                                  f"for {v}, got {cfg.s}")
-            if v in LOCAL_VARIANTS and cfg.s == 0.0:
-                raise ConfigError(f"line {lines['sampler.s']}: sampler.s must be positive "
-                                  f"for {v}, got {cfg.s}")
+            try:
+                check_step_size(v, cfg.s)
+            except ValueError as exc:
+                raise ConfigError(f"line {lines['sampler.s']}: sampler.s: {exc}") from None
     if not 0.0 < cfg.target_acceptance < 1.0:
         raise ConfigError(f"line {lines['sampler.target_acceptance']}: target_acceptance must be in (0, 1)")
     if any(v <= 0 for v in cfg.sigma_eps):

@@ -9,12 +9,11 @@ and f(t) = sqrt(1 - s^2/(1+t)):
     H       = C^{1/2} Gamma C^{1/2} = V diag(w) V^T   (prior-whitened curvature)
     C_Gamma = (C^{-1} + Gamma)^{-1} = C - C^{1/2} V diag(w/(1+w)) V^T C^{1/2}
     A       = C^{1/2} f(H) C^{-1/2} = a0 I + C^{1/2} V diag(f(w) - a0) V^T C^{-1/2}
-    B       = C^{1/2} f(H)^{1/2} C^{-1/2}    (half step, B^2 = A)
     Delta   = a0 I - A                       (mean shift vs. plain pCN)
 
 So applying an operator, and the Radon-Nikodym densities between N(0,C) and
 N(0,C_Gamma) and between the plain and adapted autoregressive proposal
-kernels, cost O(N r); dense N x N matrices are built only on request.
+kernels, cost O(N r); no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class PriorSpec:
                 raise ValueError("prior eigenvalues must be strictly positive")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "std", np.sqrt(lam))
-
-    @property
-    def cov(self) -> np.ndarray:
-        return np.diag(self.eigenvalues)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One draw from N(0, C)."""
@@ -123,40 +118,10 @@ class OperatorPack:
         return self.a0 * u + self._left @ (self._mean_right @ u)
 
     def scaled_noise(self, z: np.ndarray) -> np.ndarray:
-        """s C_Gamma^{1/2} z with the symmetric root C^{1/2}(I + V((1+w)^{-1/2} - 1) V^T)."""
+        """s R z with R = C^{1/2}(I + V((1+w)^{-1/2} - 1) V^T).
+
+        R R^T = C_Gamma, so s R z ~ N(0, s^2 C_Gamma); R is not symmetric."""
         return self.s * (self.prior.std * z) + self._left @ (self._noise_right @ z)
-
-    @property
-    def h(self) -> np.ndarray:
-        return (self.v * self.w) @ self.v.T
-
-    @property
-    def c_gamma(self) -> np.ndarray:
-        return np.diag(self.prior.eigenvalues) - (self._left * (self.w / (1.0 + self.w))) @ self._left.T
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.a0 * np.eye(self.prior.dim) + self._left @ self._mean_right
-
-    @property
-    def delta(self) -> np.ndarray:
-        return -(self._left @ self._mean_right)
-
-    @property
-    def b_half(self) -> np.ndarray:
-        root_a0, root_f = np.sqrt(self.a0), np.sqrt(np.sqrt(1.0 - self.s**2 / (1.0 + self.w)))
-        whiten = self.v.T / self.prior.std[None, :]
-        return root_a0 * np.eye(self.prior.dim) + (self._left * (root_f - root_a0)) @ whiten
-
-    @property
-    def d(self) -> np.ndarray:
-        b_half, cmat = self.b_half, self.prior.cov
-        return cmat - b_half @ cmat @ b_half.T
-
-    @property
-    def cov_factor(self) -> np.ndarray:
-        """The symmetric root F = F^T of C_Gamma."""
-        return np.diag(self.prior.std) + (self._left * (1.0 / np.sqrt(1.0 + self.w) - 1.0)) @ self.v.T
 
 
 def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma | np.ndarray, s: float) -> OperatorPack:

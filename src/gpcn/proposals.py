@@ -36,6 +36,26 @@ _PACK_VARIANTS = ("gn-rw", "gpcn")
 LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 
 
+def check_step_size(variant: str, s: float) -> None:
+    """Raise ValueError, naming the admissible range, if ``variant`` cannot run at ``s``.
+
+    rw takes any s >= 0.  Every other variant needs s < 1: pcn and the gpCN
+    means take sqrt(1 - s^2), and an ``OperatorPack`` (gn-rw's too) exists
+    only for s in [0, 1).  The local corrections divide by s, so those
+    variants also need s > 0.
+    """
+    if not np.isfinite(s):
+        raise ValueError(f"step size s must be finite, got {s}")
+    if variant == "rw":
+        ok, span = s >= 0.0, "[0, inf)"
+    elif variant in LOCAL_VARIANTS:
+        ok, span = 0.0 < s < 1.0, "(0, 1)"
+    else:
+        ok, span = 0.0 <= s < 1.0, "[0, 1)"
+    if not ok:
+        raise ValueError(f"step size s must lie in {span} for {variant}, got {s}")
+
+
 @dataclass(frozen=True)
 class ProposalKernel:
     """One proposal family at step size ``s``.  ``gn-rw``/``gpcn`` carry a pack
@@ -51,22 +71,13 @@ class ProposalKernel:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
-        if not np.isfinite(self.s):
-            raise ValueError(f"step size s must be finite, got {self.s}")
+        check_step_size(self.variant, self.s)
         if self.variant in _PACK_VARIANTS and self.pack is None:
             raise ValueError(f"{self.variant} requires an OperatorPack")
         if self.pack is not None and self.pack.s != self.s:
             raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
         if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
-        if self.variant in ("pcn", "gpcn") and not 0.0 <= self.s < 1.0:
-            raise ValueError(f"step size s must lie in [0, 1) for {self.variant}, got {self.s}")
-        if self.variant in LOCAL_VARIANTS and not 0.0 < self.s < 1.0:
-            # The correction divides by s: at s = 0 the proposal law is degenerate.
-            raise ValueError(f"step size s must lie in (0, 1) for {self.variant}, got {self.s}")
-        if self.variant in ("rw", "gn-rw") and self.s < 0.0:
-            # Random walks need no sqrt(1-s^2); any positive step is allowed.
-            raise ValueError(f"step size must be nonnegative, got {self.s}")
 
     def with_step_size(self, s: float) -> "ProposalKernel":
         """Copy of this kernel at a new step size; a pack keeps its V and w."""

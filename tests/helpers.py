@@ -1,5 +1,7 @@
 """Shared oracles for the test suite, kept independent of the library paths."""
 
+import json
+
 import numpy as np
 
 
@@ -13,6 +15,103 @@ def gaussian_logpdf(x, mean, cov):
 def random_psd(n, rng, scale=1.0):
     m = rng.standard_normal((n, n))
     return scale * (m @ m.T) / n
+
+
+def dense_operators(prior, gamma, s):
+    """The gpCN operators by dense N x N algebra from Gamma itself, never from
+    an operator pack's V and w.  ``gamma`` is a dense array or a
+    ``FactoredGamma``.  C_Gamma = inv(C^{-1} + Gamma); from an ``eigh`` of
+    H = C^{1/2} Gamma C^{1/2} and f(H) = (I - s^2 (I + H)^{-1})^{1/2}:
+
+        A = C^{1/2} f(H) C^{-1/2},      B = C^{1/2} f(H)^{1/2} C^{-1/2},
+        Delta = sqrt(1 - s^2) I - A,    D = C - B C B^T.
+    """
+    gamma = gamma.dense() if hasattr(gamma, "dense") else np.asarray(gamma, dtype=float)
+    lam, std = prior.eigenvalues, prior.std
+    c = np.diag(lam)
+    h = std[:, None] * gamma * std[None, :]
+    w, vecs = np.linalg.eigh(0.5 * (h + h.T))
+    w = np.clip(w, 0.0, None)
+    f = 1.0 - s * s / (1.0 + w)
+
+    def similar(values):                  # C^{1/2} g(H) C^{-1/2}, g(H) with eigenvalues values
+        return (std[:, None] * vecs) @ (values[:, None] * (vecs.T / std[None, :]))
+
+    a, b = similar(np.sqrt(f)), similar(np.sqrt(np.sqrt(f)))
+    delta = np.sqrt(1.0 - s * s) * np.eye(prior.dim) - a
+    return {"gamma": gamma, "s": s, "c": c, "h": h,
+            "c_gamma": np.linalg.inv(np.diag(1.0 / lam) + gamma),
+            "a": a, "b_half": b, "delta": delta, "d": c - b @ c @ b.T,
+            "logdet_ih": float(np.linalg.slogdet(np.eye(prior.dim) + h)[1]),
+            "h_norm": float(w[-1]), "cm_norm": float(np.linalg.norm(delta / std[:, None], 2))}
+
+
+def oracle_log_pi_gamma(ops, v):
+    """log dN(0, C)/dN(0, C_Gamma) at v = 1/2 <Gamma v, v> - 1/2 log det(I + H)."""
+    return float(0.5 * v @ ops["gamma"] @ v - 0.5 * ops["logdet_ih"])
+
+
+def oracle_log_rho_gamma(ops, u, v):
+    """log dN(sqrt(1 - s^2) u, s^2 C)/dN(A u, s^2 C_Gamma) at v, with the two
+    exponents written in the precisions C^{-1} and C^{-1} + Gamma."""
+    s, lam = ops["s"], np.diag(ops["c"])
+    plain, adapted = v - np.sqrt(1.0 - s * s) * u, v - ops["a"] @ u
+    quad = adapted @ (adapted / lam + ops["gamma"] @ adapted) - plain @ (plain / lam)
+    return float(0.5 * quad / (s * s) - 0.5 * ops["logdet_ih"])
+
+
+def sampler_operators(pack):
+    """The sampling path's A and noise root R as dense matrices, column by
+    column: A e_i = ``pack.apply_a(e_i)`` and R e_i = ``pack.scaled_noise(e_i) / s``
+    (s > 0), so a proposal draws A u + s R z."""
+    eye = np.eye(pack.prior.dim)
+    a = np.column_stack([pack.apply_a(e) for e in eye])
+    root = np.column_stack([pack.scaled_noise(e) for e in eye]) / pack.s
+    return a, root
+
+
+def linear_posterior(L, b, y, Sigma, prior):
+    """Exact Gaussian posterior (mean, covariance) for the affine model y = L xi + b + noise.
+
+    mean = C L^T (L C L^T + Sigma)^{-1} (y - b),
+    cov  = (C^{-1} + L^T Sigma^{-1} L)^{-1}.
+    """
+    L = np.asarray(L, dtype=float)
+    Sigma = np.asarray(Sigma, dtype=float)
+    lam = prior.eigenvalues
+    cl = lam[None, :] * L                      # C L^T transposed
+    gram = L @ cl.T + Sigma
+    try:
+        mean = cl.T @ np.linalg.solve(gram, np.asarray(y, dtype=float) - np.asarray(b, dtype=float))
+        precision = np.diag(1.0 / lam) + L.T @ np.linalg.solve(Sigma, L)
+        cov = np.linalg.inv(precision)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular observation system: {exc}") from exc
+    return mean, cov
+
+
+def observation_from_json(text):
+    """The ``Observation`` that ``Observation.to_json`` wrote."""
+    from gpcn.elliptic import Observation
+
+    data = json.loads(text)
+    return Observation(y=np.asarray(data["y"], dtype=float), sigma_eps=data["sigma_eps"],
+                       truth=data["truth"], seed=data.get("seed"))
+
+
+def stationary_distribution(p):
+    """Left Perron eigenvector of a row-stochastic matrix, normalized to a pmf."""
+    vals, vecs = np.linalg.eig(np.asarray(p, dtype=float).T)
+    k = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.abs(np.real(vecs[:, k]))
+    return pi / pi.sum()
+
+
+def lazy(chain):
+    """Half-lazy version (P + I)/2 of a finite chain; positive by construction."""
+    from gpcn.spectral import FiniteChain
+
+    return FiniteChain(0.5 * (chain.p + np.eye(chain.n_states)), chain.pi)
 
 
 def simpson(f, a, b, n_intervals):

@@ -33,7 +33,14 @@ from gpcn.spectral import (
     random_reversible_chain,
     restriction_check,
 )
-from helpers import ar1_series, gaussian_logpdf, random_psd
+from helpers import (
+    ar1_series,
+    dense_operators,
+    gaussian_logpdf,
+    linear_posterior,
+    random_psd,
+    sampler_operators,
+)
 
 MASTER = 2
 N_SAMPLES = 50000
@@ -134,8 +141,7 @@ def test_criterion_04_linear_posterior_oracle():
     sigma = 0.3
     truth = 0.7 * prior.sample(rng)
     y = obs_matrix @ truth + offset + sigma * rng.standard_normal(4)
-    post_mean, post_cov = elliptic.linear_posterior(obs_matrix, offset, y,
-                                                    sigma**2 * np.eye(4), prior)
+    post_mean, post_cov = linear_posterior(obs_matrix, offset, y, sigma**2 * np.eye(4), prior)
 
     def potential(u):
         r = y - (obs_matrix @ u + offset)
@@ -170,10 +176,12 @@ def test_criterion_05_density_oracle():
         n = int(rng.integers(1, 21))
         prior = PriorSpec(n)
         s = float(rng.uniform(0.05, 0.95))
-        pack = build_operator_pack(prior, random_psd(n, rng, scale=rng.uniform(0.2, 3.0)), s)
+        gamma = random_psd(n, rng, scale=rng.uniform(0.2, 3.0))
+        pack = build_operator_pack(prior, gamma, s)
+        ops = dense_operators(prior, gamma, s)
         u, v = prior.sample(rng), prior.sample(rng)
-        oracle = (gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * prior.cov)
-                  - gaussian_logpdf(v, pack.a @ u, s * s * pack.c_gamma))
+        oracle = (gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * ops["c"])
+                  - gaussian_logpdf(v, ops["a"] @ u, s * s * ops["c_gamma"]))
         worst = max(worst, abs(log_rho_gamma(pack, u, v) - oracle))
     report("criterion-05 density-oracle", worst < 1e-8,
            f"max |log rho - log pdf ratio| = {worst:.3e} over 100 instances (< 1e-8)")
@@ -185,14 +193,17 @@ def test_criterion_06_operator_identities():
     for _ in range(50):
         n = int(rng.integers(2, 16))
         prior = PriorSpec(n)
-        pack = build_operator_pack(prior, random_psd(n, rng, scale=rng.uniform(0.2, 4.0)),
-                                   float(rng.uniform(0.05, 0.95)))
-        c = prior.cov
+        gamma = random_psd(n, rng, scale=rng.uniform(0.2, 4.0))
+        pack = build_operator_pack(prior, gamma, float(rng.uniform(0.05, 0.95)))
+        # A and C_Gamma = R R^T from the sampling path; B and D from the dense oracle
+        a, root = sampler_operators(pack)
+        ops = dense_operators(prior, gamma, pack.s)
+        c = ops["c"]
         cn = np.linalg.norm(c)
         worst_rev = max(worst_rev,
-                        np.linalg.norm(pack.a @ c @ pack.a.T + pack.s**2 * pack.c_gamma - c) / cn)
-        worst_half = max(worst_half, np.linalg.norm(pack.b_half @ pack.b_half - pack.a))
-        worst_psd = min(worst_psd, np.linalg.eigvalsh(0.5 * (pack.d + pack.d.T)).min())
+                        np.linalg.norm(a @ c @ a.T + pack.s**2 * root @ root.T - c) / cn)
+        worst_half = max(worst_half, np.linalg.norm(ops["b_half"] @ ops["b_half"] - a))
+        worst_psd = min(worst_psd, np.linalg.eigvalsh(0.5 * (ops["d"] + ops["d"].T)).min())
     ok = worst_rev < 1e-9 and worst_half < 1e-9 and worst_psd >= -1e-10
     report("criterion-06 operator-identities", ok,
            f"max ||ACA*+s2C_G-C||/||C||={worst_rev:.2e} (<1e-9), "
@@ -294,12 +305,15 @@ def test_criterion_11_local_gpcn():
         kernel = local_gpcn(prior, lambda u, b=base: b + np.outer(u, u) / (1.0 + u @ u), s)
         u, v = prior.sample(rng), prior.sample(rng)
         pack_u, pack_v = kernel.pack_at(u), kernel.pack_at(v)
+        ops_u = dense_operators(prior, kernel.gamma_map(u), s)
+        ops_v = dense_operators(prior, kernel.gamma_map(v), s)
+        c = np.diag(prior.eigenvalues)
         # pointwise detailed balance: q(u,v) pdf0(u) rho_{G(u)}(u,v) symmetric
-        lhs = (gaussian_logpdf(v, pack_u.a @ u, s * s * pack_u.c_gamma)
-               + gaussian_logpdf(u, np.zeros(n), prior.cov)
+        lhs = (gaussian_logpdf(v, ops_u["a"] @ u, s * s * ops_u["c_gamma"])
+               + gaussian_logpdf(u, np.zeros(n), c)
                + log_rho_gamma(pack_u, u, v))
-        rhs = (gaussian_logpdf(u, pack_v.a @ v, s * s * pack_v.c_gamma)
-               + gaussian_logpdf(v, np.zeros(n), prior.cov)
+        rhs = (gaussian_logpdf(u, ops_v["a"] @ v, s * s * ops_v["c_gamma"])
+               + gaussian_logpdf(v, np.zeros(n), c)
                + log_rho_gamma(pack_v, v, u))
         worst = max(worst, abs(lhs - rhs))
     prior = PriorSpec(6)

@@ -16,7 +16,7 @@ from gpcn.experiment import (
     worker_pool,
 )
 from gpcn.metropolis import ChainTrace, write_trace_csv
-from helpers import ar1_series
+from helpers import ar1_series, observation_from_json
 
 MINIMAL = """
 seed = 7
@@ -92,7 +92,7 @@ class TestConfigParsing:
                 resolve_config(base + f"sampler.s = {value}\n")
 
     @pytest.mark.parametrize("variant, value", [
-        ("pcn", "1.5"), ("pcn", "1"), ("gpcn", "1.0"), ("local-gpcn", "1.2"),
+        ("pcn", "1.5"), ("pcn", "1"), ("gpcn", "1.0"), ("gn-rw", "1.5"), ("local-gpcn", "1.2"),
         ("local-gpcn2", "1"), ("local-gpcn", "0"), ("local-gpcn2", "0.0")])
     def test_step_size_outside_the_variants_range_names_its_line(self, variant, value):
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
@@ -103,7 +103,7 @@ class TestConfigParsing:
     def test_step_size_within_the_variants_range_accepted(self):
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
                 "run.n = 10\nrun.n0 = 0\n")
-        for variants, value in (("rw, gn-rw", 1.5), ("pcn, gpcn", 0.0),
+        for variants, value in (("rw", 1.5), ("pcn, gpcn", 0.0), ("gn-rw", 0.999),
                                 ("local-gpcn, local-gpcn2", 0.999)):
             cfg = resolve_config(base + f"sampler.variant = {variants}\nsampler.s = {value}\n")
             assert cfg.s == value
@@ -270,7 +270,7 @@ class TestMapCommand:
         from gpcn.gaussian_ops import PriorSpec
 
         model = elliptic.ForwardModel(12)
-        obs = elliptic.observation_from_json(json.dumps(summary["observation"]))
+        obs = observation_from_json(json.dumps(summary["observation"]))
         assert summary["phi_at_map"] == elliptic.phi(xi, obs, model)
         rebuilt = elliptic.build_gamma_from_map(xi, obs, model).dense()
         assert np.array_equal(gamma, rebuilt)

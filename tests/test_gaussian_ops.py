@@ -11,39 +11,30 @@ from gpcn.gaussian_ops import (
     log_pi_gamma,
     log_rho_gamma,
 )
-from helpers import gaussian_logpdf, random_psd
+from helpers import (
+    dense_operators,
+    gaussian_logpdf,
+    oracle_log_pi_gamma,
+    oracle_log_rho_gamma,
+    random_psd,
+    sampler_operators,
+)
 
 
 def diag_prior():
     return PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
 
 
-def dense_reference(prior, gamma, s):
-    """The operator pack by dense N x N algebra: one eigendecomposition of H."""
-    std = prior.std
-    h = std[:, None] * gamma * std[None, :]
-    w, vecs = np.linalg.eigh(0.5 * (h + h.T))
-    w = np.clip(w, 0.0, None)
-    left, right = std[:, None] * vecs, vecs.T / std[None, :]
-    a = left @ (np.sqrt(1.0 - s * s / (1.0 + w))[:, None] * right)
-    delta = np.sqrt(1.0 - s * s) * np.eye(prior.dim) - a
-    return {"gamma": gamma, "s": s, "a": a, "delta": delta,
-            "c_gamma": left @ ((1.0 / (1.0 + w))[:, None] * left.T),
-            "logdet_ih": float(np.sum(np.log1p(w))), "h_norm": float(w[-1]),
-            "cm_norm": float(np.linalg.norm(delta / std[:, None], 2))}
-
-
-def dense_log_rho(prior, ref, u, v):
-    t = (v - ref["a"] @ u) / ref["s"]
-    shift = ref["delta"] @ u / ref["s"]
-    return log_pi_cm(prior, shift, t) + 0.5 * t @ ref["gamma"] @ t - 0.5 * ref["logdet_ih"]
-
-
 def random_pack(n, rng, s=None, scale=1.0):
+    """A pack for a random dense Gamma, returned with that Gamma."""
     prior = PriorSpec(n)
     gamma = random_psd(n, rng, scale=scale)
     s = rng.uniform(0.1, 0.9) if s is None else s
-    return build_operator_pack(prior, gamma, s)
+    return build_operator_pack(prior, gamma, s), gamma
+
+
+def rel_err(x, ref):
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
 class TestPriorSpec:
@@ -71,31 +62,33 @@ class TestPriorSpec:
 class TestBuildOperatorPack:
     def test_zero_gamma_collapses_to_plain_operators(self):
         prior = PriorSpec(5)
+        z = np.random.default_rng(1).standard_normal(5)
         for s in (0.0, 0.3, 0.9):
             pack = build_operator_pack(prior, np.zeros((5, 5)), s)
-            assert np.array_equal(pack.a, np.sqrt(1.0 - s * s) * np.eye(5))
-            assert np.array_equal(pack.c_gamma, np.diag(prior.eigenvalues))
-            assert np.array_equal(pack.delta, np.zeros((5, 5)))
+            assert np.array_equal(pack.apply_a(z), np.sqrt(1.0 - s * s) * z)
+            assert np.array_equal(pack.scaled_noise(z), s * (prior.std * z))
             assert pack.h_norm == 0.0 and pack.logdet_ih == 0.0 and pack.cm_norm == 0.0
 
     def test_diagonal_case_scalar_values(self):
         # C = diag(1, 1/4), Gamma = diag(3, 4), s = 1/2: everything commutes, so
         # H = diag(3, 1), C_Gamma = diag(1/4, 1/8), A^2 = diag(15/16, 7/8).
         pack = build_operator_pack(diag_prior(), np.diag([3.0, 4.0]), 0.5)
-        assert np.allclose(np.diag(pack.h), [3.0, 1.0])
-        assert np.allclose(pack.c_gamma, np.diag([0.25, 0.125]))
-        assert np.allclose(pack.a @ pack.a, np.diag([15.0 / 16.0, 7.0 / 8.0]))
+        a, root = sampler_operators(pack)
+        assert np.allclose((pack.v * pack.w) @ pack.v.T, np.diag([3.0, 1.0]))
+        assert np.allclose(root @ root.T, np.diag([0.25, 0.125]))
+        assert np.allclose(a @ a, np.diag([15.0 / 16.0, 7.0 / 8.0]))
         c = np.diag([1.0, 0.25])
-        assert np.allclose(pack.a @ c @ pack.a.T + 0.25 * pack.c_gamma, c)
+        assert np.allclose(a @ c @ a.T + 0.25 * root @ root.T, c)
 
     def test_reversibility_identities_random_dense(self):
         rng = np.random.default_rng(11)
         prior = PriorSpec(10)
         pack = build_operator_pack(prior, random_psd(10, rng), 0.3)
-        c = prior.cov
-        resid = pack.a @ c @ pack.a.T + 0.3**2 * pack.c_gamma - c
+        a, root = sampler_operators(pack)
+        c = np.diag(prior.eigenvalues)
+        resid = a @ c @ a.T + 0.3**2 * root @ root.T - c
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(c)
-        assert np.linalg.norm(pack.a @ c - c @ pack.a.T) < 1e-10 * np.linalg.norm(c)
+        assert np.linalg.norm(a @ c - c @ a.T) < 1e-10 * np.linalg.norm(c)
 
     def test_rejects_bad_inputs(self):
         prior = PriorSpec(3)
@@ -114,14 +107,16 @@ class TestBuildOperatorPack:
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            pack = random_pack(n, rng, scale=float(rng.uniform(0.2, 4.0)))
-            c = pack.prior.cov
+            pack, gamma = random_pack(n, rng, scale=float(rng.uniform(0.2, 4.0)))
+            a, root = sampler_operators(pack)
+            ops = dense_operators(pack.prior, gamma, pack.s)
+            c = ops["c"]
             cn = np.linalg.norm(c)
-            assert np.linalg.norm(pack.a @ c @ pack.a.T + pack.s**2 * pack.c_gamma - c) < 1e-9 * cn
-            assert np.linalg.norm(pack.a @ c - c @ pack.a.T) < 1e-9 * cn
-            assert np.linalg.norm(pack.b_half @ pack.b_half - pack.a) < 1e-9
-            assert np.linalg.eigvalsh(0.5 * (pack.d + pack.d.T)).min() >= -1e-10
-            assert np.allclose(pack.cov_factor @ pack.cov_factor.T, pack.c_gamma)
+            assert np.linalg.norm(a @ c @ a.T + pack.s**2 * root @ root.T - c) < 1e-9 * cn
+            assert np.linalg.norm(a @ c - c @ a.T) < 1e-9 * cn
+            assert np.linalg.norm(ops["b_half"] @ ops["b_half"] - a) < 1e-9
+            assert np.linalg.eigvalsh(0.5 * (ops["d"] + ops["d"].T)).min() >= -1e-10
+            assert np.allclose(root @ root.T, ops["c_gamma"])
 
     def test_factor_pack_matches_dense_reference(self):
         # r = 0, 0 < r < N, and r > N (stacked linearizations, as for averaged Gamma)
@@ -130,16 +125,11 @@ class TestBuildOperatorPack:
             prior = PriorSpec(n)
             factor = rng.standard_normal((r, n))
             s = float(rng.uniform(0.1, 0.9))
-            ref = dense_reference(prior, factor.T @ factor, s)
-            u, v = prior.sample(rng), prior.sample(rng)
+            ops = dense_operators(prior, factor.T @ factor, s)
             for pack in (build_operator_pack(prior, FactoredGamma(factor), s),
                          build_operator_pack(prior, factor.T @ factor, s)):
-                assert np.abs(pack.a - ref["a"]).max() < 1e-12
-                assert np.abs(pack.c_gamma - ref["c_gamma"]).max() < 1e-12
                 for name in ("logdet_ih", "h_norm", "cm_norm"):
-                    assert abs(getattr(pack, name) - ref[name]) < 1e-12, name
-                expected = dense_log_rho(prior, ref, u, v)
-                assert abs(log_rho_gamma(pack, u, v) - expected) < 1e-12 * max(1.0, abs(expected))
+                    assert abs(getattr(pack, name) - ops[name]) < 1e-12, name
 
     def test_pack_memory_is_linear_in_n(self):
         n, r = 2000, 4
@@ -151,9 +141,35 @@ class TestBuildOperatorPack:
 
     def test_larger_step_contracts_the_mean_operator(self):
         prior = PriorSpec(6)
-        diags = [np.diag(build_operator_pack(prior, np.zeros((6, 6)), s).a)
+        diags = [np.diag(sampler_operators(build_operator_pack(prior, np.zeros((6, 6)), s))[0])
                  for s in (0.1, 0.4, 0.8)]
         assert np.all(diags[0] > diags[1]) and np.all(diags[1] > diags[2])
+
+
+class TestSamplingPathMatchesDenseOracle:
+    """The operators the sampler runs (``apply_a``, ``scaled_noise``,
+    ``log_pi_gamma``, ``log_rho_gamma``) against dense oracles built from
+    Gamma itself, so a wrong V or w in the pack shows up."""
+
+    @pytest.mark.parametrize("form", ["factored", "dense"])
+    @pytest.mark.parametrize("n, r", [(6, 0), (7, 3), (12, 4), (5, 5), (8, 12)])
+    def test_operators_and_densities(self, n, r, form):
+        rng = np.random.default_rng(1000 * n + r)
+        prior = PriorSpec(n)
+        factor = rng.uniform(0.5, 3.0) * rng.standard_normal((r, n))
+        gamma = FactoredGamma(factor) if form == "factored" else factor.T @ factor
+        for s in (0.1, 0.5, 0.9):
+            pack = build_operator_pack(prior, gamma, s)
+            ops = dense_operators(prior, factor.T @ factor, s)
+            a, root = sampler_operators(pack)
+            assert rel_err(a, ops["a"]) < 1e-10
+            # R R^T = C_Gamma; R itself is not symmetric
+            assert rel_err(root @ root.T, ops["c_gamma"]) < 1e-10
+            for _ in range(5):
+                u, v = prior.sample(rng), 2.0 * prior.sample(rng)
+                for got, want in ((log_pi_gamma(pack, v), oracle_log_pi_gamma(ops, v)),
+                                  (log_rho_gamma(pack, u, v), oracle_log_rho_gamma(ops, u, v))):
+                    assert abs(got - want) < 1e-10 * max(1.0, abs(want))
 
 
 class TestDensities:
@@ -189,18 +205,20 @@ class TestDensities:
         rng = np.random.default_rng(9)
         for _ in range(10):
             n = int(rng.integers(2, 20))
-            pack = random_pack(n, rng)
+            pack, gamma = random_pack(n, rng)
+            ops = dense_operators(pack.prior, gamma, pack.s)
             v = pack.prior.sample(rng) * 2.0
-            oracle = (gaussian_logpdf(v, np.zeros(n), pack.prior.cov)
-                      - gaussian_logpdf(v, np.zeros(n), pack.c_gamma))
+            oracle = (gaussian_logpdf(v, np.zeros(n), ops["c"])
+                      - gaussian_logpdf(v, np.zeros(n), ops["c_gamma"]))
             assert abs(log_pi_gamma(pack, v) - oracle) < 1e-8
 
     def test_pi_gamma_rebuilds_prior_pdf(self):
         rng = np.random.default_rng(13)
-        pack = random_pack(6, rng)
+        pack, gamma = random_pack(6, rng)
+        ops = dense_operators(pack.prior, gamma, pack.s)
         v = pack.prior.sample(rng)
-        lhs = log_pi_gamma(pack, v) + gaussian_logpdf(v, np.zeros(6), pack.c_gamma)
-        rhs = gaussian_logpdf(v, np.zeros(6), pack.prior.cov)
+        lhs = log_pi_gamma(pack, v) + gaussian_logpdf(v, np.zeros(6), ops["c_gamma"])
+        rhs = gaussian_logpdf(v, np.zeros(6), ops["c"])
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -215,16 +233,17 @@ class TestLogRhoGamma:
         rng = np.random.default_rng(17)
         for _ in range(25):
             n = int(rng.integers(1, 21))
-            pack = random_pack(n, rng)
+            pack, gamma = random_pack(n, rng)
+            ops = dense_operators(pack.prior, gamma, pack.s)
             u, v = pack.prior.sample(rng), pack.prior.sample(rng)
-            s, c = pack.s, pack.prior.cov
-            oracle = (gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * c)
-                      - gaussian_logpdf(v, pack.a @ u, s * s * pack.c_gamma))
+            s = pack.s
+            oracle = (gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * ops["c"])
+                      - gaussian_logpdf(v, ops["a"] @ u, s * s * ops["c_gamma"]))
             assert abs(log_rho_gamma(pack, u, v) - oracle) < 1e-8
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(19)
-        pack = random_pack(8, rng)
+        pack, _ = random_pack(8, rng)
         u, v = pack.prior.sample(rng), pack.prior.sample(rng)
         assert np.isclose(log_rho_gamma(pack, u, v), log_rho_gamma(pack, v, u), atol=1e-10)
 
@@ -232,11 +251,12 @@ class TestLogRhoGamma:
         # At v = A u both factors collapse to their closed forms; the shift in
         # the mean-change factor carries the 1/s from the change of variables.
         rng = np.random.default_rng(21)
-        pack = random_pack(7, rng, s=0.4)
+        pack, _ = random_pack(7, rng, s=0.4)
         u = pack.prior.sample(rng)
-        shift = (pack.delta @ u) / pack.prior.std / pack.s
+        mean = pack.apply_a(u)
+        shift = (pack.a0 * u - mean) / pack.prior.std / pack.s     # C^{-1/2} Delta u / s
         expected = -0.5 * shift @ shift - 0.5 * pack.logdet_ih
-        assert np.isclose(log_rho_gamma(pack, u, pack.a @ u), expected)
+        assert np.isclose(log_rho_gamma(pack, u, mean), expected)
 
     def test_rejects_degenerate_step(self):
         rng = np.random.default_rng(4)
@@ -260,7 +280,7 @@ class TestIntegrabilityBound:
 
     def test_moment_at_p_equal_one_is_one(self):
         rng = np.random.default_rng(29)
-        pack = random_pack(6, rng)
+        pack, _ = random_pack(6, rng)
         exact, bound = integrability_bound(pack, 1.0, pack.prior.sample(rng))
         assert np.isclose(exact, 1.0)
         assert exact <= bound + 1e-12
@@ -269,13 +289,13 @@ class TestIntegrabilityBound:
         rng = np.random.default_rng(31)
         for _ in range(5):
             n = int(rng.integers(2, 11))
-            pack = random_pack(n, rng)
+            pack, _ = random_pack(n, rng)
             u = pack.prior.sample(rng)
             p = min(1.01, 0.5 * (1.0 + admissible_exponent_bound(pack)))
             exact, bound = integrability_bound(pack, p, u)
             assert exact <= bound * (1.0 + 1e-12)
-            mean = pack.a @ u
-            draws = mean + pack.s * (rng.standard_normal((20000, n)) @ pack.cov_factor.T)
+            _, root = sampler_operators(pack)
+            draws = pack.apply_a(u) + pack.s * (rng.standard_normal((20000, n)) @ root.T)
             vals = np.exp([p * log_rho_gamma(pack, u, v) for v in draws])
             se = vals.std() / np.sqrt(len(vals))
             assert abs(vals.mean() - exact) < 3.0 * se + 1e-12

@@ -26,7 +26,7 @@ from gpcn.proposals import (
     pcn,
     random_walk,
 )
-from helpers import reference_chain, reference_tune
+from helpers import linear_posterior, reference_chain, reference_tune
 
 
 def flat_posterior(n):
@@ -46,7 +46,7 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
         return float(0.5 * (r @ r) / sigma**2)
 
     posterior = Posterior(prior, potential)
-    mean, cov = elliptic.linear_posterior(L, b, y, sigma**2 * np.eye(3), prior)
+    mean, cov = linear_posterior(L, b, y, sigma**2 * np.eye(3), prior)
     gamma = L.T @ L / sigma**2
     return posterior, mean, cov, gamma
 

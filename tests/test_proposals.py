@@ -14,7 +14,7 @@ from gpcn.proposals import (
     propose,
     random_walk,
 )
-from helpers import gaussian_logpdf, random_psd
+from helpers import dense_operators, gaussian_logpdf, random_psd, sampler_operators
 
 
 def make_gamma_map(base, n):
@@ -23,28 +23,29 @@ def make_gamma_map(base, n):
     return gamma_map
 
 
-def proposal_log_density(kernel, u, v):
-    """Direct finite-dimensional proposal density q(u, v) for any variant."""
+def proposal_log_density(kernel, u, v, gamma=None):
+    """Direct finite-dimensional proposal density q(u, v) for any variant, from
+    the dense oracles; ``gamma`` is the dense curvature of gn-rw and gpcn."""
     prior, s = kernel.prior, kernel.s
-    c = prior.cov
+    c = np.diag(prior.eigenvalues)
     if kernel.variant == "rw":
         return gaussian_logpdf(v, u, s * s * c)
     if kernel.variant == "pcn":
         return gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * c)
-    if kernel.variant == "gn-rw":
-        return gaussian_logpdf(v, u, s * s * kernel.pack.c_gamma)
-    if kernel.variant == "gpcn":
-        return gaussian_logpdf(v, kernel.pack.a @ u, s * s * kernel.pack.c_gamma)
-    pack = kernel.pack_at(u)
-    mean = pack.a @ u if kernel.variant == "local-gpcn" else np.sqrt(1 - s * s) * u
-    return gaussian_logpdf(v, mean, s * s * pack.c_gamma)
+    if kernel.variant in ("gn-rw", "gpcn"):
+        ops = dense_operators(prior, gamma, s)
+        mean = u if kernel.variant == "gn-rw" else ops["a"] @ u
+        return gaussian_logpdf(v, mean, s * s * ops["c_gamma"])
+    ops = dense_operators(prior, kernel.gamma_map(u), s)
+    mean = ops["a"] @ u if kernel.variant == "local-gpcn" else np.sqrt(1 - s * s) * u
+    return gaussian_logpdf(v, mean, s * s * ops["c_gamma"])
 
 
 def prior_logpdf(prior, u):
-    return gaussian_logpdf(u, np.zeros(prior.dim), prior.cov)
+    return gaussian_logpdf(u, np.zeros(prior.dim), np.diag(prior.eigenvalues))
 
 
-def assert_hastings_identity(kernel, u, v, tol=1e-8):
+def assert_hastings_identity(kernel, u, v, tol=1e-8, gamma=None):
     """The correction must equal the full finite-dimensional Hastings term
     log[pi(v) q(v,u)] - log[pi(u) q(u,v)] + phi(v) - phi(u), which reduces to
     the prior-density and proposal-density pieces below; this is exactly what
@@ -52,7 +53,7 @@ def assert_hastings_identity(kernel, u, v, tol=1e-8):
     """
     prior = kernel.prior
     expected = (prior_logpdf(prior, v) - prior_logpdf(prior, u)
-                + proposal_log_density(kernel, v, u) - proposal_log_density(kernel, u, v))
+                + proposal_log_density(kernel, v, u, gamma) - proposal_log_density(kernel, u, v, gamma))
     assert abs(log_acceptance_correction(kernel, u, v) - expected) < tol
 
 
@@ -81,12 +82,14 @@ class TestPropose:
     def test_gpcn_empirical_moments(self):
         rng = np.random.default_rng(8)
         prior = PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
-        pack = build_operator_pack(prior, random_psd(2, rng, scale=2.0), 0.5)
+        gamma = random_psd(2, rng, scale=2.0)
+        pack = build_operator_pack(prior, gamma, 0.5)
         kernel = gpcn(pack)
         u = np.array([0.7, -0.4])
         draws = np.array([propose(kernel, u, rng) for _ in range(100000)])
-        assert np.allclose(draws.mean(axis=0), pack.a @ u, atol=0.01)
-        assert np.allclose(np.cov(draws.T), 0.25 * pack.c_gamma, rtol=0.05, atol=0.002)
+        ops = dense_operators(prior, gamma, 0.5)
+        assert np.allclose(draws.mean(axis=0), ops["a"] @ u, atol=0.01)
+        assert np.allclose(np.cov(draws.T), 0.25 * ops["c_gamma"], rtol=0.05, atol=0.002)
 
     def test_local_variants_mean_structure(self):
         rng = np.random.default_rng(10)
@@ -97,7 +100,7 @@ class TestPropose:
             kernel = factory(prior, make_gamma_map(base, 4), 0.35)
             pack = kernel.pack_at(u)
             draws = np.array([propose(kernel, u, rng, pack) for _ in range(50000)])
-            mean = pack.a @ u if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
+            mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
 
 
@@ -116,22 +119,24 @@ class TestCorrections:
         # posterior, as the detailed-balance identity below verifies.
         prior = PriorSpec(4)
         rng = np.random.default_rng(2)
-        pack = build_operator_pack(prior, random_psd(4, rng), 0.4)
+        gamma = random_psd(4, rng)
+        pack = build_operator_pack(prior, gamma, 0.4)
         u, v = prior.sample(rng), prior.sample(rng)
         expected = prior_logpdf(prior, v) - prior_logpdf(prior, u)
         for kernel in (random_walk(prior, 0.4), gauss_newton_rw(pack)):
             assert np.isclose(log_acceptance_correction(kernel, u, v), expected, atol=1e-10)
-            assert_hastings_identity(kernel, u, v)
+            assert_hastings_identity(kernel, u, v, gamma=gamma)
 
     def test_prior_reversibility_holds_for_pcn_gpcn_fails_for_rw(self):
         rng = np.random.default_rng(5)
         prior = PriorSpec(5)
-        pack = build_operator_pack(prior, random_psd(5, rng), 0.6)
+        gamma = random_psd(5, rng)
+        pack = build_operator_pack(prior, gamma, 0.6)
         for _ in range(10):
             u, v = prior.sample(rng), prior.sample(rng)
             for kernel in (pcn(prior, 0.6), gpcn(pack)):
-                lhs = proposal_log_density(kernel, u, v) + prior_logpdf(prior, u)
-                rhs = proposal_log_density(kernel, v, u) + prior_logpdf(prior, v)
+                lhs = proposal_log_density(kernel, u, v, gamma) + prior_logpdf(prior, u)
+                rhs = proposal_log_density(kernel, v, u, gamma) + prior_logpdf(prior, v)
                 assert abs(lhs - rhs) < 1e-8
             kernel = random_walk(prior, 0.6)
             lhs = proposal_log_density(kernel, u, v) + prior_logpdf(prior, u)
@@ -210,14 +215,15 @@ class TestKernelPlumbing:
         kernel = gpcn(build_operator_pack(prior, gamma, 0.3))
         rescaled = kernel.with_step_size(0.7)
         assert rescaled.s == 0.7 and rescaled.pack.s == 0.7
-        assert not np.allclose(rescaled.pack.a, kernel.pack.a)
-        c = prior.cov
-        resid = rescaled.pack.a @ c @ rescaled.pack.a.T + 0.49 * rescaled.pack.c_gamma - c
+        a, root = sampler_operators(rescaled.pack)
+        assert not np.allclose(a, sampler_operators(kernel.pack)[0])
+        c = np.diag(prior.eigenvalues)
+        resid = a @ c @ a.T + 0.49 * root @ root.T - c
         assert np.linalg.norm(resid) < 1e-10
         # matches a fresh build at the new step size, for both pack variants
         fresh = build_operator_pack(prior, gamma, 0.7)
-        for name in ("a", "c_gamma", "cov_factor"):
-            assert np.abs(getattr(rescaled.pack, name) - getattr(fresh, name)).max() < 1e-12
+        for got, want in zip((a, root), sampler_operators(fresh)):
+            assert np.abs(got - want).max() < 1e-12
         for name in ("logdet_ih", "h_norm", "cm_norm"):
             assert abs(getattr(rescaled.pack, name) - getattr(fresh, name)) < 1e-12
         u = prior.sample(rng)

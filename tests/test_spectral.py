@@ -11,7 +11,6 @@ from gpcn.spectral import (
     discretize_metropolis,
     grid_gpcn_metropolis,
     kappa_p,
-    lazy,
     positivity_check,
     random_proposal,
     random_reversible_chain,
@@ -19,8 +18,8 @@ from gpcn.spectral import (
     restriction_check,
     run_lab,
     spectral_gap,
-    stationary_distribution,
 )
+from helpers import lazy, stationary_distribution
 
 TWO_STATE = FiniteChain(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.4, 0.6]))
 
