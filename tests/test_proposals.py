@@ -33,6 +33,8 @@ def proposal_log_density(kernel, u, v, gamma=None):
     if kernel.variant == "pcn":
         return gaussian_logpdf(v, np.sqrt(1 - s * s) * u, s * s * c)
     if kernel.variant in ("gn-rw", "gpcn"):
+        if gamma is None:
+            raise ValueError(f"{kernel.variant} needs its dense gamma")
         ops = dense_operators(prior, gamma, s)
         mean = u if kernel.variant == "gn-rw" else ops["a"] @ u
         return gaussian_logpdf(v, mean, s * s * ops["c_gamma"])
