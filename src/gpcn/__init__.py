@@ -42,6 +42,7 @@ from .gaussian_ops import (
 from .metropolis import (
     ChainConfig,
     ChainTrace,
+    State,
     TuneResult,
     mh_step,
     run_chain,

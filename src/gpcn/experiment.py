@@ -61,7 +61,7 @@ class ExperimentConfig:
     variants: list
     n: int
     n0: int
-    dx: float = elliptic.DEFAULT_DX
+    dx: float
     truth: str = "default"
     s: Optional[float] = None
     target_acceptance: float = 0.25
@@ -96,11 +96,7 @@ class ExperimentConfig:
         ]
 
 
-def _typed(values, lines, key, cast, default=None, required=False):
-    if key not in values:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+def _typed(values, lines, key, cast):
     try:
         return cast(values[key])
     except (ValueError, ConfigError) as exc:
@@ -119,35 +115,48 @@ def _str_list(text):
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
+# config key, ExperimentConfig field, parser; a key that is absent leaves
+# the field at its default.
+_FIELDS = (
+    ("seed", "seed", int),
+    ("problem.N", "n_modes", _int_list),
+    ("problem.sigma_eps", "sigma_eps", _float_list),
+    ("problem.dx", "dx", float),
+    ("problem.truth", "truth", str),
+    ("sampler.variant", "variants", _str_list),
+    ("sampler.s", "s", float),
+    ("sampler.target_acceptance", "target_acceptance", float),
+    ("sampler.gamma", "gamma_source", str),
+    ("sampler.gamma_points", "gamma_points", int),
+    ("run.n", "n", int),
+    ("run.n0", "n0", int),
+    ("run.thin", "thin", int),
+    ("run.replicates", "replicates", int),
+    ("run.pilot_n", "pilot_n", int),
+    ("output.dir", "out_dir", str),
+    ("output.formats", "formats", _str_list),
+)
+_REQUIRED = ("seed", "problem.N", "problem.sigma_eps", "sampler.variant", "run.n", "run.n0")
+
+
 def resolve_config(text: str) -> ExperimentConfig:
     values, lines = parse_kv(text)
-    cfg = ExperimentConfig(
-        seed=_typed(values, lines, "seed", int, required=True),
-        n_modes=_typed(values, lines, "problem.N", _int_list, required=True),
-        sigma_eps=_typed(values, lines, "problem.sigma_eps", _float_list, required=True),
-        dx=_typed(values, lines, "problem.dx", float),
-        truth=_typed(values, lines, "problem.truth", str, default="default"),
-        variants=_typed(values, lines, "sampler.variant", _str_list, required=True),
-        s=_typed(values, lines, "sampler.s", float),
-        target_acceptance=_typed(values, lines, "sampler.target_acceptance", float, default=0.25),
-        gamma_source=_typed(values, lines, "sampler.gamma", str, default="map"),
-        gamma_points=_typed(values, lines, "sampler.gamma_points", int, default=5),
-        n=_typed(values, lines, "run.n", int, required=True),
-        n0=_typed(values, lines, "run.n0", int, required=True),
-        thin=_typed(values, lines, "run.thin", int, default=1),
-        replicates=_typed(values, lines, "run.replicates", int, default=1),
-        pilot_n=_typed(values, lines, "run.pilot_n", int, default=2000),
-        out_dir=_typed(values, lines, "output.dir", str, default="out"),
-        formats=_typed(values, lines, "output.formats", _str_list, default=["csv", "json"]),
-    )
-    n_max = max(cfg.n_modes, default=1)
-    if cfg.dx is None:
+    fields = {}
+    for key, name, cast in _FIELDS:
+        if key in values:
+            fields[name] = _typed(values, lines, key, cast)
+        elif key in _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+    n_max = max(fields["n_modes"], default=1)
+    dx = fields.pop("dx", None)
+    if dx is None:
         # one dx for every cell: the largest 2^-k <= 2^-9 whose grid resolves n_max modes
-        cfg.dx = 2.0 ** -max(9, n_max.bit_length())
-    elif not 0.0 < cfg.dx or n_max >= round(1.0 / cfg.dx):
-        raise ConfigError(f"line {lines['problem.dx']}: dx = {cfg.dx:g} does not resolve "
+        dx = 2.0 ** -max(9, n_max.bit_length())
+    elif not 0.0 < dx or n_max >= round(1.0 / dx):
+        raise ConfigError(f"line {lines['problem.dx']}: dx = {dx:g} does not resolve "
                           f"problem.N = {n_max} modes (need 0 < dx and N < 1/dx)")
-    known = {key for key, _ in cfg.items()}
+    cfg = ExperimentConfig(dx=dx, **fields)
+    known = {key for key, _, _ in _FIELDS}
     for key in values:
         if key not in known:
             raise ConfigError(f"line {lines[key]}: unknown key {key!r}")
@@ -168,6 +177,16 @@ def resolve_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"line {lines['problem.sigma_eps']}: sigma_eps must be positive")
     if any(v < 1 for v in cfg.n_modes):
         raise ConfigError(f"line {lines['problem.N']}: N must be positive")
+    if cfg.truth != "default":
+        where = f"line {lines['problem.truth']}: problem.truth"
+        try:
+            truth = truth_object(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        n_min = min(cfg.n_modes, default=0)
+        if truth.size > n_min:
+            raise ConfigError(f"{where} has {truth.size} coefficients, more than "
+                              f"min(problem.N) = {n_min}")
     for key, value, low in (("run.n", cfg.n, 0), ("run.n0", cfg.n0, 0),
                             ("run.thin", cfg.thin, 1), ("run.replicates", cfg.replicates, 1)):
         if value < low:
@@ -196,11 +215,16 @@ def derive_seed(master: int, tag: int, *indices: int) -> int:
 
 
 def truth_object(cfg: ExperimentConfig):
+    """The truth ``problem.truth`` names: the default field or sine coefficients;
+    ValueError for any other spec."""
     if cfg.truth == "default":
         return elliptic.default_truth
     if cfg.truth.startswith("coeffs:"):
-        return np.asarray(_float_list(cfg.truth[len("coeffs:"):]), dtype=float)
-    raise ConfigError(f"unknown truth spec {cfg.truth!r}; use 'default' or 'coeffs:v1,v2,...'")
+        coeffs = np.asarray(_float_list(cfg.truth[len("coeffs:"):]), dtype=float)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"truth coefficients must be finite, got {coeffs.tolist()}")
+        return coeffs
+    raise ValueError(f"unknown truth spec {cfg.truth!r}; use 'default' or 'coeffs:v1,v2,...'")
 
 
 def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
@@ -239,6 +263,19 @@ def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
     return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
 
 
+def ess_summary(series) -> dict:
+    """Both ESS estimators on one QoI series, keyed ``ims`` and ``batch_means``:
+    each report without its ACF, or ``{"error": message}`` for a series the
+    estimator cannot take (too short, or constant)."""
+    summary = {}
+    for name, estimator in (("ims", ess_ims), ("batch_means", ess_batch_means)):
+        try:
+            summary[name] = {k: v for k, v in estimator(series).to_dict().items() if k != "acf"}
+        except ValueError as exc:
+            summary[name] = {"error": str(exc)}
+    return summary
+
+
 def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> dict:
     """Run one (variant, N, sigma_eps, replicate) cell and write its artifacts."""
     variant = cfg.variants[iv]
@@ -263,17 +300,10 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
     trace = run_chain(chain_cfg)
 
     series = trace.qoi_series[QOI_NAME]
-    try:
-        ims = ess_ims(series)
-        ims_summary = {k: v for k, v in ims.to_dict().items() if k != "acf"}
-        ess_ims_value, iact_ims = ims.ess, ims.iact
-    except ValueError as exc:                 # run too short for the estimator
-        ims_summary = {"error": str(exc)}
-        ess_ims_value = iact_ims = float("nan")
-    try:
-        ess_bm = ess_batch_means(series).ess
-    except ValueError:
-        ess_bm = float("nan")
+    ess = ess_summary(series)
+    nan = float("nan")
+    ess_ims_value, iact_ims = ess["ims"].get("ess", nan), ess["ims"].get("iact", nan)
+    ess_bm = ess["batch_means"].get("ess", nan)
 
     stem = f"{variant}_N{n_modes}_sig{sigma:g}_r{rep}"
     cell_seeds = {"data_seed": data_seed, "chain_seed": chain_seed}
@@ -296,7 +326,7 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
                     "converged": map_result.converged,
                     "stop": map_result.stop},
             "observation": json.loads(obs.to_json()),
-            "ess": {"ims": ims_summary, "batch_means": ess_bm},
+            "ess": {"ims": ess["ims"], "batch_means": ess_bm},
         }
         if tuned:
             report["tune"] = {"converged": result.converged,
@@ -404,21 +434,15 @@ def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def diagnose_trace(path) -> dict:
-    """Recompute both ESS estimators from a trace CSV's QoI columns."""
+    """Recompute both ESS estimators from a trace CSV's QoI columns, as
+    ``ess_summary`` reports them for ``run_cell``."""
     from .metropolis import read_trace_csv
 
     header, _, accepts, qoi = read_trace_csv(path)
     report = {"trace": str(path), "n": int(len(accepts)),
               "acceptance_rate_post_burnin": float(np.mean(accepts)), "qoi": {}}
     for name, series in qoi.items():
-        ims = ess_ims(series)
-        entry = {"ims": {"ess": ims.ess, "iact": ims.iact, "n_pairs": ims.n_pairs}}
-        try:
-            bm = ess_batch_means(series)
-            entry["batch_means"] = {"ess": bm.ess, "iact": bm.iact}
-        except ValueError as exc:
-            entry["batch_means"] = {"error": str(exc)}
-        report["qoi"][name] = entry
+        report["qoi"][name] = ess_summary(series)
     if header:
         report["trace_header"] = header
     return report

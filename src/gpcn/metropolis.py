@@ -1,9 +1,12 @@
 """Metropolis transition, ball-restricted variant, chain runner, step tuner.
 
+``mh_step`` is the one step for every proposal variant; a chain's state is
+the record ``State(u, phi(u), kernel.pack_at(u))``.
+
 Determinism contract: every step consumes exactly one standard normal vector
-(the proposal draw) followed by one uniform (the accept test) from the
-chain's ``numpy.random.Generator``, so a fixed seed reproduces a trace
-bit for bit.
+(the proposal draw) followed by one uniform (the accept test), both drawn by
+``mh_step`` from the chain's ``numpy.random.Generator``, so a fixed seed
+reproduces a trace bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .gaussian_ops import Posterior
-from .proposals import LOCAL_VARIANTS, ProposalKernel, log_acceptance_correction, propose
+from .gaussian_ops import OperatorPack, Posterior
+from .proposals import ProposalKernel, log_acceptance_correction, propose
 
 S_LO = 1e-4
 S_HI = 0.999
@@ -30,39 +33,37 @@ S_HI = 0.999
 PILOT_DELTA = 1e-3
 
 
-def mh_step(kernel, posterior, u, rng, radius=None, phi_u=None, pack_u=None):
-    """One Metropolis transition from the state record (u, phi(u), pack(u)).
+class State(NamedTuple):
+    """A chain's state u with phi(u) and ``kernel.pack_at(u)``."""
+    u: np.ndarray
+    phi: float
+    pack: Optional[OperatorPack]
 
-    Accepts the proposal v with probability min{1, exp(phi(u) - phi(v) +
-    correction)}, additionally multiplied by the indicator ||v|| < radius
-    when a restriction radius is given.  Non-finite phi(v) counts as a
-    rejection.
 
-    ``pack(u)`` is the local variants' operator pack at u and None for every
-    other variant; v is drawn from it.  The candidate's pack is built once,
-    with ``kernel.pack_at(v)``, and only when v passed the radius and
-    finite-phi checks; the correction reads both packs.  Passing ``phi_u``
-    and ``pack_u`` skips their evaluation at u.
+def mh_step(kernel, posterior, state, rng, radius=None):
+    """One Metropolis transition from the ``State`` record ``state``.
 
-    Returns ``(state, accepted, phi_state, pack_state)``: the candidate's
-    record on accept, the current one otherwise.
+    Draws z, then the accept test's uniform, and accepts v = propose(kernel,
+    u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
+    times the indicator ||v|| < radius when a radius is given.  Non-finite
+    phi(v) counts as a rejection.  ``kernel.pack_at(v)`` runs once, only for
+    a v that passed both checks.  Returns ``(state, accepted)``: the
+    candidate's record on accept, the given one otherwise.
     """
-    if phi_u is None:
-        phi_u = posterior.phi(u)
-    if pack_u is None and kernel.variant in LOCAL_VARIANTS:
-        pack_u = kernel.pack_at(u)
-    v = propose(kernel, u, rng, pack_u)
+    u, phi_u, pack_u = state
+    z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
+    v = propose(kernel, u, z, pack_u)
     if radius is not None and np.linalg.norm(v) >= radius:
-        return u, False, phi_u, pack_u
+        return state, False
     phi_v = posterior.phi(v)
     if not np.isfinite(phi_v):
-        return u, False, phi_u, pack_u
-    pack_v = None if pack_u is None else kernel.pack_at(v)
+        return state, False
+    pack_v = kernel.pack_at(v)
     log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v, pack_u, pack_v)
     if np.log(accept_u) < log_alpha:
-        return v, True, phi_v, pack_v
-    return u, False, phi_u, pack_u
+        return State(v, phi_v, pack_v), True
+    return state, False
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def run_chain(config: ChainConfig,
     burn-in state and after each accepted step; a rejected step keeps the
     state, so its value is copied from the previous step.
 
-    The chain state is the record (u, phi(u), pack(u)) that ``mh_step``
-    takes and returns: the initial state's record is built once here, and a
+    The chain state is the ``State`` record that ``mh_step`` takes and
+    returns: the initial state's record is built once here, and a
     local-variant step then costs one pack build (one curvature evaluation),
     for its candidate.
 
@@ -139,7 +140,7 @@ def run_chain(config: ChainConfig,
     phi_u = posterior.phi(u)
     if not np.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
-    pack_u = kernel.pack_at(u) if kernel.variant in LOCAL_VARIANTS else None
+    state = State(u, phi_u, kernel.pack_at(u))
 
     total = n0 + n
     accepts = np.zeros(total, dtype=bool)
@@ -151,16 +152,14 @@ def run_chain(config: ChainConfig,
     kept = 0
     steps, n_accepted = total, 0
     for i in range(total):
-        u, accepted, phi_u, pack_u = mh_step(kernel, posterior, u, rng,
-                                             radius=config.restriction_radius,
-                                             phi_u=phi_u, pack_u=pack_u)
+        state, accepted = mh_step(kernel, posterior, state, rng, radius=config.restriction_radius)
         accepts[i] = accepted
         j = i - n0
         if j >= 0:
             for name, fn in config.qoi.items():
-                qoi_series[name][j] = fn(u) if j == 0 or accepted else qoi_series[name][j - 1]
+                qoi_series[name][j] = fn(state.u) if j == 0 or accepted else qoi_series[name][j - 1]
             if j % thin == 0:
-                states[kept] = u
+                states[kept] = state.u
                 kept += 1
         if stop is not None:
             n_accepted += accepted

@@ -9,10 +9,10 @@ gpcn         v = A u + s C_Gamma^{1/2} z             (adapted autoregressive, pr
 local-gpcn   v = A_{Gamma(u)} u + s C_{Gamma(u)}^{1/2} z
 local-gpcn2  v = sqrt(1-s^2) u + s C_{Gamma(u)}^{1/2} z
 
-``propose`` draws a candidate (consuming exactly one standard normal vector
-from the caller's RNG); ``log_acceptance_correction`` reports the additive
-log term that completes the acceptance ratio
-phi(u) - phi(v) + correction(u, v).
+``ProposalKernel.pack_at(u)`` is the one source of a state's operator pack.
+``propose`` is pure: it maps u, a standard normal draw z and the pack at u
+to the candidate v.  ``log_acceptance_correction`` reads the packs at u and v
+and gives the additive log term completing phi(u) - phi(v) + correction(u, v).
 """
 
 from __future__ import annotations
@@ -84,9 +84,12 @@ class ProposalKernel:
         pack = None if self.pack is None else replace(self.pack, s=s)
         return replace(self, s=s, pack=pack)
 
-    def pack_at(self, u: np.ndarray) -> OperatorPack:
-        """Operator pack for the state-dependent curvature at u (local variants)."""
-        return build_operator_pack(self.prior, self.gamma_map(u), self.s)
+    def pack_at(self, u: np.ndarray) -> Optional[OperatorPack]:
+        """The operator pack at u: built from Gamma(u) for the local variants,
+        the kernel's fixed pack otherwise (None for rw and pcn)."""
+        if self.variant in LOCAL_VARIANTS:
+            return build_operator_pack(self.prior, self.gamma_map(u), self.s)
+        return self.pack
 
 
 def random_walk(prior: PriorSpec, s: float) -> ProposalKernel:
@@ -113,14 +116,10 @@ def local_gpcn2(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
     return ProposalKernel("local-gpcn2", prior, s, gamma_map=gamma_map)
 
 
-def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator,
-            pack_u: Optional[OperatorPack] = None) -> np.ndarray:
-    """Draw one candidate state from the kernel's law at u.
-
-    The local variants draw from ``pack_u``, their pack at u, and build it
-    with ``kernel.pack_at(u)`` when it is not given.
-    """
-    z = rng.standard_normal(kernel.prior.dim)
+def propose(kernel: ProposalKernel, u: np.ndarray, z: np.ndarray,
+            pack: Optional[OperatorPack]) -> np.ndarray:
+    """The candidate that the standard normal draw z gives from u under the
+    kernel's law at u; ``pack`` is ``kernel.pack_at(u)``."""
     s = kernel.s
     v = kernel.variant
     if v == "rw":
@@ -128,26 +127,22 @@ def propose(kernel: ProposalKernel, u: np.ndarray, rng: np.random.Generator,
     if v == "pcn":
         return np.sqrt(1.0 - s * s) * u + s * (kernel.prior.std * z)
     if v == "gn-rw":
-        return u + kernel.pack.scaled_noise(z)
-    if v == "gpcn":
-        pack = kernel.pack
-    else:
-        pack = kernel.pack_at(u) if pack_u is None else pack_u
+        return u + pack.scaled_noise(z)
     if v == "local-gpcn2":
         return pack.a0 * u + pack.scaled_noise(z)
     return pack.apply_a(u) + pack.scaled_noise(z)
 
 
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
-                              pack_u: Optional[OperatorPack] = None,
-                              pack_v: Optional[OperatorPack] = None) -> float:
+                              pack_u: Optional[OperatorPack],
+                              pack_v: Optional[OperatorPack]) -> float:
     """Additive log term completing the acceptance ratio phi(u) - phi(v) + correction.
 
     pcn and gpcn are prior-reversible, so their correction vanishes.  rw and
     gn-rw are symmetric Lebesgue proposals; keeping the chain reversible for
     the posterior requires the prior log-density ratio.  The local variants
     carry the density ratio of their state-dependent laws, from their packs
-    at u and v; a pack that is not given is built with ``kernel.pack_at``.
+    at u and v, ``kernel.pack_at(u)`` and ``kernel.pack_at(v)``.
     """
     variant = kernel.variant
     if variant in ("pcn", "gpcn"):
@@ -155,10 +150,6 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     lam = kernel.prior.eigenvalues
     if variant in ("rw", "gn-rw"):
         return float(0.5 * (np.sum(u * u / lam) - np.sum(v * v / lam)))
-    if pack_u is None:
-        pack_u = kernel.pack_at(u)
-    if pack_v is None:
-        pack_v = kernel.pack_at(v)
     if variant == "local-gpcn" and np.array_equal(pack_u.w, pack_v.w) and np.array_equal(
             pack_u.v, pack_v.v):
         # Constant curvature map: one Gamma gives bit-identical packs, the two

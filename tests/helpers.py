@@ -180,8 +180,8 @@ def elliptic_pipeline(xi, model):
 
 def reference_chain(config):
     """``run_chain`` by the step rule without state records: every step
-    builds the local packs at u and v from scratch, through ``propose`` and
-    ``log_acceptance_correction`` called without packs.
+    draws z and the uniform itself, and evaluates phi and looks up the packs
+    at u and v afresh with ``kernel.pack_at``, so no record outlives its step.
 
     Returns (accepts, retained states, QoI series, steps that reached the
     acceptance test), with the QoI evaluated at every post burn-in state.
@@ -194,14 +194,17 @@ def reference_chain(config):
     accepts, states, tested = [], [], 0
     qoi = {name: [] for name in config.qoi}
     for i in range(config.n0 + config.n):
-        v = propose(kernel, u, rng)
+        z = rng.standard_normal(kernel.prior.dim)
         accept_u = rng.random()
+        pack_u = kernel.pack_at(u)
+        v = propose(kernel, u, z, pack_u)
         accepted = False
         if radius is None or np.linalg.norm(v) < radius:
             phi_v = posterior.phi(v)
             if np.isfinite(phi_v):
                 tested += 1
-                log_alpha = posterior.phi(u) - phi_v + log_acceptance_correction(kernel, u, v)
+                correction = log_acceptance_correction(kernel, u, v, pack_u, kernel.pack_at(v))
+                log_alpha = posterior.phi(u) - phi_v + correction
                 accepted = bool(np.log(accept_u) < log_alpha)
         if accepted:
             u = v

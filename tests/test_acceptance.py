@@ -320,7 +320,8 @@ def test_criterion_11_local_gpcn():
     gamma = random_psd(6, rng)
     const_kernel = local_gpcn(prior, lambda u: gamma, 0.4)
     u, v = prior.sample(rng), prior.sample(rng)
-    exact_zero = log_acceptance_correction(const_kernel, u, v) == 0.0
+    exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u),
+                                           const_kernel.pack_at(v)) == 0.0
     ok = worst < 1e-8 and exact_zero
     report("criterion-11 local-gpcn", ok,
            f"max detailed-balance log asymmetry = {worst:.3e} over 100 pairs (< 1e-8); "

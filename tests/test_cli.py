@@ -54,6 +54,16 @@ class TestConfigParsing:
                "sampler.variant = pcn\nrun.n = 10\nrun.n0 = 0\n"
         with pytest.raises(ConfigError, match="line 2"):
             resolve_config(text)
+        base = "seed = 1\nproblem.N = 20, 10\nproblem.sigma_eps = 0.1\n" \
+               "sampler.variant = pcn\nrun.n = 10\nrun.n0 = 0\n"
+        twelve = ",".join(["0.1"] * 12)
+        for truth, match in (("bogus", "unknown truth spec"), ("coeffs:1,x", "could not convert"),
+                             ("coeffs:1,nan", "must be finite"),
+                             (f"coeffs:{twelve}", r"12 coefficients.*min\(problem.N\) = 10")):
+            with pytest.raises(ConfigError, match=f"line 7: problem.truth.*{match}"):
+                resolve_config(base + f"problem.truth = {truth}\n")
+        assert resolve_config(base.replace("20, 10", "20, 12")
+                              + f"problem.truth = coeffs:{twelve}\n").truth == f"coeffs:{twelve}"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="problem.N"):
@@ -329,6 +339,19 @@ class TestDiagnoseCommand:
         report = diagnose_trace(path)
         target = n * (1 - rho) / (1 + rho)
         assert abs(report["qoi"]["f"]["ims"]["ess"] - target) < 0.2 * target
+
+    def test_short_run_trace_reports_the_estimator_errors(self, tmp_path):
+        out = tmp_path / "short"
+        cfg = write_config(tmp_path, MINIMAL.format(out=out).replace("run.n = 1000", "run.n = 50"))
+        assert main(["run", "--config", str(cfg)]) == 0
+        report_path = tmp_path / "diag.json"
+        trace = out / "trace_gpcn_N10_sig0.1_r0.csv"
+        assert main(["diagnose", str(trace), "--out", str(report_path)]) == 0
+        entry = json.loads(report_path.read_text())["qoi"]["exp_integral"]
+        cell = json.loads((out / "diagnostics_gpcn_N10_sig0.1_r0.json").read_text())
+        assert entry["ims"] == cell["ess"]["ims"]
+        assert "at least 100 samples" in entry["ims"]["error"]
+        assert "too short" in entry["batch_means"]["error"]
 
     def test_empty_trace_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

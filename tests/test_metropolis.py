@@ -11,6 +11,7 @@ from gpcn.metropolis import (
     S_HI,
     S_LO,
     ChainConfig,
+    State,
     mh_step,
     read_trace_csv,
     run_chain,
@@ -19,11 +20,13 @@ from gpcn.metropolis import (
     write_trace_csv,
 )
 from gpcn.proposals import (
+    VARIANTS,
     gauss_newton_rw,
     gpcn,
     local_gpcn,
     local_gpcn2,
     pcn,
+    propose,
     random_walk,
 )
 from helpers import linear_posterior, reference_chain, reference_tune
@@ -31,6 +34,10 @@ from helpers import linear_posterior, reference_chain, reference_tune
 
 def flat_posterior(n):
     return Posterior(PriorSpec(n), lambda u: 0.0)
+
+
+def initial_record(kernel, posterior, u):
+    return State(u, posterior.phi(u), kernel.pack_at(u))
 
 
 def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
@@ -51,34 +58,67 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
     return posterior, mean, cov, gamma
 
 
+def kernel_of(variant, prior, gamma, s):
+    """A kernel of each variant on one curvature: fixed for gn-rw and gpcn,
+    varied with the state for the local variants."""
+    if variant in ("rw", "pcn"):
+        return (random_walk if variant == "rw" else pcn)(prior, s)
+    if variant in ("gn-rw", "gpcn"):
+        pack = build_operator_pack(prior, gamma, s)
+        return (gauss_newton_rw if variant == "gn-rw" else gpcn)(pack)
+    factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
+    return factory(prior, lambda u: gamma + np.outer(u, u) / (1.0 + u @ u), s)
+
+
 class TestMhStep:
+    @pytest.mark.parametrize("radius", (None, 0.6))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_step_draws_one_normal_then_one_uniform(self, variant, radius):
+        posterior, _, _, gamma = linear_gaussian_setup()
+        prior = posterior.prior
+        kernel = kernel_of(variant, prior, gamma, 0.5)
+        rng, twin = np.random.default_rng(40), np.random.default_rng(40)
+        state = initial_record(kernel, posterior, np.zeros(prior.dim))
+        accepted = outside = 0
+        for _ in range(40):
+            v = propose(kernel, state.u, twin.standard_normal(prior.dim), state.pack)
+            twin.random()
+            outside += radius is not None and np.linalg.norm(v) >= radius
+            state, step_accepted = mh_step(kernel, posterior, state, rng, radius=radius)
+            accepted += step_accepted
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert not step_accepted or np.array_equal(state.u, v)
+        assert accepted > 0
+        assert radius is None or outside > 0       # some steps were rejected at the ball
+
     def test_flat_target_always_accepts(self):
         posterior = flat_posterior(4)
         kernel = pcn(posterior.prior, 0.7)
         rng = np.random.default_rng(0)
-        u = np.zeros(4)
+        state = initial_record(kernel, posterior, np.zeros(4))
         for _ in range(50):
-            u, accepted, _, _ = mh_step(kernel, posterior, u, rng)
+            state, accepted = mh_step(kernel, posterior, state, rng)
             assert accepted
 
     def test_restriction_rejects_outside_ball(self):
         posterior = flat_posterior(3)
         kernel = random_walk(posterior.prior, 50.0)   # surely leaves the tiny ball
         rng = np.random.default_rng(1)
-        u = np.zeros(3)
-        state, accepted, _, _ = mh_step(kernel, posterior, u, rng, radius=1e-3)
+        start = initial_record(kernel, posterior, np.zeros(3))
+        state, accepted = mh_step(kernel, posterior, start, rng, radius=1e-3)
         assert accepted is False
-        assert np.array_equal(state, u)
+        assert state is start
 
     def test_nonfinite_phi_counts_as_rejection(self):
         prior = PriorSpec(2)
         posterior = Posterior(prior, lambda u: np.inf if u[0] > 0 else 0.0)
         kernel = pcn(prior, 0.9)
         rng = np.random.default_rng(2)
-        state, accepted, phi_state, _ = mh_step(kernel, posterior, np.array([-0.5, 0.0]), rng)
-        if state[0] > 0:
+        start = initial_record(kernel, posterior, np.array([-0.5, 0.0]))
+        state, accepted = mh_step(kernel, posterior, start, rng)
+        if state.u[0] > 0:
             raise AssertionError("moved to a forbidden state")
-        assert np.isfinite(phi_state)
+        assert np.isfinite(state.phi)
 
     def test_adapted_kernel_accepts_more_on_linear_gaussian(self):
         posterior, _, _, gamma = linear_gaussian_setup(n=2)
@@ -88,11 +128,10 @@ class TestMhStep:
         counts = {}
         for name, kernel in (("pcn", pcn(prior, s)), ("gpcn", gpcn(pack))):
             rng = np.random.default_rng(33)
-            u = np.zeros(2)
-            phi_u = posterior.phi(u)
+            state = initial_record(kernel, posterior, np.zeros(2))
             hits = 0
             for _ in range(10000):
-                u, accepted, phi_u, _ = mh_step(kernel, posterior, u, rng, phi_u=phi_u)
+                state, accepted = mh_step(kernel, posterior, state, rng)
                 hits += accepted
             counts[name] = hits
         assert counts["gpcn"] > counts["pcn"]
@@ -197,7 +236,7 @@ class TestRunChain:
 
 
 class TestStateRecords:
-    """The local variants carry (u, phi(u), pack(u)) as the chain state."""
+    """Every variant carries the record State(u, phi(u), pack(u)) as the chain state."""
 
     def local_setup(self, n=20):
         model = elliptic.ForwardModel(n)
@@ -250,29 +289,35 @@ class TestStateRecords:
         prior, posterior, xi_map, gamma_map, calls, _ = self.local_setup()
         kernel = local_gpcn(prior, gamma_map, 0.3)
         rng = np.random.default_rng(5)
-        u, phi_u, pack_u = xi_map, posterior.phi(xi_map), kernel.pack_at(xi_map)
+        state = initial_record(kernel, posterior, xi_map)
         moves = 0
         for _ in range(20):
-            u_new, accepted, phi_new, pack_new = mh_step(kernel, posterior, u, rng,
-                                                         phi_u=phi_u, pack_u=pack_u)
+            new, accepted = mh_step(kernel, posterior, state, rng)
             if accepted:
                 moves += 1
-                assert phi_new == posterior.phi(u_new)
-                fresh = kernel.pack_at(u_new)
-                assert np.array_equal(pack_new.v, fresh.v) and np.array_equal(pack_new.w, fresh.w)
+                assert new.phi == posterior.phi(new.u)
+                fresh = kernel.pack_at(new.u)
+                assert np.array_equal(new.pack.v, fresh.v) and np.array_equal(new.pack.w, fresh.w)
             else:
-                assert u_new is u and phi_new == phi_u and pack_new is pack_u
-            u, phi_u, pack_u = u_new, phi_new, pack_new
+                assert new is state
+            state = new
         assert 0 < moves < 20
 
-    def test_non_local_variants_carry_no_pack(self):
+    def test_non_local_records_carry_the_fixed_pack(self):
         posterior, _, _, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.4))
-        rng = np.random.default_rng(3)
-        u = np.zeros(posterior.prior.dim)
-        for _ in range(10):
-            u, _, _, pack = mh_step(kernel, posterior, u, rng)
-            assert pack is None
+        prior = posterior.prior
+        pack = build_operator_pack(prior, gamma, 0.4)
+        for kernel, want in ((random_walk(prior, 0.4), None), (pcn(prior, 0.4), None),
+                             (gauss_newton_rw(pack), pack), (gpcn(pack), pack)):
+            rng = np.random.default_rng(3)
+            state = initial_record(kernel, posterior, np.zeros(prior.dim))
+            assert state.pack is want
+            moves = 0
+            for _ in range(10):
+                state, accepted = mh_step(kernel, posterior, state, rng)
+                moves += accepted
+                assert state.pack is want
+            assert moves > 0
 
 
 class TestTuner:

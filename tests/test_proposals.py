@@ -17,6 +17,16 @@ from gpcn.proposals import (
 from helpers import dense_operators, gaussian_logpdf, random_psd, sampler_operators
 
 
+def draw(kernel, u, rng):
+    """One candidate from u: one standard normal draw and the pack at u."""
+    return propose(kernel, u, rng.standard_normal(kernel.prior.dim), kernel.pack_at(u))
+
+
+def correction(kernel, u, v):
+    """The acceptance correction with the packs at u and v, as a chain looks them up."""
+    return log_acceptance_correction(kernel, u, v, kernel.pack_at(u), kernel.pack_at(v))
+
+
 def make_gamma_map(base, n):
     def gamma_map(u):
         return base + np.outer(u, u) / (1.0 + u @ u)
@@ -56,7 +66,7 @@ def assert_hastings_identity(kernel, u, v, tol=1e-8, gamma=None):
     prior = kernel.prior
     expected = (prior_logpdf(prior, v) - prior_logpdf(prior, u)
                 + proposal_log_density(kernel, v, u, gamma) - proposal_log_density(kernel, u, v, gamma))
-    assert abs(log_acceptance_correction(kernel, u, v) - expected) < tol
+    assert abs(correction(kernel, u, v) - expected) < tol
 
 
 class TestPropose:
@@ -64,20 +74,20 @@ class TestPropose:
         prior = PriorSpec(5)
         rng = np.random.default_rng(0)
         u = prior.sample(rng)
-        assert np.array_equal(propose(pcn(prior, 0.0), u, rng), u)
+        assert np.array_equal(draw(pcn(prior, 0.0), u, rng), u)
 
     def test_gpcn_with_zero_gamma_equals_pcn_pathwise(self):
         prior = PriorSpec(6)
         pack = build_operator_pack(prior, np.zeros((6, 6)), 0.45)
         u = PriorSpec(6).sample(np.random.default_rng(3))
-        v_gpcn = propose(gpcn(pack), u, np.random.default_rng(99))
-        v_pcn = propose(pcn(prior, 0.45), u, np.random.default_rng(99))
+        v_gpcn = draw(gpcn(pack), u, np.random.default_rng(99))
+        v_pcn = draw(pcn(prior, 0.45), u, np.random.default_rng(99))
         assert np.array_equal(v_gpcn, v_pcn)
 
     def test_rw_replays_seeded_draw(self):
         prior = PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
         u = np.array([1.0, 1.0])
-        v = propose(random_walk(prior, 0.5), u, np.random.default_rng(123))
+        v = draw(random_walk(prior, 0.5), u, np.random.default_rng(123))
         z = np.random.default_rng(123).standard_normal(2)
         assert np.allclose(v, u + 0.5 * np.array([1.0, 0.5]) * z)
 
@@ -88,7 +98,7 @@ class TestPropose:
         pack = build_operator_pack(prior, gamma, 0.5)
         kernel = gpcn(pack)
         u = np.array([0.7, -0.4])
-        draws = np.array([propose(kernel, u, rng) for _ in range(100000)])
+        draws = np.array([draw(kernel, u, rng) for _ in range(100000)])
         ops = dense_operators(prior, gamma, 0.5)
         assert np.allclose(draws.mean(axis=0), ops["a"] @ u, atol=0.01)
         assert np.allclose(np.cov(draws.T), 0.25 * ops["c_gamma"], rtol=0.05, atol=0.002)
@@ -101,7 +111,7 @@ class TestPropose:
         for factory, uses_adapted_mean in ((local_gpcn, True), (local_gpcn2, False)):
             kernel = factory(prior, make_gamma_map(base, 4), 0.35)
             pack = kernel.pack_at(u)
-            draws = np.array([propose(kernel, u, rng, pack) for _ in range(50000)])
+            draws = np.array([propose(kernel, u, rng.standard_normal(4), pack) for _ in range(50000)])
             mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
 
@@ -112,8 +122,8 @@ class TestCorrections:
         rng = np.random.default_rng(1)
         pack = build_operator_pack(prior, random_psd(3, rng), 0.4)
         u, v = prior.sample(rng), prior.sample(rng)
-        assert log_acceptance_correction(pcn(prior, 0.4), u, v) == 0.0
-        assert log_acceptance_correction(gpcn(pack), u, v) == 0.0
+        assert correction(pcn(prior, 0.4), u, v) == 0.0
+        assert correction(gpcn(pack), u, v) == 0.0
 
     def test_symmetric_walks_carry_prior_ratio(self):
         # rw / gn-rw are Lebesgue-symmetric, not prior-reversible; the prior
@@ -126,7 +136,7 @@ class TestCorrections:
         u, v = prior.sample(rng), prior.sample(rng)
         expected = prior_logpdf(prior, v) - prior_logpdf(prior, u)
         for kernel in (random_walk(prior, 0.4), gauss_newton_rw(pack)):
-            assert np.isclose(log_acceptance_correction(kernel, u, v), expected, atol=1e-10)
+            assert np.isclose(correction(kernel, u, v), expected, atol=1e-10)
             assert_hastings_identity(kernel, u, v, gamma=gamma)
 
     def test_prior_reversibility_holds_for_pcn_gpcn_fails_for_rw(self):
@@ -151,7 +161,7 @@ class TestCorrections:
         gamma = random_psd(4, rng)
         kernel = local_gpcn(prior, lambda u: gamma, 0.5)
         u, v = prior.sample(rng), prior.sample(rng)
-        assert log_acceptance_correction(kernel, u, v) == 0.0
+        assert correction(kernel, u, v) == 0.0
         # and the defining difference of density factors is itself ~0
         pack = build_operator_pack(prior, gamma, 0.5)
         assert abs(log_rho_gamma(pack, u, v) - log_rho_gamma(pack, v, u)) < 1e-8
@@ -163,8 +173,8 @@ class TestCorrections:
         for factory in (local_gpcn, local_gpcn2):
             kernel = factory(prior, gamma_map, 0.4)
             u, v = prior.sample(rng), prior.sample(rng)
-            fwd = log_acceptance_correction(kernel, u, v)
-            bwd = log_acceptance_correction(kernel, v, u)
+            fwd = correction(kernel, u, v)
+            bwd = correction(kernel, v, u)
             assert np.isclose(fwd, -bwd, atol=1e-10)
             assert abs(fwd) > 1e-6  # genuinely state dependent
 
@@ -189,9 +199,9 @@ class TestCorrections:
         u, v = prior.sample(rng), prior.sample(rng)
         for factory in (local_gpcn, local_gpcn2):
             kernels = [factory(prior, gamma_map, 0.4) for gamma_map in (factored, dense)]
-            draws = [propose(k, u, np.random.default_rng(3)) for k in kernels]
+            draws = [draw(k, u, np.random.default_rng(3)) for k in kernels]
             assert np.abs(draws[0] - draws[1]).max() < 1e-12
-            corrections = [log_acceptance_correction(k, u, v) for k in kernels]
+            corrections = [correction(k, u, v) for k in kernels]
             assert abs(corrections[0] - corrections[1]) < 1e-10
 
     def test_local_requires_positive_step(self):
@@ -230,8 +240,8 @@ class TestKernelPlumbing:
             assert abs(getattr(rescaled.pack, name) - getattr(fresh, name)) < 1e-12
         u = prior.sample(rng)
         for factory in (gpcn, gauss_newton_rw):
-            v = propose(factory(kernel.pack).with_step_size(0.7), u, np.random.default_rng(5))
-            v_fresh = propose(factory(fresh), u, np.random.default_rng(5))
+            v = draw(factory(kernel.pack).with_step_size(0.7), u, np.random.default_rng(5))
+            v_fresh = draw(factory(fresh), u, np.random.default_rng(5))
             assert np.abs(v - v_fresh).max() < 1e-12
 
     @pytest.mark.parametrize("variant", VARIANTS)
