@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ENUM_STATES = 22       # 2^n subset enumeration budget
+_ENUM_BLOCK = 1 << 14      # subsets per block of the enumeration
 _STOCHASTIC_TOL = 1e-12
 _REVERSIBLE_TOL = 1e-12
 _EIG_SLACK = 1e-10
@@ -91,22 +92,51 @@ def _check_enum_budget(n: int, what: str) -> None:
                          f"n <= {MAX_ENUM_STATES} states, got {n}")
 
 
+def _subset_bits(k: int) -> np.ndarray:
+    """Row m is the indicator vector of subset m of k states (bit i = state i)."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+
+
 def _subset_extremum(weight: np.ndarray, pi: np.ndarray, maximize: bool) -> float:
-    """Extremize sum_{i in A, j notin A} weight_ij / pi(A) over pi(A) in (0, 1/2]."""
+    """Extremize sum_{i in A, j notin A} weight_ij / pi(A) over pi(A) in (0, 1/2].
+
+    Meet in the middle: with the states split into a low half L and a high
+    half H and A = A_L + A_H (indicators b_l, b_h),
+
+        pi(A)       = m_L[l] + m_H[h],
+        flow(A, A^c) = c_L[l] + c_H[h] - b_l^T (W_LH + W_HL^T) b_h,
+
+    where m and c are each half's subset masses and flows out of the subset
+    (to all n states).  The tables cost O(2^{n/2} n^2); every subset then
+    costs O(1) elementwise work plus its entry of one (2^|H| x |H|) @
+    (|H| x 2^|L|) product, taken in blocks of high-half subsets so that the
+    temporaries stay near _ENUM_BLOCK entries.
+    """
     n = pi.shape[0]
+    n_low = (n + 1) // 2
+    low, high = slice(0, n_low), slice(n_low, n)
     row_sums = weight.sum(axis=1)
-    best = -np.inf if maximize else np.inf
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        mass = bits @ pi
-        valid = mass <= 0.5 + 1e-12
-        if not valid.any():
-            continue
-        bits = bits[valid]
-        cross = bits @ row_sums - ((bits @ weight) * bits).sum(axis=1)
-        ratio = cross / mass[valid]
+    bits_low, bits_high = _subset_bits(n_low), _subset_bits(n - n_low)
+
+    def half_tables(bits, part):
+        w = weight[part, part]
+        return bits @ pi[part], bits @ row_sums[part] - ((bits @ w) * bits).sum(axis=1)
+
+    mass_low, flow_low = half_tables(bits_low, low)
+    mass_high, flow_high = half_tables(bits_high, high)
+    coupling = (weight[high, low] + weight[low, high].T) @ bits_low.T      # |H| x 2^|L|
+    fill = -np.inf if maximize else np.inf
+    best = fill
+    block = max(1, _ENUM_BLOCK >> n_low)
+    for start in range(0, bits_high.shape[0], block):
+        rows = slice(start, start + block)
+        mass = mass_high[rows, None] + mass_low[None, :]
+        ratio = np.subtract(flow_low[None, :], bits_high[rows] @ coupling)
+        ratio += flow_high[rows, None]
+        if start == 0:
+            mass[0, 0] = np.inf                 # drops the empty subset with the heavy ones
+        ratio /= mass
+        np.copyto(ratio, fill, where=mass > 0.5 + 1e-12)
         best = max(best, ratio.max()) if maximize else min(best, ratio.min())
     return float(best)
 

@@ -262,3 +262,25 @@ def reference_tune(kernel, posterior, target_rate, pilot_n, rng, initial_state=N
         else:
             hi = mid
     return result(mid, rate, False)
+
+
+def subset_extremum(weight, pi, maximize):
+    """Extremum of sum_{i in A, j notin A} weight_ij / pi(A) over pi(A) in (0, 1/2],
+    by listing every subset's indicator row in chunks: flow(A, A^c) =
+    b^T rowsums - b^T W b for each nonempty A."""
+    n = pi.shape[0]
+    row_sums = weight.sum(axis=1)
+    best = -np.inf if maximize else np.inf
+    chunk = 1 << 16
+    for start in range(1, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+        mass = bits @ pi
+        valid = mass <= 0.5 + 1e-12
+        if not valid.any():
+            continue
+        bits = bits[valid]
+        cross = bits @ row_sums - ((bits @ weight) * bits).sum(axis=1)
+        ratio = cross / mass[valid]
+        best = max(best, ratio.max()) if maximize else min(best, ratio.min())
+    return float(best)
