@@ -147,7 +147,11 @@ def resolve_config(text: str) -> ExperimentConfig:
             fields[name] = _typed(values, lines, key, cast)
         elif key in _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-    n_max = max(fields["n_modes"], default=1)
+    for key, name in (("problem.N", "n_modes"), ("problem.sigma_eps", "sigma_eps"),
+                      ("sampler.variant", "variants")):
+        if not fields[name]:
+            raise ConfigError(f"line {lines[key]}: {key} lists no values")
+    n_max = max(fields["n_modes"])
     dx = fields.pop("dx", None)
     if dx is None:
         # one dx for every cell: the largest 2^-k <= 2^-9 whose grid resolves n_max modes
@@ -183,7 +187,7 @@ def resolve_config(text: str) -> ExperimentConfig:
             truth = truth_object(cfg)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-        n_min = min(cfg.n_modes, default=0)
+        n_min = min(cfg.n_modes)
         if truth.size > n_min:
             raise ConfigError(f"{where} has {truth.size} coefficients, more than "
                               f"min(problem.N) = {n_min}")

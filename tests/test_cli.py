@@ -118,6 +118,15 @@ class TestConfigParsing:
             cfg = resolve_config(base + f"sampler.variant = {variants}\nsampler.s = {value}\n")
             assert cfg.s == value
 
+    @pytest.mark.parametrize("key", ["problem.N", "problem.sigma_eps", "sampler.variant"])
+    def test_empty_sweep_list_names_its_line(self, key):
+        lines = {"seed": "1", "problem.N": "4", "problem.sigma_eps": "0.1",
+                 "sampler.variant": "gpcn", "run.n": "10", "run.n0": "0", key: ","}
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        where = f"line {list(lines).index(key) + 1}: {key}"
+        with pytest.raises(ConfigError, match=f"{where} lists no values"):
+            resolve_config(text)
+
     @pytest.mark.parametrize("key, value, context", [
         ("run.pilot_n", "500", {}),
         ("run.thin", "0", {}),
@@ -374,3 +383,13 @@ class TestLabCommand:
     def test_budget_violation_rejected(self, capsys):
         assert main(["lab", "--states", "30"]) == 2
         assert "22" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--states", "1", "n_states"), ("--states", "0", "n_states"),
+        ("--instances", "0", "n_instances")])
+    def test_empty_battery_rejected(self, capsys, flag, value, name):
+        assert main(["lab", flag, value]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_two_states_pass(self, capsys):
+        assert main(["lab", "--seed", "0", "--instances", "1", "--states", "2"]) == 0

@@ -19,7 +19,7 @@ from gpcn.spectral import (
     run_lab,
     spectral_gap,
 )
-from helpers import lazy, stationary_distribution
+from helpers import lazy, stationary_distribution, subset_extremum
 
 TWO_STATE = FiniteChain(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.4, 0.6]))
 
@@ -27,6 +27,18 @@ TWO_STATE = FiniteChain(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.4, 0.6])
 def rank_one_chain(pi):
     pi = np.asarray(pi, dtype=float)
     return FiniteChain(np.tile(pi, (len(pi), 1)), pi)
+
+
+def oracle_conductance(chain):
+    weight = chain.pi[:, None] * chain.p
+    np.fill_diagonal(weight, 0.0)
+    return subset_extremum(weight, chain.pi, maximize=False)
+
+
+def oracle_kappa_p(q1, q2, pi, p):
+    weight = (q1 / q2) ** p * q2 * pi[:, None]
+    np.fill_diagonal(weight, 0.0)
+    return subset_extremum(weight, pi, maximize=True)
 
 
 class TestFiniteChain:
@@ -106,6 +118,24 @@ class TestConductance:
         chain = FiniteChain(np.eye(n), np.full(n, 1 / n))
         with pytest.raises(ValueError, match="22"):
             conductance(chain)
+        with pytest.raises(ValueError, match="22"):
+            kappa_p(chain.p, chain.p, chain.pi, 2.0)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_oracle(self, n):
+        rng = np.random.default_rng([21, n])
+        q = random_proposal(n, rng)     # not reversible: an asymmetric flow matrix
+        chains = [random_reversible_chain(n, rng), FiniteChain(q, stationary_distribution(q))]
+        if n % 2 == 0:        # uniform pi: subsets of n/2 states have pi(A) = 1/2
+            chains.append(discretize_metropolis(np.full(n, 1 / n), random_proposal(n, rng)))
+        for chain in chains:
+            assert np.isclose(conductance(chain), oracle_conductance(chain), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 6, 14, 22])
+    def test_half_mass_subsets_count(self, n):
+        # rank one, uniform pi: flow(A, A^c) / pi(A) = pi(A^c), least at pi(A) = 1/2
+        chain = rank_one_chain(np.full(n, 1 / n))
+        assert np.isclose(conductance(chain), 0.5, rtol=1e-14, atol=0.0)
 
 
 class TestCheeger:
@@ -145,6 +175,22 @@ class TestKappaP:
         pi = np.array([0.4, 0.6])
         # only A = {0} has mass <= 1/2: (0.5/0.25)^2 * 0.25 * pi_0 / pi_0 = 1
         assert np.isclose(kappa_p(q1, q2, pi, 2.0), 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_oracle(self, n):
+        rng = np.random.default_rng([22, n])
+        pmfs = [rng.uniform(0.2, 1.0, n)] + ([np.full(n, 1 / n)] if n % 2 == 0 else [])
+        for pmf in pmfs:
+            q1, q2 = random_proposal(n, rng), random_proposal(n, rng)
+            for p in (1.5, 2.0):
+                want = oracle_kappa_p(q1, q2, pmf / pmf.sum(), p)
+                assert np.isclose(kappa_p(q1, q2, pmf, p), want, rtol=1e-14, atol=0.0)
+
+    def test_runs_at_the_budget(self):
+        # unit density ratio, rank one, uniform pi: the flow ratio is pi(A^c), largest at |A| = 1
+        n = 22
+        q = np.full((n, n), 1 / n)
+        assert np.isclose(kappa_p(q, q, np.full(n, 1 / n), 2.0), (n - 1) / n, rtol=1e-14)
 
     def test_absolute_continuity_violation_identifies_pair(self):
         q1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -278,3 +324,16 @@ class TestLab:
     def test_budget_violation_is_clean(self):
         with pytest.raises(ValueError, match="22"):
             run_lab(seed=0, n_instances=1, n_states=30)
+
+    def test_empty_battery_rejected(self):
+        with pytest.raises(ValueError, match="n_states"):
+            run_lab(seed=0, n_instances=1, n_states=1)
+        with pytest.raises(ValueError, match="n_instances"):
+            run_lab(seed=0, n_instances=0, n_states=4)
+
+    def test_small_instances_pass(self):
+        # proposals reversible w.r.t. one pmf; arbitrary row-stochastic ones
+        # fail the comparison lemma for about one seed in six at n = 2
+        for n in (2, 3):
+            for seed in range(40):
+                assert run_lab(seed, 1, n)["all_pass"], (n, seed)
