@@ -7,10 +7,10 @@ exactly on small transition matrices, so the corresponding operator
 statements can be checked numerically instead of proved.
 
 Conductance and kappa_p are extrema over every state subset of mass at most
-1/2.  They enumerate all 2^n subsets exactly, by meet in the middle: the
-states split into two halves whose 2^(n/2) subset masses and boundary flows
-are tabulated once, so each subset costs O(1) elementwise work plus one
-entry of a product of two 2^(n/2)-row tables.
+1/2.  A singleton attains kappa_p's maximum, so it is an O(n^2) formula with
+no state limit.  Conductance enumerates all 2^n subsets (n <= 22) by meet in
+the middle: each half of the states tabulates its 2^(n/2) subset masses and
+boundary flows once, and each subset costs O(1) work plus one product entry.
 
 A note on the gap: it is defined through the operator norm on centered
 square-integrable functions, which for a reversible chain is the largest
@@ -103,8 +103,8 @@ def _subset_bits(k: int) -> np.ndarray:
     return ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
 
 
-def _subset_extremum(weight: np.ndarray, pi: np.ndarray, maximize: bool) -> float:
-    """Extremize sum_{i in A, j notin A} weight_ij / pi(A) over pi(A) in (0, 1/2].
+def _subset_extremum(weight: np.ndarray, pi: np.ndarray) -> float:
+    """Minimize sum_{i in A, j notin A} weight_ij / pi(A) over pi(A) in (0, 1/2].
 
     Meet in the middle: with the states split into a low half L and a high
     half H and A = A_L + A_H (indicators b_l, b_h),
@@ -131,8 +131,7 @@ def _subset_extremum(weight: np.ndarray, pi: np.ndarray, maximize: bool) -> floa
     mass_low, flow_low = half_tables(bits_low, low)
     mass_high, flow_high = half_tables(bits_high, high)
     coupling = (weight[high, low] + weight[low, high].T) @ bits_low.T      # |H| x 2^|L|
-    fill = -np.inf if maximize else np.inf
-    best = fill
+    best = np.inf
     block = max(1, _ENUM_BLOCK >> n_low)
     for start in range(0, bits_high.shape[0], block):
         rows = slice(start, start + block)
@@ -142,8 +141,8 @@ def _subset_extremum(weight: np.ndarray, pi: np.ndarray, maximize: bool) -> floa
         if start == 0:
             mass[0, 0] = np.inf                 # drops the empty subset with the heavy ones
         ratio /= mass
-        np.copyto(ratio, fill, where=mass > 0.5 + 1e-12)
-        best = max(best, ratio.max()) if maximize else min(best, ratio.min())
+        np.copyto(ratio, np.inf, where=mass > 0.5 + 1e-12)
+        best = min(best, ratio.min())
     return float(best)
 
 
@@ -152,7 +151,7 @@ def conductance(chain: FiniteChain) -> float:
     _check_enum_budget(chain.n_states, "conductance")
     weight = chain.pi[:, None] * chain.p
     np.fill_diagonal(weight, 0.0)
-    return _subset_extremum(weight, chain.pi, maximize=False)
+    return _subset_extremum(weight, chain.pi)
 
 
 def cheeger_check(chain: FiniteChain) -> dict:
@@ -171,8 +170,9 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     """Comparison constant between two proposal matrices over a shared target.
 
     kappa_p = max over pi(A) in (0, 1/2] of
-        sum_{i in A, j in A^c} (q1_ij / q2_ij)^p q2_ij pi_i / pi(A).
-
+        sum_{i in A, j in A^c} (q1_ij / q2_ij)^p q2_ij pi_i / pi(A)
+    = max over pi_i <= 1/2 of r_i / pi_i (r the weight's row sums; -inf if no
+    pi_i qualifies), since by the mediant inequality a singleton attains it.
     q2 must dominate q1 (q2_ij > 0 wherever q1_ij > 0).
     """
     if p <= 1.0:
@@ -180,8 +180,11 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     pi = np.asarray(target_pmf, dtype=float)
+    if pi.ndim != 1 or not np.all(pi > 0.0):
+        raise ValueError("target pmf must be a strictly positive vector")
+    if q1.shape != (pi.size, pi.size) or q2.shape != q1.shape:
+        raise ValueError("proposal matrix shape mismatch")
     pi = pi / pi.sum()
-    _check_enum_budget(pi.shape[0], "kappa_p")
     bad = (q1 > 0.0) & (q2 == 0.0)
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
@@ -189,7 +192,7 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     ratio = np.divide(q1, q2, out=np.zeros_like(q1), where=q2 > 0.0)
     weight = ratio**p * q2 * pi[:, None]
     np.fill_diagonal(weight, 0.0)
-    return _subset_extremum(weight, pi, maximize=True)
+    return float(np.max(weight.sum(axis=1) / pi, where=pi <= 0.5 + 1e-12, initial=-np.inf))
 
 
 def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> FiniteChain:
@@ -221,7 +224,7 @@ def positivity_check(chain: FiniteChain) -> float:
     return float(np.linalg.eigvalsh(_symmetrized(chain)).min())
 
 
-def comparison_check(target_pmf, q1, q2, p: float, lazify: str = "auto") -> dict:
+def comparison_check(target_pmf, q1, q2, p: float) -> dict:
     """Check the conductance and spectral-gap comparison inequalities.
 
     Builds the two Metropolis chains for a shared target, computes kappa_p
@@ -233,9 +236,9 @@ def comparison_check(target_pmf, q1, q2, p: float, lazify: str = "auto") -> dict
     Both presume that q1 and q2 are reversible with respect to one common
     measure, as pCN and gpCN are with respect to the prior.  For arbitrary
     row-stochastic q1 and q2 they can fail, and the report then says so.
-    The gap inequality presumes positive operators; with ``lazify="auto"``
-    the pair is replaced by its half-lazy version when either chain fails
-    the positivity certificate (and the report says so).
+    The gap inequality presumes positive operators, so the pair is replaced
+    by its half-lazy version when either chain fails the positivity
+    certificate (and the report says so).
     """
     pi = np.asarray(target_pmf, dtype=float)
     pi = pi / pi.sum()
@@ -246,15 +249,12 @@ def comparison_check(target_pmf, q1, q2, p: float, lazify: str = "auto") -> dict
     lemma_rhs = kap ** (1.0 / p) * phi2 ** ((p - 1.0) / p)
 
     min_eig1, min_eig2 = positivity_check(m1), positivity_check(m2)
-    lazified = False
+    lazified = min(min_eig1, min_eig2) < -_EIG_SLACK
     tm1, tm2, tkap = m1, m2, kap
-    if lazify == "always" or (lazify == "auto" and min(min_eig1, min_eig2) < -_EIG_SLACK):
+    if lazified:
         # Lazy Metropolis chains are Metropolis chains for the lazy proposals,
         # whose density ratio is unchanged off the diagonal.
-        lazified = True
-        n = pi.shape[0]
-        q1l = 0.5 * (np.asarray(q1, dtype=float) + np.eye(n))
-        q2l = 0.5 * (np.asarray(q2, dtype=float) + np.eye(n))
+        q1l, q2l = (0.5 * (np.asarray(q, dtype=float) + np.eye(pi.size)) for q in (q1, q2))
         tm1, tm2 = discretize_metropolis(pi, q1l), discretize_metropolis(pi, q2l)
         tkap = kappa_p(q1l, q2l, pi, p)
         min_eig1, min_eig2 = positivity_check(tm1), positivity_check(tm2)
@@ -389,7 +389,6 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
         raise ValueError(f"run_lab needs n_instances >= 1, got {n_instances}")
     _check_enum_budget(n_states, "run_lab")
     instances = []
-    all_ok = True
     for k in range(n_instances):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
         chain = random_reversible_chain(n_states, rng)
@@ -403,17 +402,15 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
         avar = asymptotic_variance(chain, rng.standard_normal(n_states))
         ok = (db <= _REVERSIBLE_TOL and cheeger["ok"] and comparison["lemma_ok"]
               and comparison["theorem_ok"] and restriction["ok"] and avar["ok"])
-        all_ok = all_ok and ok
         instances.append({
             "instance": k, "db_gap": db, "cheeger": cheeger, "comparison": comparison,
             "restriction": restriction, "asymptotic_variance": avar, "ok": bool(ok),
         })
     grid_min_eig = positivity_check(grid_gpcn_metropolis())
     grid_ok = grid_min_eig >= -_EIG_SLACK
-    all_ok = all_ok and grid_ok
     return {
         "seed": int(seed), "n_instances": n_instances, "n_states": n_states, "p": p,
         "instances": instances,
         "grid_gpcn_min_eig": grid_min_eig, "grid_gpcn_positive": bool(grid_ok),
-        "all_pass": bool(all_ok),
+        "all_pass": bool(grid_ok and all(inst["ok"] for inst in instances)),
     }

@@ -118,8 +118,6 @@ class TestConductance:
         chain = FiniteChain(np.eye(n), np.full(n, 1 / n))
         with pytest.raises(ValueError, match="22"):
             conductance(chain)
-        with pytest.raises(ValueError, match="22"):
-            kappa_p(chain.p, chain.p, chain.pi, 2.0)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_matches_oracle(self, n):
@@ -186,11 +184,20 @@ class TestKappaP:
                 want = oracle_kappa_p(q1, q2, pmf / pmf.sum(), p)
                 assert np.isclose(kappa_p(q1, q2, pmf, p), want, rtol=1e-14, atol=0.0)
 
-    def test_runs_at_the_budget(self):
-        # unit density ratio, rank one, uniform pi: the flow ratio is pi(A^c), largest at |A| = 1
-        n = 22
+    @pytest.mark.parametrize("n", [22, 23, 200])
+    def test_runs_at_the_budget(self, n):
+        # unit density ratio, rank one, uniform pi: the flow ratio is pi(A^c), largest at
+        # |A| = 1; kappa_p enumerates no subsets, so conductance's 22-state limit is no bound
         q = np.full((n, n), 1 / n)
         assert np.isclose(kappa_p(q, q, np.full(n, 1 / n), 2.0), (n - 1) / n, rtol=1e-14)
+
+    def test_rejects_a_pmf_that_is_not_a_positive_vector_of_n_states(self):
+        q = np.full((4, 4), 0.25)
+        with pytest.raises(ValueError, match="shape"):
+            kappa_p(q, q, np.array([1.0]), 2.0)
+        for pmf in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.5, -0.2]):
+            with pytest.raises(ValueError, match="strictly positive"):
+                kappa_p(q, q, np.array(pmf), 2.0)
 
     def test_absolute_continuity_violation_identifies_pair(self):
         q1 = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -217,14 +224,15 @@ class TestComparison:
                                       random_proposal(n, rng), 2.0)
             assert report["lemma_ok"] and report["theorem_ok"]
 
-    def test_forced_lazification_still_passes(self):
-        rng = np.random.default_rng(7)
-        pi = rng.uniform(0.1, 1.0, 6)
-        report = comparison_check(pi / pi.sum(), random_proposal(6, rng),
-                                  random_proposal(6, rng), 2.0, lazify="always")
+    def test_negative_chain_is_lazified(self):
+        # q1's Metropolis chain is the flip, whose least eigenvalue is -1
+        q1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        q2 = np.array([[0.2, 0.8], [0.8, 0.2]])
+        report = comparison_check(np.full(2, 0.5), q1, q2, 2.0)
         assert report["lazified"]
         assert report["min_eig1"] >= -1e-10 and report["min_eig2"] >= -1e-10
         assert report["theorem_ok"]
+        assert np.isclose(report["kappa_p_used"], report["kappa_p"] / 2)
 
 
 class TestPositivity:
