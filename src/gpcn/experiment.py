@@ -298,8 +298,10 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
     s = kernel.s
 
     chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, i_n, i_sig, rep)
+    # Only the npy dump reads the states, so without it the chain keeps none.
     chain_cfg = ChainConfig(kernel, posterior, n=cfg.n, n0=cfg.n0, seed=chain_seed,
-                            initial_state=xi_map, thin=cfg.thin,
+                            initial_state=xi_map,
+                            thin=cfg.thin if "npy" in cfg.formats else None,
                             qoi={QOI_NAME: lambda xi: qoi_exp_integral(xi, model)})
     trace = run_chain(chain_cfg)
 

@@ -12,7 +12,9 @@ reproduces a trace bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -57,7 +59,7 @@ def mh_step(kernel, posterior, state, rng, radius=None):
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
     phi_v = posterior.phi(v)
-    if not np.isfinite(phi_v):
+    if not math.isfinite(phi_v):
         return state, False
     pack_v = kernel.pack_at(v)
     log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v, pack_u, pack_v)
@@ -68,6 +70,15 @@ def mh_step(kernel, posterior, state, rng, radius=None):
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """A chain of ``n0`` burn-in and ``n`` sampling steps from ``initial_state``
+    (zero by default), seeded by ``seed``.
+
+    ``thin`` keeps every thin-th post burn-in state in ``ChainTrace.states``;
+    ``None`` keeps none, so a chain whose caller reads only the accept flags
+    and the QoI series holds O(n) scalars instead of n / thin states of N
+    floats.  ``qoi`` maps names to functions of the state, each recorded at
+    every post burn-in step whatever ``thin`` is.
+    """
     kernel: ProposalKernel
     posterior: Posterior
     n: int
@@ -75,14 +86,16 @@ class ChainConfig:
     seed: int
     initial_state: Optional[np.ndarray] = None
     restriction_radius: Optional[float] = None
-    thin: int = 1
+    thin: Optional[int] = 1
     qoi: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 0 or self.n0 < 0:
             raise ValueError("sample and burn-in counts must be nonnegative")
-        if self.thin < 1:
-            raise ValueError("thin must be a positive integer")
+        thin = self.thin
+        if thin is not None and (isinstance(thin, bool) or not isinstance(thin, numbers.Integral)
+                                 or thin < 1):
+            raise ValueError(f"thin must be None or an integer >= 1, got {thin!r}")
         start = self.initial_state
         if start is None:
             start = np.zeros(self.kernel.prior.dim)
@@ -101,6 +114,9 @@ class ChainConfig:
 
 @dataclass
 class ChainTrace:
+    """What ``run_chain`` recorded.  ``states`` holds the post burn-in states
+    that ``thin`` kept, shape (ceil(n / thin), N), or (0, N) for
+    ``thin=None``; ``accepts`` and ``qoi_series`` are kept in full."""
     states: np.ndarray          # retained (thinned) post burn-in states
     accepts: np.ndarray         # accept flags over all n0 + n steps
     qoi_series: dict            # name -> length-n series over post burn-in steps
@@ -109,7 +125,7 @@ class ChainTrace:
     wall_time: float
     n: int
     n0: int
-    thin: int
+    thin: Optional[int]
 
 
 def run_chain(config: ChainConfig,
@@ -118,9 +134,11 @@ def run_chain(config: ChainConfig,
 
     Burn-in states are discarded from ``states`` but counted in ``accepts``;
     the QoI series has a value at every post burn-in step, and thinning
-    applies to state storage only.  A QoI is evaluated at the first post
-    burn-in state and after each accepted step; a rejected step keeps the
-    state, so its value is copied from the previous step.
+    applies to state storage only: ``thin=None`` stores no state, so the
+    run holds O(n) scalars plus O(N) for the current state.  A QoI is
+    evaluated at the first post burn-in state and after each accepted step;
+    a rejected step keeps the state, so its value is copied from the
+    previous step.
 
     The chain state is the ``State`` record that ``mh_step`` takes and
     returns: the initial state's record is built once here, and a
@@ -133,32 +151,33 @@ def run_chain(config: ChainConfig,
     ``n0`` and ``n`` say how many of each kind).
     """
     rng = np.random.default_rng(config.seed)
-    kernel, posterior = config.kernel, config.posterior
+    kernel, posterior, radius = config.kernel, config.posterior, config.restriction_radius
     n, n0, thin = config.n, config.n0, config.thin
 
     u = config.initial_state.copy()
     phi_u = posterior.phi(u)
-    if not np.isfinite(phi_u):
+    if not math.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
     state = State(u, phi_u, kernel.pack_at(u))
 
     total = n0 + n
     accepts = np.zeros(total, dtype=bool)
     qoi_series = {name: np.empty(n) for name in config.qoi}
-    n_kept = len(range(0, n, thin))
+    recorders = [(qoi_series[name], fn) for name, fn in config.qoi.items()]
+    n_kept = 0 if thin is None else len(range(0, n, thin))
     states = np.empty((n_kept, kernel.prior.dim))
 
     t0 = time.perf_counter()
     kept = 0
     steps, n_accepted = total, 0
     for i in range(total):
-        state, accepted = mh_step(kernel, posterior, state, rng, radius=config.restriction_radius)
+        state, accepted = mh_step(kernel, posterior, state, rng, radius=radius)
         accepts[i] = accepted
         j = i - n0
         if j >= 0:
-            for name, fn in config.qoi.items():
-                qoi_series[name][j] = fn(state.u) if j == 0 or accepted else qoi_series[name][j - 1]
-            if j % thin == 0:
+            for series, fn in recorders:
+                series[j] = fn(state.u) if j == 0 or accepted else series[j - 1]
+            if thin is not None and j % thin == 0:
                 states[kept] = state.u
                 kept += 1
         if stop is not None:
@@ -227,7 +246,7 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     def pilot(s, stop=None):
         cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
-                          initial_state=initial_state, restriction_radius=radius)
+                          initial_state=initial_state, restriction_radius=radius, thin=None)
         trace = run_chain(cfg, stop=stop)
         pilots.append((s, int(trace.accepts.size), int(trace.accepts.sum())))
         return trace.acceptance_rate
@@ -317,23 +336,34 @@ def write_state_dump(trace: ChainTrace, path) -> None:
 
 
 def read_trace_csv(path):
-    """Read a trace CSV back: returns (header dict, steps, accepts, {qoi name: series})."""
+    """Read a trace CSV back: returns (header dict, steps, accepts, {qoi name: series}).
+
+    Lines starting with ``#`` are header entries wherever they appear; the
+    rows are parsed into one float array as they are read, with the
+    correctly rounded decimal conversion of ``float``, so a 17-digit QoI
+    column reads back bit for bit.
+    """
     header = {}
-    with open(path, newline="") as fh:
-        rows = []
+
+    def body(fh):
         for line in fh:
             if line.startswith("#"):
                 key, _, value = line[1:].partition("=")
                 header[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-    reader = csv.reader(rows)
-    columns = next(reader, None)
-    if columns is None:
-        raise ValueError(f"trace file {path} has no header row")
-    data = list(reader)
-    if not data:
-        raise ValueError(f"trace file {path} contains no samples")
-    arr = np.asarray(data, dtype=float)
+            else:
+                yield line
+
+    with open(path, newline="") as fh:
+        lines = body(fh)
+        columns = next(csv.reader(lines), None)
+        if columns is None:
+            raise ValueError(f"trace file {path} has no header row")
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"trace file {path} contains no samples")
+        arr = np.loadtxt(itertools.chain([first], lines), delimiter=",", ndmin=2)
+    if arr.shape[1] != len(columns):
+        raise ValueError(f"trace file {path} has {arr.shape[1]} values per row "
+                         f"but {len(columns)} column names")
     qoi = {name[len("qoi_"):]: arr[:, k] for k, name in enumerate(columns) if name.startswith("qoi_")}
     return header, arr[:, 0].astype(int), arr[:, 1].astype(bool), qoi

@@ -149,7 +149,7 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
         return 0.0
     lam = kernel.prior.eigenvalues
     if variant in ("rw", "gn-rw"):
-        return float(0.5 * (np.sum(u * u / lam) - np.sum(v * v / lam)))
+        return float(0.5 * ((u * u / lam).sum() - (v * v / lam).sum()))
     if variant == "local-gpcn" and np.array_equal(pack_u.w, pack_v.w) and np.array_equal(
             pack_u.v, pack_v.v):
         # Constant curvature map: one Gamma gives bit-identical packs, the two

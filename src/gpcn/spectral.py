@@ -44,13 +44,14 @@ class FiniteChain:
         n = p.shape[0]
         if p.shape != (n, n):
             raise ValueError("transition matrix must be square")
-        if np.any(p < -_STOCHASTIC_TOL):
-            raise ValueError("transition matrix has negative entries")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > _STOCHASTIC_TOL:
+        # Each check is written to fail for NaN, which compares False.
+        if not np.all(p >= -_STOCHASTIC_TOL):
+            raise ValueError("transition matrix has negative or NaN entries")
+        if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= _STOCHASTIC_TOL:
             raise ValueError("rows must sum to one")
-        if pi.shape != (n,) or np.any(pi <= 0.0):
+        if pi.shape != (n,) or not np.all(pi > 0.0):
             raise ValueError("stationary vector must be strictly positive")
-        if abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
+        if not abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL:
             raise ValueError("stationary vector must sum to one")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "pi", pi)
@@ -200,14 +201,15 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
     rejection mass on the diagonal.  Reversible w.r.t. the target by construction.
     """
     pi = np.asarray(target_pmf, dtype=float)
-    if np.any(pi <= 0.0):
-        raise ValueError("target pmf must be strictly positive")
+    # Each check is written to fail for NaN, which compares False.
+    if not np.all((pi > 0.0) & np.isfinite(pi)):
+        raise ValueError("target pmf must be finite and strictly positive")
     pi = pi / pi.sum()
     q = np.asarray(proposal, dtype=float)
     n = pi.shape[0]
     if q.shape != (n, n):
         raise ValueError("proposal matrix shape mismatch")
-    if np.any(q < 0.0) or np.max(np.abs(q.sum(axis=1) - 1.0)) > _STOCHASTIC_TOL:
+    if not (np.all(q >= 0.0) and np.max(np.abs(q.sum(axis=1) - 1.0)) <= _STOCHASTIC_TOL):
         raise ValueError("proposal must be row-stochastic")
     if not np.array_equal(q > 0.0, (q > 0.0).T):
         raise ValueError("proposal support must be symmetric (q_ij > 0 iff q_ji > 0)")

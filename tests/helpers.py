@@ -1,5 +1,6 @@
 """Shared oracles for the test suite, kept independent of the library paths."""
 
+import csv
 import json
 
 import numpy as np
@@ -217,6 +218,25 @@ def reference_chain(config):
                 states.append(u)
     states = np.array(states).reshape(-1, config.kernel.prior.dim)
     return np.array(accepts), states, {k: np.array(s) for k, s in qoi.items()}, tested
+
+
+def reference_read_trace_csv(path):
+    """``read_trace_csv`` as a list parser: every line, then every row as a
+    list of strings, converted by one ``np.asarray(..., dtype=float)``."""
+    header = {}
+    with open(path, newline="") as fh:
+        rows = []
+        for line in fh:
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                header[key.strip()] = value.strip()
+                continue
+            rows.append(line)
+    reader = csv.reader(rows)
+    columns = next(reader)
+    arr = np.asarray(list(reader), dtype=float)
+    qoi = {name[len("qoi_"):]: arr[:, k] for k, name in enumerate(columns) if name.startswith("qoi_")}
+    return header, arr[:, 0].astype(int), arr[:, 1].astype(bool), qoi
 
 
 def reference_tune(kernel, posterior, target_rate, pilot_n, rng, initial_state=None,

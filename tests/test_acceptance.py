@@ -90,7 +90,7 @@ def median_ess(variant, n_modes, sigma):
     for rep in CHAIN_SEEDS:
         seed = derive_seed(MASTER, 2, VARIANT_ID[variant], n_modes, int(sigma * 1000), rep)
         cfg = ChainConfig(kernel, posterior, n=N_SAMPLES, n0=N_BURN, seed=seed,
-                          initial_state=xi_map, thin=N_SAMPLES,
+                          initial_state=xi_map, thin=None,
                           qoi={"f": lambda xi: qoi_exp_integral(xi, model)})
         esses.append(ess_ims(run_chain(cfg).qoi_series["f"]).ess)
     value = float(np.median(esses))

@@ -1,21 +1,27 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gpcn import elliptic
 from gpcn.cli import main
 from gpcn.experiment import (
     BLAS_THREAD_VARS,
     ConfigError,
+    build_problem,
     derive_seed,
     diagnose_trace,
     resolve_config,
+    run_cell,
     run_experiment,
     run_map_command,
     worker_pool,
 )
-from gpcn.metropolis import ChainTrace, write_trace_csv
+from gpcn.gaussian_ops import build_operator_pack
+from gpcn.metropolis import ChainConfig, ChainTrace, run_chain, write_trace_csv
+from gpcn.proposals import gpcn
 from helpers import ar1_series, observation_from_json
 
 MINIMAL = """
@@ -203,22 +209,49 @@ class TestRunCommand:
 
     def test_rerun_reproduces_identical_artifacts(self, tmp_path):
         # N = 10 applies the sine basis by table, N = 300 (dx 2^-9) by FFT;
-        # local-gpcn carries a per-state pack through the chain
-        for variant, n_modes in (("gpcn", 10), ("gpcn", 300), ("local-gpcn", 10)):
-            out = tmp_path / f"{variant}_N{n_modes}"
+        # local-gpcn carries a per-state pack through the chain; the npy case
+        # dumps the chain's thinned states
+        for variant, n_modes, extra in (("gpcn", 10, ""), ("gpcn", 300, ""), ("local-gpcn", 10, ""),
+                                        ("gpcn", 10, "run.thin = 3\noutput.formats = csv, json, npy\n")):
+            out = tmp_path / f"{variant}_N{n_modes}{'_npy' if extra else ''}"
             text = (MINIMAL.format(out=out).replace("problem.N = 10", f"problem.N = {n_modes}")
-                    .replace("sampler.variant = gpcn", f"sampler.variant = {variant}"))
+                    .replace("sampler.variant = gpcn", f"sampler.variant = {variant}")) + extra
             cfg = write_config(tmp_path, text)
             assert main(["run", "--config", str(cfg)]) == 0
-            trace_path = out / f"trace_{variant}_N{n_modes}_sig0.1_r0.csv"
-            diag_path = out / f"diagnostics_{variant}_N{n_modes}_sig0.1_r0.json"
-            first_trace = trace_path.read_bytes()
-            first_diag = diag_path.read_bytes()
+            stem = f"{variant}_N{n_modes}_sig0.1_r0"
+            paths = [out / f"trace_{stem}.csv", out / f"diagnostics_{stem}.json"]
+            if extra:
+                paths.append(out / f"states_{stem}.npy")
+            first = [path.read_bytes() for path in paths]
             first_summary = summary_without_wall_time(out / "summary.csv")
             assert main(["run", "--config", str(cfg)]) == 0
-            assert trace_path.read_bytes() == first_trace
-            assert diag_path.read_bytes() == first_diag
+            assert [path.read_bytes() for path in paths] == first
             assert summary_without_wall_time(out / "summary.csv") == first_summary
+        chain_cfg = resolve_config(text)
+        model, prior, _, obs, posterior, map_result = build_problem(chain_cfg, 0, 0)
+        kernel = gpcn(build_operator_pack(
+            prior, elliptic.build_gamma_from_map(map_result.xi, obs, model), chain_cfg.s))
+        chain = run_chain(ChainConfig(kernel, posterior, n=1000, n0=100,
+                                      seed=json.loads(first[1])["chain_seed"],
+                                      initial_state=map_result.xi, thin=3))
+        assert chain.states.shape == (334, 10)
+        assert np.array_equal(np.load(paths[2]), chain.states)
+
+    def test_cell_without_a_state_dump_holds_no_states(self, tmp_path):
+        # n * N * 8 bytes is what a chain that stored every state would hold
+        n, n_modes = 10_000, 400
+        text = (f"seed = 5\nproblem.N = {n_modes}\nproblem.sigma_eps = 0.1\n"
+                f"sampler.variant = pcn\nsampler.s = 0.2\nrun.n = {n}\nrun.n0 = 0\n"
+                f"output.dir = {tmp_path / 'out'}\n")
+        cfg = resolve_config(text)
+        tracemalloc.start()
+        try:
+            row = run_cell(cfg, 0, 0, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < row["acceptance_rate"] < 1
+        assert peak < n * n_modes * 8 / 4
 
     def test_worker_processes_write_the_same_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")

@@ -29,7 +29,7 @@ from gpcn.proposals import (
     propose,
     random_walk,
 )
-from helpers import linear_posterior, reference_chain, reference_tune
+from helpers import linear_posterior, reference_chain, reference_read_trace_csv, reference_tune
 
 
 def flat_posterior(n):
@@ -164,6 +164,24 @@ class TestRunChain:
         assert trace.states.shape == (15, 2)      # ceil(100 / 7)
         assert trace.qoi_series["norm"].shape == (100,)
         assert trace.accepts.shape == (110,)
+
+    def test_thin_none_keeps_no_states_and_the_same_chain(self):
+        posterior, _, _, gamma = linear_gaussian_setup()
+        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.4))
+        qoi = {"first": lambda u: float(u[0]), "norm": lambda u: float(np.linalg.norm(u))}
+        full, bare = (run_chain(ChainConfig(kernel, posterior, n=300, n0=30, seed=9,
+                                            thin=thin, qoi=qoi)) for thin in (1, None))
+        assert full.states.shape == (300, posterior.prior.dim)
+        assert bare.states.shape == (0, posterior.prior.dim)
+        assert np.array_equal(bare.accepts, full.accepts)
+        for name in qoi:
+            assert np.array_equal(bare.qoi_series[name], full.qoi_series[name])
+
+    @pytest.mark.parametrize("thin", (0, -3, 1.5, 2.0, True, "2"))
+    def test_thin_must_be_none_or_a_positive_integer(self, thin):
+        posterior = flat_posterior(2)
+        with pytest.raises(ValueError, match="thin"):
+            ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0, thin=thin)
 
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
         posterior = flat_posterior(2)
@@ -460,7 +478,7 @@ class TestTuner:
             prior, posterior, xi_map, gamma = cell(n_modes)
             kernel = gpcn(build_operator_pack(prior, gamma, tuned.s))
             cfg = ChainConfig(kernel, posterior, n=5000, n0=500, seed=22,
-                              initial_state=xi_map, thin=5000)
+                              initial_state=xi_map, thin=None)
             rates[n_modes] = run_chain(cfg).acceptance_rate
         assert abs(rates[50] - rates[200]) <= 0.05
 
@@ -500,8 +518,32 @@ class TestExports:
         assert loaded.flags["C_CONTIGUOUS"]
         assert np.array_equal(loaded, trace.states)
 
+    def test_csv_reader_matches_the_row_list_parser(self, tmp_path):
+        posterior = flat_posterior(3)
+        model = elliptic.ForwardModel(3)
+        cfg = ChainConfig(pcn(posterior.prior, 0.6), posterior, n=500, n0=50, seed=13,
+                          thin=None,
+                          qoi={"exp_integral": lambda u: qoi_exp_integral(u, model),
+                               "first": lambda u: float(u[0])})
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run_chain(cfg), path, header={"seed": 13, "cell": "pcn_N3"})
+        header, steps, accepts, qoi = read_trace_csv(path)
+        want_header, want_steps, want_accepts, want_qoi = reference_read_trace_csv(path)
+        assert header == want_header == {"seed": "13", "cell": "pcn_N3"}
+        assert steps.dtype == want_steps.dtype and np.array_equal(steps, want_steps)
+        assert accepts.dtype == want_accepts.dtype and np.array_equal(accepts, want_accepts)
+        assert list(qoi) == list(want_qoi) == ["exp_integral", "first"]
+        for name in qoi:
+            assert np.array_equal(qoi[name], want_qoi[name])
+
     def test_empty_trace_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("step,accept,qoi_f\n")
         with pytest.raises(ValueError, match="no samples"):
+            read_trace_csv(path)
+        path.write_text("# seed = 1\n")
+        with pytest.raises(ValueError, match="no header row"):
+            read_trace_csv(path)
+        path.write_text("step,accept,qoi_f\n0,1\n1,0\n")
+        with pytest.raises(ValueError, match="2 values per row but 3 column names"):
             read_trace_csv(path)

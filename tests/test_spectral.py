@@ -48,6 +48,16 @@ class TestFiniteChain:
         with pytest.raises(ValueError):
             FiniteChain(np.eye(2), np.array([1.0, 0.0]))
 
+    def test_nan_and_inf_entries_rejected(self):
+        # a NaN compares False both ways, so a check of the form x <= 0 lets it through
+        with pytest.raises(ValueError, match="NaN"):
+            FiniteChain([[np.nan, 1], [0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="sum to one"):
+            FiniteChain([[np.inf, 1], [0.5, 0.5]], [0.5, 0.5])
+        for pi in ([np.nan, 0.5], [np.inf, 0.5]):
+            with pytest.raises(ValueError, match="stationary vector"):
+                FiniteChain(np.full((2, 2), 0.5), pi)
+
     def test_stationary_distribution(self):
         pi = stationary_distribution(TWO_STATE.p)
         assert np.allclose(pi, [0.4, 0.6])
@@ -73,6 +83,15 @@ class TestDiscretizeMetropolis:
             pi = rng.uniform(0.1, 1.0, n)
             chain = discretize_metropolis(pi / pi.sum(), random_proposal(n, rng))
             assert detailed_balance_gap(chain) < 1e-12
+
+    def test_nan_and_inf_inputs_rejected(self):
+        q = np.full((2, 2), 0.5)
+        for pmf in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="strictly positive"):
+                discretize_metropolis(np.array(pmf), q)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="row-stochastic"):
+                discretize_metropolis(np.array([0.5, 0.5]), np.array([[bad, 0.5], [0.5, 0.5]]))
 
     def test_support_symmetry_enforced(self):
         q = np.array([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0], [0.0, 0.5, 0.5]])
