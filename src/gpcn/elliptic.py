@@ -48,6 +48,14 @@ def default_truth(x):
     return 2.0 * np.sin(2.0 * np.pi * x)
 
 
+def grid_steps(dx: float) -> int:
+    """The number of intervals 1/dx of the uniform grid on [0, 1] with step
+    dx; ValueError unless dx evenly divides [0, 1]."""
+    if not 0.0 < dx <= 1.0 or abs(round(1.0 / dx) * dx - 1.0) > 1e-12:
+        raise ValueError(f"dx = {dx} does not evenly divide [0, 1]")
+    return round(1.0 / dx)
+
+
 @dataclass(frozen=True)
 class ForwardModel:
     """Grid, sine basis and quadrature weights; immutable and shareable.
@@ -67,9 +75,7 @@ class ForwardModel:
     obs_points: Sequence[float] = OBS_POINTS
 
     def __post_init__(self):
-        steps = round(1.0 / self.dx)
-        if abs(steps * self.dx - 1.0) > 1e-12:
-            raise ValueError(f"dx = {self.dx} does not evenly divide [0, 1]")
+        steps = grid_steps(self.dx)
         if self.n_modes >= steps:
             # mode steps + m aliases to -(mode steps - m) on the grid
             raise ValueError(f"{self.n_modes} modes at or above the Nyquist limit of a "
@@ -142,8 +148,8 @@ class Observation:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.sigma_eps <= 0.0:
-            raise ValueError("sigma_eps must be positive")
+        if not 0.0 < self.sigma_eps < np.inf:
+            raise ValueError(f"sigma_eps must be positive and finite, got {self.sigma_eps}")
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
     def to_json(self) -> str:

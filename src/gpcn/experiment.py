@@ -75,25 +75,7 @@ class ExperimentConfig:
 
     def items(self):
         """Fully resolved flat view, defaults included."""
-        return [
-            ("seed", self.seed),
-            ("problem.N", ",".join(str(v) for v in self.n_modes)),
-            ("problem.sigma_eps", ",".join(format(v, "g") for v in self.sigma_eps)),
-            ("problem.dx", format(self.dx, ".17g")),
-            ("problem.truth", self.truth),
-            ("sampler.variant", ",".join(self.variants)),
-            ("sampler.s", "tuned" if self.s is None else format(self.s, ".17g")),
-            ("sampler.target_acceptance", format(self.target_acceptance, "g")),
-            ("sampler.gamma", self.gamma_source),
-            ("sampler.gamma_points", self.gamma_points),
-            ("run.n", self.n),
-            ("run.n0", self.n0),
-            ("run.thin", self.thin),
-            ("run.replicates", self.replicates),
-            ("run.pilot_n", self.pilot_n),
-            ("output.dir", self.out_dir),
-            ("output.formats", ",".join(self.formats)),
-        ]
+        return [(key, show(getattr(self, name))) for key, name, _, show in _FIELDS]
 
 
 def _typed(values, lines, key, cast):
@@ -115,26 +97,34 @@ def _str_list(text):
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
-# config key, ExperimentConfig field, parser; a key that is absent leaves
-# the field at its default.
+def _as_is(value):
+    return value
+
+
+def _joined(show):
+    return lambda values: ",".join(show(v) for v in values)
+
+
+# config key, ExperimentConfig field, parser, formatter for ``items()``; a
+# key that is absent leaves the field at its default.
 _FIELDS = (
-    ("seed", "seed", int),
-    ("problem.N", "n_modes", _int_list),
-    ("problem.sigma_eps", "sigma_eps", _float_list),
-    ("problem.dx", "dx", float),
-    ("problem.truth", "truth", str),
-    ("sampler.variant", "variants", _str_list),
-    ("sampler.s", "s", float),
-    ("sampler.target_acceptance", "target_acceptance", float),
-    ("sampler.gamma", "gamma_source", str),
-    ("sampler.gamma_points", "gamma_points", int),
-    ("run.n", "n", int),
-    ("run.n0", "n0", int),
-    ("run.thin", "thin", int),
-    ("run.replicates", "replicates", int),
-    ("run.pilot_n", "pilot_n", int),
-    ("output.dir", "out_dir", str),
-    ("output.formats", "formats", _str_list),
+    ("seed", "seed", int, _as_is),
+    ("problem.N", "n_modes", _int_list, _joined(str)),
+    ("problem.sigma_eps", "sigma_eps", _float_list, _joined("{:g}".format)),
+    ("problem.dx", "dx", float, "{:.17g}".format),
+    ("problem.truth", "truth", str, _as_is),
+    ("sampler.variant", "variants", _str_list, _joined(str)),
+    ("sampler.s", "s", float, lambda s: "tuned" if s is None else f"{s:.17g}"),
+    ("sampler.target_acceptance", "target_acceptance", float, "{:g}".format),
+    ("sampler.gamma", "gamma_source", str, _as_is),
+    ("sampler.gamma_points", "gamma_points", int, _as_is),
+    ("run.n", "n", int, _as_is),
+    ("run.n0", "n0", int, _as_is),
+    ("run.thin", "thin", int, _as_is),
+    ("run.replicates", "replicates", int, _as_is),
+    ("run.pilot_n", "pilot_n", int, _as_is),
+    ("output.dir", "out_dir", str, _as_is),
+    ("output.formats", "formats", _str_list, _joined(str)),
 )
 _REQUIRED = ("seed", "problem.N", "problem.sigma_eps", "sampler.variant", "run.n", "run.n0")
 
@@ -142,25 +132,39 @@ _REQUIRED = ("seed", "problem.N", "problem.sigma_eps", "sampler.variant", "run.n
 def resolve_config(text: str) -> ExperimentConfig:
     values, lines = parse_kv(text)
     fields = {}
-    for key, name, cast in _FIELDS:
+    for key, name, cast, _ in _FIELDS:
         if key in values:
             fields[name] = _typed(values, lines, key, cast)
         elif key in _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
-    for key, name in (("problem.N", "n_modes"), ("problem.sigma_eps", "sigma_eps"),
-                      ("sampler.variant", "variants")):
-        if not fields[name]:
+    # A cell's artifacts are named by its variant, N and sigma_eps as printed
+    # (``run_cell``'s stem), so entries that print alike would overwrite
+    # each other's files.
+    for key, name, show in (("problem.N", "n_modes", str),
+                            ("problem.sigma_eps", "sigma_eps", "{:g}".format),
+                            ("sampler.variant", "variants", str)):
+        shown = [show(v) for v in fields[name]]
+        if not shown:
             raise ConfigError(f"line {lines[key]}: {key} lists no values")
+        repeated = [v for i, v in enumerate(shown) if v in shown[:i]]
+        if repeated:
+            raise ConfigError(f"line {lines[key]}: {key} lists {repeated[0]} more than once; "
+                              f"its cells would share artifact names")
     n_max = max(fields["n_modes"])
     dx = fields.pop("dx", None)
     if dx is None:
         # one dx for every cell: the largest 2^-k <= 2^-9 whose grid resolves n_max modes
         dx = 2.0 ** -max(9, n_max.bit_length())
-    elif not 0.0 < dx or n_max >= round(1.0 / dx):
-        raise ConfigError(f"line {lines['problem.dx']}: dx = {dx:g} does not resolve "
-                          f"problem.N = {n_max} modes (need 0 < dx and N < 1/dx)")
+    else:
+        try:
+            steps = elliptic.grid_steps(dx)
+        except ValueError as exc:
+            raise ConfigError(f"line {lines['problem.dx']}: {exc}") from None
+        if n_max >= steps:
+            raise ConfigError(f"line {lines['problem.dx']}: dx = {dx:g} does not resolve "
+                              f"problem.N = {n_max} modes (need N < 1/dx)")
     cfg = ExperimentConfig(dx=dx, **fields)
-    known = {key for key, _, _ in _FIELDS}
+    known = {key for key, *_ in _FIELDS}
     for key in values:
         if key not in known:
             raise ConfigError(f"line {lines[key]}: unknown key {key!r}")
@@ -177,8 +181,9 @@ def resolve_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {lines['sampler.s']}: sampler.s: {exc}") from None
     if not 0.0 < cfg.target_acceptance < 1.0:
         raise ConfigError(f"line {lines['sampler.target_acceptance']}: target_acceptance must be in (0, 1)")
-    if any(v <= 0 for v in cfg.sigma_eps):
-        raise ConfigError(f"line {lines['problem.sigma_eps']}: sigma_eps must be positive")
+    if not all(0.0 < v < np.inf for v in cfg.sigma_eps):
+        raise ConfigError(f"line {lines['problem.sigma_eps']}: sigma_eps must be positive "
+                          f"and finite")
     if any(v < 1 for v in cfg.n_modes):
         raise ConfigError(f"line {lines['problem.N']}: N must be positive")
     if cfg.truth != "default":

@@ -23,10 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-# PSD / symmetry slack, scaled by the magnitude of the operator at hand:
-# analytically PSD inputs (e.g. sigma^-2 J^T J) acquire round-off of this order.
-PSD_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class PriorSpec:
@@ -68,7 +64,8 @@ class Posterior:
 
 @dataclass(frozen=True, eq=False)
 class FactoredGamma:
-    """A curvature Gamma = F^T F held as its factor F (r x N, any r >= 0)."""
+    """A curvature Gamma = F^T F held as its factor F (r x N, any r >= 0),
+    the one form in which a curvature reaches ``build_operator_pack``."""
 
     factor: np.ndarray
 
@@ -124,31 +121,18 @@ class OperatorPack:
         return self.s * (self.prior.std * z) + self._left @ (self._noise_right @ z)
 
 
-def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma | np.ndarray, s: float) -> OperatorPack:
+def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> OperatorPack:
     """Construct the operator pack for step size ``s`` and curvature ``gamma``.
 
-    A ``FactoredGamma`` F (r x N, r = 0 is plain pCN) costs one thin SVD of
-    F C^{1/2}.  A dense N x N ``gamma`` is first factored by one symmetric
-    eigendecomposition, keeping the eigenvalues above PSD_TOL (a dropped one
-    moves H by at most PSD_TOL * ||C||).
-    Raises ValueError if ``s`` is outside [0, 1), the factor does not have N
-    columns, or a dense ``gamma`` is not symmetric PSD to tolerance (1e-10,
-    scaled by the matrix magnitude).
+    ``gamma`` is a ``FactoredGamma`` F (r x N, r = 0 is plain pCN); the pack
+    costs one thin SVD of F C^{1/2}.  Raises TypeError for any other type
+    (a bare array is ambiguous: an N x N Gamma is also an (r, N) factor of
+    another Gamma), and ValueError if ``s`` is outside [0, 1) or the factor
+    does not have N columns.
     """
     n = prior.dim
     if not isinstance(gamma, FactoredGamma):
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.shape != (n, n):
-            raise ValueError(f"gamma must be {n}x{n}, got {gamma.shape}")
-        scale = max(1.0, float(np.abs(gamma).max()))
-        asym = float(np.abs(gamma - gamma.T).max())
-        if asym > PSD_TOL * scale:
-            raise ValueError(f"gamma is not symmetric: max asymmetry {asym:.3e}")
-        lam, vecs = np.linalg.eigh(0.5 * (gamma + gamma.T))
-        if lam[0] < -PSD_TOL * max(1.0, abs(lam[-1])):
-            raise ValueError(f"gamma is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-        keep = lam > PSD_TOL
-        gamma = FactoredGamma(np.sqrt(lam[keep])[:, None] * vecs[:, keep].T)
+        raise TypeError(f"gamma must be a FactoredGamma, got {type(gamma).__name__}")
     factor = np.asarray(gamma.factor, dtype=float)
     if factor.ndim != 2 or factor.shape[1] != n:
         raise ValueError(f"factor must have shape (r, {n}), got {factor.shape}")

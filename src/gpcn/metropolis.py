@@ -212,23 +212,24 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     bisection applies; if even a boundary step size cannot reach the target
     band, the boundary value is returned with ``converged=False``.
 
-    Each pilot ends as soon as either of two rules puts its rate on the side
-    of its threshold where that rate is not returned: for the S_HI pilot,
-    below the target; for the S_LO pilot, above it; for a bisection pilot
-    that is not the last, out of the band on one side.  After k of
-    n = ``pilot_n`` steps with a accepted:
+    Each pilot ends as soon as its rate is known to lie on the side of its
+    threshold where that rate is not returned: for the S_HI pilot, below the
+    target; for the S_LO pilot, above it; for a bisection pilot that is not
+    the last, out of the band on one side.  After k of n = ``pilot_n`` steps
+    with a accepted, the rate is known to lie in the intersection of two
+    intervals, both of which contain a / k:
 
-    - exact rule: the full-pilot rate, which lies in [a / n, (a + n - k) / n],
-      is on that side whatever the remaining steps do;
-    - confidence rule: the interval a / k +- h(k) lies wholly on that side,
-      with the Hoeffding half-width h(k) = sqrt(ln(2 n / delta) / (2 k)) and
-      delta = ``PILOT_DELTA`` = 1e-3 shared by the n checks (a union bound).
+    - exact: the full-pilot rate lies in [a / n, (a + n - k) / n] whatever
+      the remaining steps do;
+    - confidence: a / k +- h(k), with the Hoeffding half-width
+      h(k) = sqrt(ln(2 n / delta) / (2 k)) and delta = ``PILOT_DELTA`` = 1e-3
+      shared by the n checks (a union bound).
 
     A stopped pilot reports its rate so far, a / k, which lies on the side
-    its rule found.  Hoeffding's bound assumes independent accepts; a
-    Markov chain's are correlated, so the confidence rule steers the search
-    and does not guarantee the branch a full pilot would take.  What holds
-    regardless: every returned rate comes from a pilot that ran all
+    the test found.  Hoeffding's bound assumes independent accepts; a
+    Markov chain's are correlated, so the confidence interval steers the
+    search and does not guarantee the branch a full pilot would take.  What
+    holds regardless: every returned rate comes from a pilot that ran all
     ``pilot_n`` steps, so a converged s has a full-length pilot in the band,
     and an unconverged s is a boundary or the last of ``max_iters`` pilots.
     """
@@ -242,42 +243,34 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     pilots = []
+    log_term = math.log(2 * pilot_n / PILOT_DELTA)
 
-    def pilot(s, stop=None):
+    def pilot(s, decides=None):
+        """The rate of a pilot at s, which ends once ``decides(low, high)``
+        holds on the intersection of the exact and confidence intervals.
+        Every decision below is monotone in the rate, so it holds there
+        exactly when it holds on one of the two; the exact bounds are the
+        float divisions that give the full rate, and a / k lies in the
+        intersection, so a stopped pilot takes the branch its test found."""
+        def stop(k, a):
+            rate, h = a / k, math.sqrt(log_term / (2 * k))
+            return decides(max(a / pilot_n, rate - h), min((a + pilot_n - k) / pilot_n, rate + h))
+
         cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius, thin=None)
-        trace = run_chain(cfg, stop=stop)
+        trace = run_chain(cfg, stop=None if decides is None else stop)
         pilots.append((s, int(trace.accepts.size), int(trace.accepts.sum())))
         return trace.acceptance_rate
 
     def result(s, rate, converged):
         return TuneResult(s, rate, converged, tuple(pilots))
 
-    # Exact rule: after k of pilot_n steps with a accepted, the full rate
-    # lies between a / pilot_n and (a + pilot_n - k) / pilot_n.  These are
-    # the float divisions that give the full rate, and every decision below
-    # is monotone in the rate, so a decision both bounds agree on is the one
-    # the full pilot makes.  Confidence rule: the same test on a / k -+ h(k).
-    # A stopped pilot reports a / k, which lies between the bounds of the
-    # rule that fired and so takes the same branch.
-    log_term = math.log(2 * pilot_n / PILOT_DELTA)
-
     def band_side(rate):
         """-1 below the target band, 0 inside it, +1 above it."""
         if abs(rate - target_rate) <= tol:
             return 0
         return 1 if rate > target_rate else -1
-
-    def stop_when(decides):
-        """The pilot's stop: whether ``decides(low, high)`` holds for the
-        exact or for the confidence bounds on its rate."""
-        def stop(k, a):
-            if decides(a / pilot_n, (a + pilot_n - k) / pilot_n):
-                return True
-            rate, h = a / k, math.sqrt(log_term / (2 * k))
-            return decides(rate - h, rate + h)
-        return stop
 
     def out_of_band(low, high):
         side = band_side(low)
@@ -286,21 +279,17 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
     # Acceptance decreases in s, so acc(S_HI) is the attainable floor and
     # acc(S_LO) the ceiling; boundaries are returned only when the target
     # band cannot be bracketed.
-    hi_rate = pilot(S_HI, stop_when(lambda low, high: high < target_rate))
-    if hi_rate > target_rate + tol:
-        return result(S_HI, hi_rate, False)
+    hi_rate = pilot(S_HI, lambda low, high: high < target_rate)
     if hi_rate >= target_rate:
-        return result(S_HI, hi_rate, True)
-    lo_rate = pilot(S_LO, stop_when(lambda low, high: low > target_rate))
-    if lo_rate < target_rate - tol:
-        return result(S_LO, lo_rate, False)
+        return result(S_HI, hi_rate, hi_rate <= target_rate + tol)
+    lo_rate = pilot(S_LO, lambda low, high: low > target_rate)
     if lo_rate <= target_rate:
-        return result(S_LO, lo_rate, True)
+        return result(S_LO, lo_rate, lo_rate >= target_rate - tol)
 
     lo, hi = S_LO, S_HI
     for i in range(max_iters):
         mid = float(np.sqrt(lo * hi))
-        rate = pilot(mid, stop_when(out_of_band) if i < max_iters - 1 else None)
+        rate = pilot(mid, out_of_band if i < max_iters - 1 else None)
         side = band_side(rate)
         if side == 0:
             return result(mid, rate, True)

@@ -59,14 +59,14 @@ def check_step_size(variant: str, s: float) -> None:
 @dataclass(frozen=True)
 class ProposalKernel:
     """One proposal family at step size ``s``.  ``gn-rw``/``gpcn`` carry a pack
-    built at ``s``; the local variants a ``gamma_map`` u -> Gamma(u), given as
-    a ``FactoredGamma`` or a dense symmetric PSD matrix."""
+    built at ``s``; the local variants a ``gamma_map`` u -> Gamma(u) that
+    returns a ``FactoredGamma``."""
 
     variant: str
     prior: PriorSpec
     s: float
     pack: Optional[OperatorPack] = None
-    gamma_map: Optional[Callable[[np.ndarray], FactoredGamma | np.ndarray]] = None
+    gamma_map: Optional[Callable[[np.ndarray], FactoredGamma]] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

@@ -13,15 +13,19 @@ def gaussian_logpdf(x, mean, cov):
     return -0.5 * (d.shape[0] * np.log(2.0 * np.pi) + logdet + d @ np.linalg.solve(cov, d))
 
 
-def random_psd(n, rng, scale=1.0):
+def random_factor(n, rng, scale=1.0):
+    """A random curvature Gamma = scale m m^T / n, m an n x n standard normal
+    draw, as its factor sqrt(scale / n) m^T."""
+    from gpcn.gaussian_ops import FactoredGamma
+
     m = rng.standard_normal((n, n))
-    return scale * (m @ m.T) / n
+    return FactoredGamma(np.sqrt(scale / n) * m.T)
 
 
 def dense_operators(prior, gamma, s):
     """The gpCN operators by dense N x N algebra from Gamma itself, never from
-    an operator pack's V and w.  ``gamma`` is a dense array or a
-    ``FactoredGamma``.  C_Gamma = inv(C^{-1} + Gamma); from an ``eigh`` of
+    an operator pack's V and w.  ``gamma`` is a ``FactoredGamma`` or its dense
+    N x N matrix.  C_Gamma = inv(C^{-1} + Gamma); from an ``eigh`` of
     H = C^{1/2} Gamma C^{1/2} and f(H) = (I - s^2 (I + H)^{-1})^{1/2}:
 
         A = C^{1/2} f(H) C^{-1/2},      B = C^{1/2} f(H)^{1/2} C^{-1/2},

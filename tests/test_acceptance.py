@@ -14,6 +14,7 @@ from gpcn import elliptic
 from gpcn.diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
 from gpcn.experiment import derive_seed
 from gpcn.gaussian_ops import (
+    FactoredGamma,
     PriorSpec,
     Posterior,
     admissible_exponent_bound,
@@ -38,7 +39,7 @@ from helpers import (
     dense_operators,
     gaussian_logpdf,
     linear_posterior,
-    random_psd,
+    random_factor,
     sampler_operators,
 )
 
@@ -148,7 +149,7 @@ def test_criterion_04_linear_posterior_oracle():
         return float(0.5 * (r @ r) / sigma**2)
 
     posterior = Posterior(prior, potential)
-    gamma = obs_matrix.T @ obs_matrix / sigma**2
+    gamma = FactoredGamma(obs_matrix / sigma)        # Gamma = L^T L / sigma^2
     marginals = np.diag(post_cov)
 
     details, ok = [], True
@@ -176,7 +177,7 @@ def test_criterion_05_density_oracle():
         n = int(rng.integers(1, 21))
         prior = PriorSpec(n)
         s = float(rng.uniform(0.05, 0.95))
-        gamma = random_psd(n, rng, scale=rng.uniform(0.2, 3.0))
+        gamma = random_factor(n, rng, scale=rng.uniform(0.2, 3.0))
         pack = build_operator_pack(prior, gamma, s)
         ops = dense_operators(prior, gamma, s)
         u, v = prior.sample(rng), prior.sample(rng)
@@ -193,7 +194,7 @@ def test_criterion_06_operator_identities():
     for _ in range(50):
         n = int(rng.integers(2, 16))
         prior = PriorSpec(n)
-        gamma = random_psd(n, rng, scale=rng.uniform(0.2, 4.0))
+        gamma = random_factor(n, rng, scale=rng.uniform(0.2, 4.0))
         pack = build_operator_pack(prior, gamma, float(rng.uniform(0.05, 0.95)))
         # A and C_Gamma = R R^T from the sampling path; B and D from the dense oracle
         a, root = sampler_operators(pack)
@@ -216,14 +217,14 @@ def test_criterion_07_integrability_bound():
     for _ in range(50):
         n = int(rng.integers(2, 11))
         prior = PriorSpec(n)
-        pack = build_operator_pack(prior, random_psd(n, rng, scale=rng.uniform(0.2, 4.0)),
+        pack = build_operator_pack(prior, random_factor(n, rng, scale=rng.uniform(0.2, 4.0)),
                                    float(rng.uniform(0.1, 0.9)))
         p_max = admissible_exponent_bound(pack)
         p = float(rng.uniform(0.2, 0.999)) * p_max
         exact, bound = integrability_bound(pack, p, 2.0 * prior.sample(rng))
         if not exact <= bound * (1.0 + 1e-12):
             violations += 1
-    zero_pack = build_operator_pack(PriorSpec(4), np.zeros((4, 4)), 0.5)
+    zero_pack = build_operator_pack(PriorSpec(4), FactoredGamma(np.zeros((0, 4))), 0.5)
     equality = integrability_bound(zero_pack, 2.5, np.ones(4)) == (1.0, 1.0)
     report("criterion-07 integrability-bound", violations == 0 and equality,
            f"{violations} violations over 50 admissible instances; "
@@ -300,9 +301,11 @@ def test_criterion_11_local_gpcn():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         prior = PriorSpec(n)
-        base = random_psd(n, rng, scale=rng.uniform(0.2, 2.0))
+        base = random_factor(n, rng, scale=rng.uniform(0.2, 2.0)).factor
         s = float(rng.uniform(0.1, 0.9))
-        kernel = local_gpcn(prior, lambda u, b=base: b + np.outer(u, u) / (1.0 + u @ u), s)
+        # Gamma(u) = base^T base + u u^T / (1 + |u|^2)
+        kernel = local_gpcn(prior, lambda u, b=base: FactoredGamma(
+            np.vstack([b, u / np.sqrt(1.0 + u @ u)])), s)
         u, v = prior.sample(rng), prior.sample(rng)
         pack_u, pack_v = kernel.pack_at(u), kernel.pack_at(v)
         ops_u = dense_operators(prior, kernel.gamma_map(u), s)
@@ -317,7 +320,7 @@ def test_criterion_11_local_gpcn():
                + log_rho_gamma(pack_v, v, u))
         worst = max(worst, abs(lhs - rhs))
     prior = PriorSpec(6)
-    gamma = random_psd(6, rng)
+    gamma = random_factor(6, rng)
     const_kernel = local_gpcn(prior, lambda u: gamma, 0.4)
     u, v = prior.sample(rng), prior.sample(rng)
     exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u),

@@ -133,6 +133,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{where} lists no values"):
             resolve_config(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("problem.N", "4, 4"), ("problem.N", "4, 6, 04"),
+        ("problem.sigma_eps", "0.1, 0.1"), ("problem.sigma_eps", "0.1, 0.100000001"),
+        ("sampler.variant", "pcn, gpcn, pcn")])
+    def test_entries_sharing_an_artifact_name_name_their_line(self, key, value):
+        # A cell's files are named {variant}_N{N}_sig{sigma:g}_r{rep}, so two
+        # entries that print alike would overwrite each other's trace and
+        # diagnostics while both rows reach the summary.
+        lines = {"seed": "1", "problem.N": "4", "problem.sigma_eps": "0.1",
+                 "sampler.variant": "pcn", "sampler.s": "0.4", "run.n": "10", "run.n0": "0",
+                 key: value}
+        text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+        with pytest.raises(ConfigError,
+                           match=f"line {list(lines).index(key) + 1}: {key} lists .* more than once"):
+            resolve_config(text)
+
+    def test_repeated_sigma_run_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = MINIMAL.format(out=out).replace("sigma_eps = 0.1", "sigma_eps = 0.1, 0.100000001")
+        assert main(["run", "--config", str(write_config(tmp_path, text))]) == 2
+        assert "line 4: problem.sigma_eps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.1, inf", "-inf"])
+    def test_nonfinite_noise_names_its_line(self, value):
+        text = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = " + value
+                + "\nsampler.variant = pcn\nrun.n = 10\nrun.n0 = 0\n")
+        with pytest.raises(ConfigError, match="line 3: sigma_eps must be positive and finite"):
+            resolve_config(text)
+
+    @pytest.mark.parametrize("dx", ["0.3", "0.15", "0", "-0.5", "2", "inf", "nan"])
+    def test_dx_that_does_not_divide_the_interval_names_its_line(self, dx):
+        text = ("seed = 1\nproblem.N = 2\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
+                f"run.n = 10\nrun.n0 = 0\nproblem.dx = {dx}\n")
+        with pytest.raises(ConfigError, match="line 7: dx = .* does not evenly divide"):
+            resolve_config(text)
+
     @pytest.mark.parametrize("key, value, context", [
         ("run.pilot_n", "500", {}),
         ("run.thin", "0", {}),

@@ -1,4 +1,5 @@
-"""The package needs nothing at run time beyond numpy and the standard library."""
+"""The package needs nothing at run time beyond numpy and the standard library,
+and only the finite-state lab takes dense eigendecompositions or inverses."""
 
 import ast
 import re
@@ -33,3 +34,31 @@ def test_declared_runtime_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+DENSE_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "inv", "pinv", "det", "slogdet",
+                 "cholesky"}
+
+
+def linalg_names(path):
+    """Names that one source file takes from numpy.linalg, as ``np.linalg.<name>``
+    or ``numpy.linalg.<name>`` or by ``from numpy.linalg import``, with their lines."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                    and isinstance(owner.value, ast.Name) and owner.value.id in ("np", "numpy")):
+                yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_only_the_spectral_lab_calls_dense_solvers():
+    # The sampler works on a curvature factor in O(N r); an N x N
+    # eigendecomposition, inverse or determinant belongs to the finite-state
+    # lab alone (and to the dense oracles under tests/).
+    found = {f"{path.name}:{line}: numpy.linalg.{name}" for path in SOURCES
+             if path.name != "spectral.py"
+             for name, line in linalg_names(path) if name in DENSE_SOLVERS}
+    assert not found, sorted(found)
+    assert any(name in DENSE_SOLVERS for name, _ in linalg_names(ROOT / "src/gpcn/spectral.py"))

@@ -351,6 +351,11 @@ class TestGenerateData:
         parsed = json.loads(obs.to_json())
         assert set(parsed) == {"y", "sigma_eps", "truth", "seed"}
 
+    def test_nonpositive_or_nonfinite_noise_rejected(self):
+        for sigma in (0.0, -0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Observation(np.zeros(4), sigma, {"kind": "test"})
+
     def test_coefficient_truth_matches_function_truth(self):
         model = ForwardModel(6)
         coeffs = np.array([0.0, np.sqrt(2.0) * np.pi])

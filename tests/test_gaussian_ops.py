@@ -16,7 +16,7 @@ from helpers import (
     gaussian_logpdf,
     oracle_log_pi_gamma,
     oracle_log_rho_gamma,
-    random_psd,
+    random_factor,
     sampler_operators,
 )
 
@@ -27,7 +27,7 @@ def diag_prior():
 
 def random_pack(n, rng, s=None, scale=1.0):
     prior = PriorSpec(n)
-    gamma = random_psd(n, rng, scale=scale)
+    gamma = random_factor(n, rng, scale=scale)
     s = rng.uniform(0.1, 0.9) if s is None else s
     return build_operator_pack(prior, gamma, s)
 
@@ -50,7 +50,7 @@ class TestPriorSpec:
         prior = PriorSpec(3)
         assert (PriorSpec(3) == PriorSpec(3)) is False and prior == prior
         assert isinstance(hash(PriorSpec(3)), int)
-        pack = build_operator_pack(prior, np.eye(3), 0.5)
+        pack = build_operator_pack(prior, FactoredGamma(np.eye(3)), 0.5)
         assert pack == pack and isinstance(hash(pack), int)
 
 
@@ -59,7 +59,7 @@ class TestBuildOperatorPack:
         prior = PriorSpec(5)
         z = np.random.default_rng(1).standard_normal(5)
         for s in (0.0, 0.3, 0.9):
-            pack = build_operator_pack(prior, np.zeros((5, 5)), s)
+            pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 5))), s)
             assert np.array_equal(pack.apply_a(z), np.sqrt(1.0 - s * s) * z)
             assert np.array_equal(pack.scaled_noise(z), s * (prior.std * z))
             assert pack.h_norm == 0.0 and pack.logdet_ih == 0.0 and pack.cm_norm == 0.0
@@ -67,7 +67,7 @@ class TestBuildOperatorPack:
     def test_diagonal_case_scalar_values(self):
         # C = diag(1, 1/4), Gamma = diag(3, 4), s = 1/2: everything commutes, so
         # H = diag(3, 1), C_Gamma = diag(1/4, 1/8), A^2 = diag(15/16, 7/8).
-        pack = build_operator_pack(diag_prior(), np.diag([3.0, 4.0]), 0.5)
+        pack = build_operator_pack(diag_prior(), FactoredGamma(np.diag(np.sqrt([3.0, 4.0]))), 0.5)
         a, root = sampler_operators(pack)
         assert np.allclose((pack.v * pack.w) @ pack.v.T, np.diag([3.0, 1.0]))
         assert np.allclose(root @ root.T, np.diag([0.25, 0.125]))
@@ -78,7 +78,7 @@ class TestBuildOperatorPack:
     def test_reversibility_identities_random_dense(self):
         rng = np.random.default_rng(11)
         prior = PriorSpec(10)
-        pack = build_operator_pack(prior, random_psd(10, rng), 0.3)
+        pack = build_operator_pack(prior, random_factor(10, rng), 0.3)
         a, root = sampler_operators(pack)
         c = np.diag(prior.eigenvalues)
         resid = a @ c @ a.T + 0.3**2 * root @ root.T - c
@@ -87,22 +87,17 @@ class TestBuildOperatorPack:
 
     def test_rejects_bad_inputs(self):
         prior = PriorSpec(3)
+        zero = FactoredGamma(np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            build_operator_pack(prior, np.zeros((3, 3)), 1.0)
+            build_operator_pack(prior, zero, 1.0)
         with pytest.raises(ValueError):
-            build_operator_pack(prior, np.zeros((3, 3)), -0.1)
-        asym = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            build_operator_pack(prior, asym, 0.5)
-        indef = np.diag([1.0, -0.5, 1.0])
-        with pytest.raises(ValueError, match="semidefinite"):
-            build_operator_pack(prior, indef, 0.5)
+            build_operator_pack(prior, zero, -0.1)
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            gamma = random_psd(n, rng, scale=float(rng.uniform(0.2, 4.0)))
+            gamma = random_factor(n, rng, scale=float(rng.uniform(0.2, 4.0)))
             pack = build_operator_pack(PriorSpec(n), gamma, rng.uniform(0.1, 0.9))
             a, root = sampler_operators(pack)
             ops = dense_operators(pack.prior, gamma, pack.s)
@@ -126,17 +121,16 @@ class TestBuildOperatorPack:
             u, v = prior.sample(rng), prior.sample(rng)
             for s in (s0, 0.1, 0.5, 0.9):
                 ops = dense_operators(prior, factor.T @ factor, s)
-                for pack in (build_operator_pack(prior, FactoredGamma(factor), s),
-                             build_operator_pack(prior, factor.T @ factor, s)):
-                    a, root = sampler_operators(pack)
-                    assert np.abs(a - ops["a"]).max() < 1e-12
-                    # R R^T = C_Gamma; R itself is not symmetric
-                    assert np.abs(root @ root.T - ops["c_gamma"]).max() < 1e-12
-                    for name in ("logdet_ih", "h_norm", "cm_norm"):
-                        assert abs(getattr(pack, name) - ops[name]) < 1e-12, name
-                    for got, want in ((log_pi_gamma(pack, v), oracle_log_pi_gamma(ops, v)),
-                                      (log_rho_gamma(pack, u, v), oracle_log_rho_gamma(ops, u, v))):
-                        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+                pack = build_operator_pack(prior, FactoredGamma(factor), s)
+                a, root = sampler_operators(pack)
+                assert np.abs(a - ops["a"]).max() < 1e-12
+                # R R^T = C_Gamma; R itself is not symmetric
+                assert np.abs(root @ root.T - ops["c_gamma"]).max() < 1e-12
+                for name in ("logdet_ih", "h_norm", "cm_norm"):
+                    assert abs(getattr(pack, name) - ops[name]) < 1e-12, name
+                for got, want in ((log_pi_gamma(pack, v), oracle_log_pi_gamma(ops, v)),
+                                  (log_rho_gamma(pack, u, v), oracle_log_rho_gamma(ops, u, v))):
+                    assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
     def test_pack_memory_is_linear_in_n(self):
         n, r = 2000, 4
@@ -148,7 +142,8 @@ class TestBuildOperatorPack:
 
     def test_larger_step_contracts_the_mean_operator(self):
         prior = PriorSpec(6)
-        diags = [np.diag(sampler_operators(build_operator_pack(prior, np.zeros((6, 6)), s))[0])
+        zero = FactoredGamma(np.zeros((0, 6)))
+        diags = [np.diag(sampler_operators(build_operator_pack(prior, zero, s))[0])
                  for s in (0.1, 0.4, 0.8)]
         assert np.all(diags[0] > diags[1]) and np.all(diags[1] > diags[2])
 
@@ -174,19 +169,19 @@ class TestDensities:
 
     def test_pi_gamma_zero_gamma_is_one(self):
         prior = PriorSpec(3)
-        pack = build_operator_pack(prior, np.zeros((3, 3)), 0.5)
+        pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 3))), 0.5)
         rng = np.random.default_rng(5)
         assert np.exp(log_pi_gamma(pack, rng.standard_normal(3))) == 1.0
 
     def test_pi_gamma_diagonal_determinant(self):
-        pack = build_operator_pack(diag_prior(), np.diag([3.0, 4.0]), 0.5)
+        pack = build_operator_pack(diag_prior(), FactoredGamma(np.diag(np.sqrt([3.0, 4.0]))), 0.5)
         assert np.isclose(np.exp(log_pi_gamma(pack, np.zeros(2))), 1.0 / np.sqrt(8.0))
 
     def test_pi_gamma_matches_pdf_ratio(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             n = int(rng.integers(2, 20))
-            gamma = random_psd(n, rng)
+            gamma = random_factor(n, rng)
             pack = build_operator_pack(PriorSpec(n), gamma, rng.uniform(0.1, 0.9))
             ops = dense_operators(pack.prior, gamma, pack.s)
             v = pack.prior.sample(rng) * 2.0
@@ -196,7 +191,7 @@ class TestDensities:
 
     def test_pi_gamma_rebuilds_prior_pdf(self):
         rng = np.random.default_rng(13)
-        gamma = random_psd(6, rng)
+        gamma = random_factor(6, rng)
         pack = build_operator_pack(PriorSpec(6), gamma, rng.uniform(0.1, 0.9))
         ops = dense_operators(pack.prior, gamma, pack.s)
         v = pack.prior.sample(rng)
@@ -208,7 +203,7 @@ class TestDensities:
 class TestLogRhoGamma:
     def test_zero_gamma_gives_zero(self):
         prior = PriorSpec(4)
-        pack = build_operator_pack(prior, np.zeros((4, 4)), 0.6)
+        pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 4))), 0.6)
         rng = np.random.default_rng(2)
         assert log_rho_gamma(pack, prior.sample(rng), prior.sample(rng)) == 0.0
 
@@ -216,7 +211,7 @@ class TestLogRhoGamma:
         rng = np.random.default_rng(17)
         for _ in range(25):
             n = int(rng.integers(1, 21))
-            gamma = random_psd(n, rng)
+            gamma = random_factor(n, rng)
             pack = build_operator_pack(PriorSpec(n), gamma, rng.uniform(0.1, 0.9))
             ops = dense_operators(pack.prior, gamma, pack.s)
             u, v = pack.prior.sample(rng), pack.prior.sample(rng)
@@ -244,7 +239,7 @@ class TestLogRhoGamma:
 
     def test_rejects_degenerate_step(self):
         rng = np.random.default_rng(4)
-        pack = build_operator_pack(PriorSpec(3), random_psd(3, rng), 0.0)
+        pack = build_operator_pack(PriorSpec(3), random_factor(3, rng), 0.0)
         with pytest.raises(ValueError):
             log_rho_gamma(pack, np.zeros(3), np.zeros(3))
 
@@ -252,12 +247,12 @@ class TestLogRhoGamma:
 class TestIntegrabilityBound:
     def test_zero_gamma_equality_case(self):
         prior = PriorSpec(5)
-        pack = build_operator_pack(prior, np.zeros((5, 5)), 0.5)
+        pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 5))), 0.5)
         for p in (0.3, 1.0, 5.0):
             assert integrability_bound(pack, p, np.ones(5)) == (1.0, 1.0)
 
     def test_admissible_range_from_diagonal_example(self):
-        pack = build_operator_pack(diag_prior(), np.diag([3.0, 4.0]), 0.5)
+        pack = build_operator_pack(diag_prior(), FactoredGamma(np.diag(np.sqrt([3.0, 4.0]))), 0.5)
         assert np.isclose(admissible_exponent_bound(pack), 7.0 / 6.0)
         with pytest.raises(ValueError, match="admissible"):
             integrability_bound(pack, 1.2, np.zeros(2))

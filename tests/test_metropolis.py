@@ -5,7 +5,7 @@ import pytest
 
 from gpcn import elliptic
 from gpcn.diagnostics import qoi_exp_integral
-from gpcn.gaussian_ops import Posterior, PriorSpec, build_operator_pack
+from gpcn.gaussian_ops import FactoredGamma, Posterior, PriorSpec, build_operator_pack
 from gpcn.metropolis import (
     PILOT_DELTA,
     S_HI,
@@ -54,7 +54,7 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
 
     posterior = Posterior(prior, potential)
     mean, cov = linear_posterior(L, b, y, sigma**2 * np.eye(3), prior)
-    gamma = L.T @ L / sigma**2
+    gamma = FactoredGamma(L / sigma)                  # Gamma = L^T L / sigma^2
     return posterior, mean, cov, gamma
 
 
@@ -67,7 +67,9 @@ def kernel_of(variant, prior, gamma, s):
         pack = build_operator_pack(prior, gamma, s)
         return (gauss_newton_rw if variant == "gn-rw" else gpcn)(pack)
     factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
-    return factory(prior, lambda u: gamma + np.outer(u, u) / (1.0 + u @ u), s)
+    def gamma_map(u):                 # Gamma + u u^T / (1 + |u|^2)
+        return FactoredGamma(np.vstack([gamma.factor, u / np.sqrt(1.0 + u @ u)]))
+    return factory(prior, gamma_map, s)
 
 
 class TestMhStep:
