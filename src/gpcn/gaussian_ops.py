@@ -44,8 +44,11 @@ class PriorSpec:
             lam = np.asarray(self.eigenvalues, dtype=float)
             if lam.shape != (self.dim,):
                 raise ValueError(f"expected {self.dim} eigenvalues, got shape {lam.shape}")
-            if np.any(lam <= 0.0):
-                raise ValueError("prior eigenvalues must be strictly positive")
+            bad = ~((lam > 0.0) & np.isfinite(lam))      # lam > 0 is False for NaN
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError("prior eigenvalues must be finite and strictly positive, "
+                                 f"got eigenvalues[{i}] = {lam[i]}")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "std", np.sqrt(lam))
 
@@ -128,7 +131,7 @@ def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> Ope
     costs one thin SVD of F C^{1/2}.  Raises TypeError for any other type
     (a bare array is ambiguous: an N x N Gamma is also an (r, N) factor of
     another Gamma), and ValueError if ``s`` is outside [0, 1) or the factor
-    does not have N columns.
+    does not have N columns or has a NaN or infinite entry.
     """
     n = prior.dim
     if not isinstance(gamma, FactoredGamma):
@@ -136,6 +139,10 @@ def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> Ope
     factor = np.asarray(gamma.factor, dtype=float)
     if factor.ndim != 2 or factor.shape[1] != n:
         raise ValueError(f"factor must have shape (r, {n}), got {factor.shape}")
+    bad = ~np.isfinite(factor)
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
+        raise ValueError(f"gamma factor must be finite, got factor[{i},{j}] = {factor[i, j]}")
     _, sv, vt = np.linalg.svd(factor * prior.std[None, :], full_matrices=False)
     return OperatorPack(prior, s, vt.T, sv * sv)
 

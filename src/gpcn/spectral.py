@@ -8,9 +8,11 @@ statements can be checked numerically instead of proved.
 
 Conductance and kappa_p are extrema over every state subset of mass at most
 1/2.  A singleton attains kappa_p's maximum, so it is an O(n^2) formula with
-no state limit.  Conductance enumerates all 2^n subsets (n <= 22) by meet in
-the middle: each half of the states tabulates its 2^(n/2) subset masses and
-boundary flows once, and each subset costs O(1) work plus one product entry.
+no state limit.  Conductance enumerates the subsets of mass at most 1/2
+(n <= 22) by meet in the middle: each half of the states tabulates its
+2^(n/2) subset masses and boundary flows once, sorted by mass, and pairs them
+only up to the mass frontier, about half of the 2^n pairs; each pair it
+evaluates costs O(1) elementwise work plus one length-n/2 product entry.
 
 A note on the gap: it is defined through the operator norm on centered
 square-integrable functions, which for a reversible chain is the largest
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ENUM_STATES = 22       # 2^n subset enumeration budget (about 16 ms on one core at n = 22)
+MAX_ENUM_STATES = 22       # subset enumeration budget (a conductance call: about 15 ms at n = 22)
 _ENUM_BLOCK = 1 << 14      # subsets per block of the enumeration (cache-sized temporaries)
 _STOCHASTIC_TOL = 1e-12
 _REVERSIBLE_TOL = 1e-12
 _EIG_SLACK = 1e-10
+_HALF_MASS = 0.5 + 1e-12     # largest pi(A) a conductance or kappa_p subset may have
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,14 @@ def _subset_extremum(weight: np.ndarray, pi: np.ndarray) -> float:
         flow(A, A^c) = c_L[l] + c_H[h] - b_l^T (W_LH + W_HL^T) b_h,
 
     where m and c are each half's subset masses and flows out of the subset
-    (to all n states).  The tables cost O(2^{n/2} n^2); every subset then
-    costs O(1) elementwise work plus its entry of one (2^|H| x |H|) @
-    (|H| x 2^|L|) product, taken in blocks of high-half subsets so that the
-    temporaries stay near _ENUM_BLOCK entries.
+    (to all n states).  The tables cost O(2^{n/2} n^2) and are sorted by
+    mass.  High-half subsets are taken in blocks of increasing mass, so that
+    the temporaries stay near _ENUM_BLOCK entries; a block pairs its rows only
+    with the prefix of low-half subsets that keeps its lightest row within
+    mass 1/2, and the walk stops at the first row that alone exceeds 1/2.
+    Every pair evaluated costs O(1) elementwise work plus its entry of the
+    (block x |H|) @ (|H| x prefix) product, the same float operations as on
+    the full 2^|H| x 2^|L| grid, so the minimum is the full grid's bit for bit.
     """
     n = pi.shape[0]
     n_low = (n + 1) // 2
@@ -126,23 +133,32 @@ def _subset_extremum(weight: np.ndarray, pi: np.ndarray) -> float:
     bits_low, bits_high = _subset_bits(n_low), _subset_bits(n - n_low)
 
     def half_tables(bits, part):
+        """Subset masses, flows and indicator rows in order of increasing mass."""
         w = weight[part, part]
-        return bits @ pi[part], bits @ row_sums[part] - ((bits @ w) * bits).sum(axis=1)
+        mass = bits @ pi[part]
+        flow = bits @ row_sums[part] - ((bits @ w) * bits).sum(axis=1)
+        order = np.argsort(mass, kind="stable")     # the empty subset, mass 0, stays first
+        return mass[order], flow[order], bits[order]
 
-    mass_low, flow_low = half_tables(bits_low, low)
-    mass_high, flow_high = half_tables(bits_high, high)
+    mass_low, flow_low, bits_low = half_tables(bits_low, low)
+    mass_high, flow_high, bits_high = half_tables(bits_high, high)
     coupling = (weight[high, low] + weight[low, high].T) @ bits_low.T      # |H| x 2^|L|
     best = np.inf
     block = max(1, _ENUM_BLOCK >> n_low)
     for start in range(0, bits_high.shape[0], block):
+        # rows rise in mass and fl(a + b) is monotone in b, so no row of the block keeps a
+        # column past its lightest row's prefix; a row over the limit alone ends the walk
+        cols = np.count_nonzero(mass_high[start] + mass_low <= _HALF_MASS)
+        if cols == 0:
+            break
         rows = slice(start, start + block)
-        mass = mass_high[rows, None] + mass_low[None, :]
-        ratio = np.subtract(flow_low[None, :], bits_high[rows] @ coupling)
+        mass = mass_high[rows, None] + mass_low[None, :cols]
+        ratio = np.subtract(flow_low[None, :cols], bits_high[rows] @ coupling[:, :cols])
         ratio += flow_high[rows, None]
         if start == 0:
             mass[0, 0] = np.inf                 # drops the empty subset with the heavy ones
         ratio /= mass
-        np.copyto(ratio, np.inf, where=mass > 0.5 + 1e-12)
+        np.copyto(ratio, np.inf, where=mass > _HALF_MASS)
         best = min(best, ratio.min())
     return float(best)
 
@@ -176,8 +192,8 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     pi_i qualifies), since by the mediant inequality a singleton attains it.
     q2 must dominate q1 (q2_ij > 0 wherever q1_ij > 0).
     """
-    if p <= 1.0:
-        raise ValueError("kappa_p needs an exponent p > 1")
+    if not 1.0 < p < np.inf:        # False for NaN, so NaN fails
+        raise ValueError(f"kappa_p needs an exponent 1 < p < inf, got {p}")
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     pi = np.asarray(target_pmf, dtype=float)
@@ -193,7 +209,7 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     ratio = np.divide(q1, q2, out=np.zeros_like(q1), where=q2 > 0.0)
     weight = ratio**p * q2 * pi[:, None]
     np.fill_diagonal(weight, 0.0)
-    return float(np.max(weight.sum(axis=1) / pi, where=pi <= 0.5 + 1e-12, initial=-np.inf))
+    return float(np.max(weight.sum(axis=1) / pi, where=pi <= _HALF_MASS, initial=-np.inf))
 
 
 def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> FiniteChain:

@@ -41,6 +41,12 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec(2, eigenvalues=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_eigenvalues(self, bad):
+        # NaN compares False with 0, and an infinite variance gives no Gaussian prior
+        with pytest.raises(ValueError, match=r"eigenvalues\[0\] = (nan|inf)"):
+            PriorSpec(2, eigenvalues=np.array([bad, 1.0]))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             PriorSpec(0)
@@ -92,6 +98,14 @@ class TestBuildOperatorPack:
             build_operator_pack(prior, zero, 1.0)
         with pytest.raises(ValueError):
             build_operator_pack(prior, zero, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_factor(self, bad):
+        # unchecked, NaN fails inside the SVD and inf yields a pack with w = [nan]
+        factor = np.array([[1.0, 1.0, 2.0], [0.5, 0.0, 1.0]])
+        factor[1, 2] = bad
+        with pytest.raises(ValueError, match=r"factor\[1,2\] = (nan|inf)"):
+            build_operator_pack(PriorSpec(3), FactoredGamma(factor), 0.5)
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(23)

@@ -19,7 +19,7 @@ from gpcn.spectral import (
     run_lab,
     spectral_gap,
 )
-from helpers import lazy, stationary_distribution, subset_extremum
+from helpers import full_grid_conductance, lazy, stationary_distribution, subset_extremum
 
 TWO_STATE = FiniteChain(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.4, 0.6]))
 
@@ -138,7 +138,7 @@ class TestConductance:
         with pytest.raises(ValueError, match="22"):
             conductance(chain)
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("n", [*range(1, 15), 16, 18, 22])
     def test_matches_oracle(self, n):
         rng = np.random.default_rng([21, n])
         q = random_proposal(n, rng)     # not reversible: an asymmetric flow matrix
@@ -146,7 +146,10 @@ class TestConductance:
         if n % 2 == 0:        # uniform pi: subsets of n/2 states have pi(A) = 1/2
             chains.append(discretize_metropolis(np.full(n, 1 / n), random_proposal(n, rng)))
         for chain in chains:
-            assert np.isclose(conductance(chain), oracle_conductance(chain), rtol=1e-14, atol=0.0)
+            got = conductance(chain)
+            # the mass-sorted enumeration skips only entries the full grid masks out
+            assert got == full_grid_conductance(chain)
+            assert np.isclose(got, oracle_conductance(chain), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [2, 6, 14, 22])
     def test_half_mass_subsets_count(self, n):
@@ -218,6 +221,13 @@ class TestKappaP:
             with pytest.raises(ValueError, match="strictly positive"):
                 kappa_p(q, q, np.array(pmf), 2.0)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 1.0, 0.5, -np.inf])
+    def test_exponent_outside_one_to_infinity_rejected(self, p):
+        # nan compares False with 1, so only a check that nan fails keeps it out
+        q = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            kappa_p(q, q, np.array([0.5, 0.5]), p)
+
     def test_absolute_continuity_violation_identifies_pair(self):
         q1 = np.array([[0.5, 0.5], [0.5, 0.5]])
         q2 = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -242,6 +252,15 @@ class TestComparison:
             report = comparison_check(pi / pi.sum(), random_proposal(n, rng),
                                       random_proposal(n, rng), 2.0)
             assert report["lemma_ok"] and report["theorem_ok"]
+
+    def test_nonfinite_exponent_rejected(self):
+        # a nan kappa_p would read as a failed theorem: lemma_ok and theorem_ok False
+        q = np.full((3, 3), 1 / 3)
+        for p in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="1 < p < inf"):
+                comparison_check(np.full(3, 1 / 3), q, q, p)
+            with pytest.raises(ValueError, match="1 < p < inf"):
+                run_lab(0, 1, 3, p)
 
     def test_negative_chain_is_lazified(self):
         # q1's Metropolis chain is the flip, whose least eigenvalue is -1
