@@ -31,7 +31,6 @@ from .elliptic import (
 from .gaussian_ops import (
     FactoredGamma,
     OperatorPack,
-    Posterior,
     PriorSpec,
     build_operator_pack,
     integrability_bound,

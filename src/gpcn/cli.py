@@ -10,19 +10,28 @@ from .experiment import ConfigError, diagnose_trace, load_config, run_experiment
 from .spectral import run_lab
 
 
+def _at_least(low):
+    """An argparse type: an integer >= ``low`` (argparse names the flag)."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="gpcn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the configured sampler sweep")
     run.add_argument("--config", required=True, help="flat key = value config file")
-    run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    run.add_argument("--seed", type=_at_least(0), default=None, help="override the master seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=1, help="concurrent sweep cells")
+    run.add_argument("--threads", type=_at_least(1), default=1, help="concurrent sweep cells")
 
     map_cmd = sub.add_parser("map", help="compute and store the MAP point and curvature")
     map_cmd.add_argument("--config", required=True)
-    map_cmd.add_argument("--seed", type=int, default=None)
+    map_cmd.add_argument("--seed", type=_at_least(0), default=None)
     map_cmd.add_argument("--out", default=None)
 
     diag = sub.add_parser("diagnose", help="recompute ESS diagnostics from a trace CSV")
@@ -30,7 +39,7 @@ def _build_parser():
     diag.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     lab = sub.add_parser("lab", help="randomized finite-state verification battery")
-    lab.add_argument("--seed", type=int, default=0)
+    lab.add_argument("--seed", type=_at_least(0), default=0)
     lab.add_argument("--instances", type=int, default=20)
     lab.add_argument("--states", type=int, default=10)
     lab.add_argument("--out", default=None)

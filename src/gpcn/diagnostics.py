@@ -16,10 +16,6 @@ import numpy as np
 from .elliptic import ForwardModel, kl_to_field
 
 
-def default_max_lag(n: int) -> int:
-    return max(1, min(n // 50, 2000))
-
-
 def _acf_full(series: np.ndarray) -> np.ndarray:
     """Biased-normalized ACF at all lags 0..n-1 via FFT; rejects constant input."""
     x = np.asarray(series, dtype=float).ravel()
@@ -50,7 +46,6 @@ class DiagnosticsReport:
     method: str
     n: int
     n0: int = 0
-    acf: Optional[np.ndarray] = None
     n_pairs: Optional[int] = None     # pair sums kept by the monotone truncation
 
     def to_dict(self) -> dict:
@@ -58,8 +53,6 @@ class DiagnosticsReport:
                "n": self.n, "n0": self.n0}
         if self.n_pairs is not None:
             out["n_pairs"] = self.n_pairs
-        if self.acf is not None:
-            out["acf"] = np.asarray(self.acf).tolist()
         return out
 
 
@@ -91,8 +84,7 @@ def ess_ims(series) -> DiagnosticsReport:
         total += g
         ceiling = g
         used += 1
-    return _clip_report(n, 2.0 * total - 1.0, "initial-monotone-sequence",
-                        acf=acf[: default_max_lag(n) + 1], n_pairs=used)
+    return _clip_report(n, 2.0 * total - 1.0, "initial-monotone-sequence", n_pairs=used)
 
 
 def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussian_ops import FactoredGamma, Posterior, PriorSpec
+from .gaussian_ops import FactoredGamma, PriorSpec
 
 DEFAULT_DX = 2.0 ** -9
 OBS_POINTS = (0.2, 0.4, 0.6, 0.8)
@@ -186,8 +186,10 @@ def phi(xi: np.ndarray, obs: Observation, model: ForwardModel) -> float:
     return float(0.5 * (r @ r) / obs.sigma_eps**2)
 
 
-def make_posterior(obs: Observation, model: ForwardModel, prior: PriorSpec) -> Posterior:
-    return Posterior(prior, lambda xi: phi(xi, obs, model))
+def make_posterior(obs: Observation, model: ForwardModel) -> Callable[[np.ndarray], float]:
+    """The potential xi -> phi(xi, obs, model) of the posterior: the target is
+    exp(-phi) times the prior of the kernel that samples it."""
+    return lambda xi: phi(xi, obs, model)
 
 
 def jacobian(xi: np.ndarray, model: ForwardModel) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import elliptic
 from .diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
 from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from .metropolis import ChainConfig, run_chain, tune_step_size, write_state_dump, write_trace_csv
-from .proposals import VARIANTS, ProposalKernel, check_step_size
+from .proposals import LOCAL_VARIANTS, PACK_VARIANTS, VARIANTS, ProposalKernel, check_step_size
 
 QOI_NAME = "exp_integral"
 _SEED_DATA, _SEED_TUNE, _SEED_CHAIN, _SEED_POINTS = 0, 1, 2, 3
@@ -196,7 +196,7 @@ def resolve_config(text: str) -> ExperimentConfig:
         if truth.size > n_min:
             raise ConfigError(f"{where} has {truth.size} coefficients, more than "
                               f"min(problem.N) = {n_min}")
-    for key, value, low in (("run.n", cfg.n, 0), ("run.n0", cfg.n0, 0),
+    for key, value, low in (("seed", cfg.seed, 0), ("run.n", cfg.n, 0), ("run.n0", cfg.n0, 0),
                             ("run.thin", cfg.thin, 1), ("run.replicates", cfg.replicates, 1)):
         if value < low:
             raise ConfigError(f"line {lines[key]}: {key} must be at least {low}, got {value}")
@@ -238,16 +238,16 @@ def truth_object(cfg: ExperimentConfig):
 
 def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
     """Data and MAP point of cell (i_n, i_sig): (model, prior, data_seed, obs,
-    posterior, map_result)."""
+    phi, map_result), phi the potential of the target exp(-phi) d(prior)."""
     n_modes = cfg.n_modes[i_n]
     model = elliptic.ForwardModel(n_modes, dx=cfg.dx)
     prior = PriorSpec(n_modes)
     data_seed = derive_seed(cfg.seed, _SEED_DATA, i_n, i_sig)
     obs = elliptic.generate_data(truth_object(cfg), cfg.sigma_eps[i_sig], model,
                                  np.random.default_rng(data_seed), seed=data_seed)
-    posterior = elliptic.make_posterior(obs, model, prior)
+    phi = elliptic.make_posterior(obs, model)
     map_result = elliptic.map_estimate(obs, model, prior)
-    return model, prior, data_seed, obs, posterior, map_result
+    return model, prior, data_seed, obs, phi, map_result
 
 
 def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> FactoredGamma:
@@ -263,23 +263,23 @@ def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> Factore
 
 
 def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
-    if variant in ("rw", "pcn"):
-        return ProposalKernel(variant, prior, s)
-    if variant in ("gn-rw", "gpcn"):
+    if variant in PACK_VARIANTS:
         gamma = build_curvature(cfg, prior, model, obs, xi_map)
         return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
-    gamma_map = lambda u: elliptic.build_gamma_from_map(u, obs, model)
-    return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
+    if variant in LOCAL_VARIANTS:
+        gamma_map = lambda u: elliptic.build_gamma_from_map(u, obs, model)
+        return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
+    return ProposalKernel(variant, prior, s)
 
 
 def ess_summary(series) -> dict:
     """Both ESS estimators on one QoI series, keyed ``ims`` and ``batch_means``:
-    each report without its ACF, or ``{"error": message}`` for a series the
+    each report's ``to_dict()``, or ``{"error": message}`` for a series the
     estimator cannot take (too short, or constant)."""
     summary = {}
     for name, estimator in (("ims", ess_ims), ("batch_means", ess_batch_means)):
         try:
-            summary[name] = {k: v for k, v in estimator(series).to_dict().items() if k != "acf"}
+            summary[name] = estimator(series).to_dict()
         except ValueError as exc:
             summary[name] = {"error": str(exc)}
     return summary
@@ -290,21 +290,21 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
     variant = cfg.variants[iv]
     n_modes = cfg.n_modes[i_n]
     sigma = cfg.sigma_eps[i_sig]
-    model, prior, data_seed, obs, posterior, map_result = build_problem(cfg, i_n, i_sig)
+    model, prior, data_seed, obs, phi, map_result = build_problem(cfg, i_n, i_sig)
     xi_map = map_result.xi
 
     tuned = cfg.s is None
     kernel = _build_kernel(cfg, variant, prior, model, obs, xi_map, 0.5 if tuned else cfg.s)
     if tuned:
         tune_seed = derive_seed(cfg.seed, _SEED_TUNE, iv, i_n, i_sig)
-        result = tune_step_size(kernel, posterior, cfg.target_acceptance, cfg.pilot_n,
+        result = tune_step_size(kernel, phi, cfg.target_acceptance, cfg.pilot_n,
                                 np.random.default_rng(tune_seed), initial_state=xi_map)
         kernel = kernel.with_step_size(result.s)
     s = kernel.s
 
     chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, i_n, i_sig, rep)
     # Only the npy dump reads the states, so without it the chain keeps none.
-    chain_cfg = ChainConfig(kernel, posterior, n=cfg.n, n0=cfg.n0, seed=chain_seed,
+    chain_cfg = ChainConfig(kernel, phi, n=cfg.n, n0=cfg.n0, seed=chain_seed,
                             initial_state=xi_map,
                             thin=cfg.thin if "npy" in cfg.formats else None,
                             qoi={QOI_NAME: lambda xi: qoi_exp_integral(xi, model)})
@@ -331,7 +331,7 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
             "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
             **cell_seeds, "s": s, "tuned": tuned,
             "acceptance_rate": trace.acceptance_rate,
-            "phi_at_map": posterior.phi(xi_map),
+            "phi_at_map": phi(xi_map),
             "map": {"iterations": map_result.iterations,
                     "gradient_norm": map_result.gradient_norm,
                     "converged": map_result.converged,
@@ -412,6 +412,8 @@ def worker_pool(workers: int):
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Run every sweep cell, write per-cell artifacts and the summary table;
     ``threads > 1`` runs cells in that many worker processes."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     args = list(_cell_args(cfg))
     if threads > 1:
         with worker_pool(threads) as pool:
@@ -427,14 +429,14 @@ def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     """Compute and persist the MAP point and the curvature ``sampler.gamma``
     selects for the first sweep cell."""
     out = out_dir or cfg.out_dir
-    model, prior, data_seed, obs, posterior, result = build_problem(cfg, 0, 0)
+    model, prior, data_seed, obs, phi, result = build_problem(cfg, 0, 0)
     os.makedirs(out, exist_ok=True)
     np.save(os.path.join(out, "xi_map.npy"), result.xi)
     np.save(os.path.join(out, "gamma.npy"), build_curvature(cfg, prior, model, obs, result.xi).dense())
     summary = {
         "config": dict((k, v) for k, v in cfg.items()),
         "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,
-        "phi_at_map": posterior.phi(result.xi),
+        "phi_at_map": phi(result.xi),
         "converged": result.converged, "iterations": result.iterations,
         "gradient_norm": result.gradient_norm, "stop": result.stop,
         "observation": json.loads(obs.to_json()),

@@ -19,8 +19,6 @@ kernels, cost O(N r); no N x N matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 
@@ -55,14 +53,6 @@ class PriorSpec:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One draw from N(0, C)."""
         return self.std * rng.standard_normal(self.dim)
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Target measure with density proportional to exp(-phi) w.r.t. the prior."""
-
-    prior: PriorSpec
-    phi: Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True, eq=False)

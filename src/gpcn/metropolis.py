@@ -1,7 +1,8 @@
 """Metropolis transition, ball-restricted variant, chain runner, step tuner.
 
 ``mh_step`` is the one step for every proposal variant; a chain's state is
-the record ``State(u, phi(u), kernel.pack_at(u))``.
+the record ``State(u, phi(u), kernel.pack_at(u))``.  A target is named by its
+potential phi alone: it is exp(-phi) times ``kernel.prior``, the chain's one prior.
 
 Determinism contract: every step consumes exactly one standard normal vector
 (the proposal draw) followed by one uniform (the accept test), both drawn by
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .gaussian_ops import OperatorPack, Posterior
+from .gaussian_ops import OperatorPack
 from .proposals import ProposalKernel, log_acceptance_correction, propose
 
 S_LO = 1e-4
@@ -42,8 +43,9 @@ class State(NamedTuple):
     pack: Optional[OperatorPack]
 
 
-def mh_step(kernel, posterior, state, rng, radius=None):
-    """One Metropolis transition from the ``State`` record ``state``.
+def mh_step(kernel, phi, state, rng, radius=None):
+    """One Metropolis transition from the ``State`` record ``state`` on the
+    target exp(-phi) d(kernel.prior).
 
     Draws z, then the accept test's uniform, and accepts v = propose(kernel,
     u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
@@ -58,7 +60,7 @@ def mh_step(kernel, posterior, state, rng, radius=None):
     v = propose(kernel, u, z, pack_u)
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
-    phi_v = posterior.phi(v)
+    phi_v = phi(v)
     if not math.isfinite(phi_v):
         return state, False
     pack_v = kernel.pack_at(v)
@@ -71,7 +73,7 @@ def mh_step(kernel, posterior, state, rng, radius=None):
 @dataclass(frozen=True)
 class ChainConfig:
     """A chain of ``n0`` burn-in and ``n`` sampling steps from ``initial_state``
-    (zero by default), seeded by ``seed``.
+    (zero by default), seeded by ``seed``, on the target exp(-phi) d(kernel.prior).
 
     ``thin`` keeps every thin-th post burn-in state in ``ChainTrace.states``;
     ``None`` keeps none, so a chain whose caller reads only the accept flags
@@ -80,7 +82,7 @@ class ChainConfig:
     every post burn-in step whatever ``thin`` is.
     """
     kernel: ProposalKernel
-    posterior: Posterior
+    phi: Callable[[np.ndarray], float]
     n: int
     n0: int
     seed: int
@@ -115,17 +117,15 @@ class ChainConfig:
 @dataclass
 class ChainTrace:
     """What ``run_chain`` recorded.  ``states`` holds the post burn-in states
-    that ``thin`` kept, shape (ceil(n / thin), N), or (0, N) for
+    that ``ChainConfig.thin`` kept, shape (ceil(n / thin), N), or (0, N) for
     ``thin=None``; ``accepts`` and ``qoi_series`` are kept in full."""
     states: np.ndarray          # retained (thinned) post burn-in states
     accepts: np.ndarray         # accept flags over all n0 + n steps
     qoi_series: dict            # name -> length-n series over post burn-in steps
     acceptance_rate: float
-    seed: int
     wall_time: float
     n: int
     n0: int
-    thin: Optional[int]
 
 
 def run_chain(config: ChainConfig,
@@ -151,11 +151,11 @@ def run_chain(config: ChainConfig,
     ``n0`` and ``n`` say how many of each kind).
     """
     rng = np.random.default_rng(config.seed)
-    kernel, posterior, radius = config.kernel, config.posterior, config.restriction_radius
+    kernel, phi, radius = config.kernel, config.phi, config.restriction_radius
     n, n0, thin = config.n, config.n0, config.thin
 
     u = config.initial_state.copy()
-    phi_u = posterior.phi(u)
+    phi_u = phi(u)
     if not math.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
     state = State(u, phi_u, kernel.pack_at(u))
@@ -171,7 +171,7 @@ def run_chain(config: ChainConfig,
     kept = 0
     steps, n_accepted = total, 0
     for i in range(total):
-        state, accepted = mh_step(kernel, posterior, state, rng, radius=radius)
+        state, accepted = mh_step(kernel, phi, state, rng, radius=radius)
         accepts[i] = accepted
         j = i - n0
         if j >= 0:
@@ -192,8 +192,7 @@ def run_chain(config: ChainConfig,
     rate = float(accepts.mean()) if steps > 0 else 0.0
     return ChainTrace(states=states[:kept], accepts=accepts,
                       qoi_series={name: series[:n_run] for name, series in qoi_series.items()},
-                      acceptance_rate=rate, seed=config.seed, wall_time=wall,
-                      n=n_run, n0=steps - n_run, thin=thin)
+                      acceptance_rate=rate, wall_time=wall, n=n_run, n0=steps - n_run)
 
 
 class TuneResult(NamedTuple):
@@ -203,7 +202,7 @@ class TuneResult(NamedTuple):
     pilots: tuple           # (s, steps run, steps accepted) per pilot, in order
 
 
-def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
+def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
                    initial_state=None, radius=None, tol=0.05, max_iters=30) -> TuneResult:
     """Bisection on log s over [1e-4, 0.999] until a pilot chain's acceptance
     rate lands within ``tol`` of ``target_rate``.
@@ -256,7 +255,7 @@ def tune_step_size(kernel, posterior, target_rate, pilot_n, rng,
             rate, h = a / k, math.sqrt(log_term / (2 * k))
             return decides(max(a / pilot_n, rate - h), min((a + pilot_n - k) / pilot_n, rate + h))
 
-        cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
+        cfg = ChainConfig(kernel.with_step_size(s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius, thin=None)
         trace = run_chain(cfg, stop=None if decides is None else stop)

@@ -32,7 +32,7 @@ from .gaussian_ops import (
 )
 
 VARIANTS = ("rw", "pcn", "gn-rw", "gpcn", "local-gpcn", "local-gpcn2")
-_PACK_VARIANTS = ("gn-rw", "gpcn")
+PACK_VARIANTS = ("gn-rw", "gpcn")
 LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 
 
@@ -58,9 +58,9 @@ def check_step_size(variant: str, s: float) -> None:
 
 @dataclass(frozen=True)
 class ProposalKernel:
-    """One proposal family at step size ``s``.  ``gn-rw``/``gpcn`` carry a pack
-    built at ``s``; the local variants a ``gamma_map`` u -> Gamma(u) that
-    returns a ``FactoredGamma``."""
+    """One proposal family at step size ``s`` on ``prior``, its chain's one prior.
+    ``gn-rw``/``gpcn`` carry a pack built at ``s`` on that prior; the local
+    variants a ``gamma_map`` u -> Gamma(u) that returns a ``FactoredGamma``."""
 
     variant: str
     prior: PriorSpec
@@ -72,10 +72,14 @@ class ProposalKernel:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
         check_step_size(self.variant, self.s)
-        if self.variant in _PACK_VARIANTS and self.pack is None:
+        if self.variant in PACK_VARIANTS and self.pack is None:
             raise ValueError(f"{self.variant} requires an OperatorPack")
         if self.pack is not None and self.pack.s != self.s:
             raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
+        if self.pack is not None and not np.array_equal(self.pack.prior.eigenvalues,
+                                                        self.prior.eigenvalues):
+            raise ValueError(f"pack built on another prior spectrum than the kernel's "
+                             f"(dim {self.pack.prior.dim} vs {self.prior.dim})")
         if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
 

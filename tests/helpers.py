@@ -194,7 +194,7 @@ def reference_chain(config):
     from gpcn.proposals import log_acceptance_correction, propose
 
     rng = np.random.default_rng(config.seed)
-    kernel, posterior, radius = config.kernel, config.posterior, config.restriction_radius
+    kernel, phi, radius = config.kernel, config.phi, config.restriction_radius
     u = config.initial_state.copy()
     accepts, states, tested = [], [], 0
     qoi = {name: [] for name in config.qoi}
@@ -205,11 +205,11 @@ def reference_chain(config):
         v = propose(kernel, u, z, pack_u)
         accepted = False
         if radius is None or np.linalg.norm(v) < radius:
-            phi_v = posterior.phi(v)
+            phi_v = phi(v)
             if np.isfinite(phi_v):
                 tested += 1
                 correction = log_acceptance_correction(kernel, u, v, pack_u, kernel.pack_at(v))
-                log_alpha = posterior.phi(u) - phi_v + correction
+                log_alpha = phi(u) - phi_v + correction
                 accepted = bool(np.log(accept_u) < log_alpha)
         if accepted:
             u = v
@@ -243,7 +243,7 @@ def reference_read_trace_csv(path):
     return header, arr[:, 0].astype(int), arr[:, 1].astype(bool), qoi
 
 
-def reference_tune(kernel, posterior, target_rate, pilot_n, rng, initial_state=None,
+def reference_tune(kernel, phi, target_rate, pilot_n, rng, initial_state=None,
                    radius=None, tol=0.05, max_iters=30):
     """``tune_step_size`` with every pilot run to its end: the bisection on
     log s as it stood before pilots stopped early.  Each entry of
@@ -253,7 +253,7 @@ def reference_tune(kernel, posterior, target_rate, pilot_n, rng, initial_state=N
     pilots = []
 
     def pilot(s):
-        cfg = ChainConfig(kernel.with_step_size(s), posterior, n=pilot_n, n0=0,
+        cfg = ChainConfig(kernel.with_step_size(s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius)
         trace = run_chain(cfg)

@@ -16,7 +16,6 @@ from gpcn.experiment import derive_seed
 from gpcn.gaussian_ops import (
     FactoredGamma,
     PriorSpec,
-    Posterior,
     admissible_exponent_bound,
     build_operator_pack,
     integrability_bound,
@@ -64,10 +63,10 @@ def _elliptic_problem(n_modes, sigma):
     data_seed = derive_seed(MASTER, 0, n_modes, int(sigma * 1000))
     obs = elliptic.generate_data(elliptic.default_truth, sigma, model,
                                  np.random.default_rng(data_seed), seed=data_seed)
-    posterior = elliptic.make_posterior(obs, model, prior)
+    phi = elliptic.make_posterior(obs, model)
     xi_map = elliptic.map_estimate(obs, model, prior).xi
     gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
-    return model, prior, posterior, xi_map, gamma
+    return model, prior, phi, xi_map, gamma
 
 
 def _kernel(variant, prior, gamma, s):
@@ -81,16 +80,16 @@ def median_ess(variant, n_modes, sigma):
     key = (variant, n_modes, sigma)
     if key in _cell_cache:
         return _cell_cache[key]
-    model, prior, posterior, xi_map, gamma = _elliptic_problem(n_modes, sigma)
+    model, prior, phi, xi_map, gamma = _elliptic_problem(n_modes, sigma)
     tune_seed = derive_seed(MASTER, 1, VARIANT_ID[variant], n_modes, int(sigma * 1000))
-    tuned = tune_step_size(_kernel(variant, prior, gamma, 0.5), posterior, 0.25, 2000,
+    tuned = tune_step_size(_kernel(variant, prior, gamma, 0.5), phi, 0.25, 2000,
                            np.random.default_rng(tune_seed), initial_state=xi_map,
                            tol=0.02)
     kernel = _kernel(variant, prior, gamma, tuned.s)
     esses = []
     for rep in CHAIN_SEEDS:
         seed = derive_seed(MASTER, 2, VARIANT_ID[variant], n_modes, int(sigma * 1000), rep)
-        cfg = ChainConfig(kernel, posterior, n=N_SAMPLES, n0=N_BURN, seed=seed,
+        cfg = ChainConfig(kernel, phi, n=N_SAMPLES, n0=N_BURN, seed=seed,
                           initial_state=xi_map, thin=None,
                           qoi={"f": lambda xi: qoi_exp_integral(xi, model)})
         esses.append(ess_ims(run_chain(cfg).qoi_series["f"]).ess)
@@ -148,14 +147,13 @@ def test_criterion_04_linear_posterior_oracle():
         r = y - (obs_matrix @ u + offset)
         return float(0.5 * (r @ r) / sigma**2)
 
-    posterior = Posterior(prior, potential)
     gamma = FactoredGamma(obs_matrix / sigma)        # Gamma = L^T L / sigma^2
     marginals = np.diag(post_cov)
 
     details, ok = [], True
     for variant, s in (("pcn", 0.25), ("gpcn", 0.7)):
         kernel = _kernel(variant, prior, gamma, s)
-        cfg = ChainConfig(kernel, posterior, n=200000, n0=10000, seed=17,
+        cfg = ChainConfig(kernel, potential, n=200000, n0=10000, seed=17,
                           initial_state=post_mean)
         states = run_chain(cfg).states
         z_scores = np.empty(n)

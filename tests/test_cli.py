@@ -176,7 +176,8 @@ class TestConfigParsing:
         ("run.replicates", "0", {}),
         ("sampler.gamma_points", "0", {"sampler.gamma": "averaged"}),
         ("run.n", "-1", {}),
-        ("run.n0", "-5", {})])
+        ("run.n0", "-5", {}),
+        ("seed", "-3", {})])
     def test_count_below_its_minimum_names_its_line(self, key, value, context):
         lines = {"seed": "1", "problem.N": "4", "problem.sigma_eps": "0.1",
                  "sampler.variant": "gpcn", "run.n": "10", "run.n0": "0", **context, key: value}
@@ -265,10 +266,10 @@ class TestRunCommand:
             assert [path.read_bytes() for path in paths] == first
             assert summary_without_wall_time(out / "summary.csv") == first_summary
         chain_cfg = resolve_config(text)
-        model, prior, _, obs, posterior, map_result = build_problem(chain_cfg, 0, 0)
+        model, prior, _, obs, phi, map_result = build_problem(chain_cfg, 0, 0)
         kernel = gpcn(build_operator_pack(
             prior, elliptic.build_gamma_from_map(map_result.xi, obs, model), chain_cfg.s))
-        chain = run_chain(ChainConfig(kernel, posterior, n=1000, n0=100,
+        chain = run_chain(ChainConfig(kernel, phi, n=1000, n0=100,
                                       seed=json.loads(first[1])["chain_seed"],
                                       initial_state=map_result.xi, thin=3))
         assert chain.states.shape == (334, 10)
@@ -312,6 +313,28 @@ class TestRunCommand:
         cfg = write_config(tmp_path, "seed = 1\nnonsense\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--seed", "-1"), ("map", "--seed", "-2"), ("lab", "--seed", "-1"),
+        ("run", "--threads", "0"), ("run", "--threads", "-2")])
+    def test_negative_seed_and_threads_below_one_exit_2(self, tmp_path, capsys, command, flag,
+                                                        value):
+        out = tmp_path / "out"
+        config = [] if command == "lab" else \
+            ["--config", str(write_config(tmp_path, MINIMAL.format(out=out)))]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *config, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()                   # no summary.csv, no cell artifacts
+
+    def test_run_experiment_needs_a_thread(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = resolve_config(MINIMAL.format(out=out))
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                run_experiment(cfg, threads=threads)
+        assert not out.exists()
 
     def test_short_run_reports_nan_ess(self, tmp_path):
         # runs too short for the estimators still produce all artifacts
@@ -401,7 +424,7 @@ class TestDiagnoseCommand:
         n = len(series)
         trace = ChainTrace(states=np.zeros((n, 1)), accepts=np.ones(n, dtype=bool),
                            qoi_series={"f": np.asarray(series)}, acceptance_rate=1.0,
-                           seed=0, wall_time=0.0, n=n, n0=0, thin=1)
+                           wall_time=0.0, n=n, n0=0)
         write_trace_csv(trace, path)
 
     def test_iid_trace(self, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from gpcn import elliptic
 from gpcn.diagnostics import (
     autocorrelation,
-    default_max_lag,
     ess_batch_means,
     ess_ims,
     qoi_exp_integral,
@@ -91,9 +90,9 @@ class TestEssBatchMeans:
         prior = PriorSpec(10)
         obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
                                      np.random.default_rng(1), seed=1)
-        posterior = elliptic.make_posterior(obs, model, prior)
+        phi = elliptic.make_posterior(obs, model)
         start = elliptic.map_estimate(obs, model, prior).xi
-        cfg = ChainConfig(pcn(prior, 0.35), posterior, n=50000, n0=2000, seed=11,
+        cfg = ChainConfig(pcn(prior, 0.35), phi, n=50000, n0=2000, seed=11,
                           initial_state=start,
                           qoi={"f": lambda xi: qoi_exp_integral(xi, model)})
         series = run_chain(cfg).qoi_series["f"]
@@ -118,11 +117,6 @@ class TestEstimatorProperties:
         x = ar1_series(200000, 0.8, np.random.default_rng(9))
         iacts = [ess_ims(x[::t]).iact for t in (1, 2, 4, 8)]
         assert all(a > b for a, b in zip(iacts, iacts[1:]))
-
-    def test_default_max_lag(self):
-        assert default_max_lag(100000) == 2000
-        assert default_max_lag(2000) == 40
-        assert default_max_lag(10) == 1
 
 
 class TestQoi:

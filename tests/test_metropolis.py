@@ -5,7 +5,7 @@ import pytest
 
 from gpcn import elliptic
 from gpcn.diagnostics import qoi_exp_integral
-from gpcn.gaussian_ops import FactoredGamma, Posterior, PriorSpec, build_operator_pack
+from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from gpcn.metropolis import (
     PILOT_DELTA,
     S_HI,
@@ -32,16 +32,18 @@ from gpcn.proposals import (
 from helpers import linear_posterior, reference_chain, reference_read_trace_csv, reference_tune
 
 
-def flat_posterior(n):
-    return Posterior(PriorSpec(n), lambda u: 0.0)
+def flat_target(n):
+    """A prior and the zero potential: the chain's target is the prior itself."""
+    return PriorSpec(n), lambda u: 0.0
 
 
-def initial_record(kernel, posterior, u):
-    return State(u, posterior.phi(u), kernel.pack_at(u))
+def initial_record(kernel, phi, u):
+    return State(u, phi(u), kernel.pack_at(u))
 
 
 def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
-    """Affine forward map with its exact posterior moments."""
+    """Affine forward map: the prior, the potential, and the exact posterior
+    moments of exp(-phi) d(prior)."""
     rng = np.random.default_rng(seed)
     prior = PriorSpec(n)
     L = rng.standard_normal((3, n))
@@ -52,10 +54,9 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
         r = y - (L @ u + b)
         return float(0.5 * (r @ r) / sigma**2)
 
-    posterior = Posterior(prior, potential)
     mean, cov = linear_posterior(L, b, y, sigma**2 * np.eye(3), prior)
     gamma = FactoredGamma(L / sigma)                  # Gamma = L^T L / sigma^2
-    return posterior, mean, cov, gamma
+    return prior, potential, mean, cov, gamma
 
 
 def kernel_of(variant, prior, gamma, s):
@@ -76,17 +77,16 @@ class TestMhStep:
     @pytest.mark.parametrize("radius", (None, 0.6))
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_each_step_draws_one_normal_then_one_uniform(self, variant, radius):
-        posterior, _, _, gamma = linear_gaussian_setup()
-        prior = posterior.prior
+        prior, phi, _, _, gamma = linear_gaussian_setup()
         kernel = kernel_of(variant, prior, gamma, 0.5)
         rng, twin = np.random.default_rng(40), np.random.default_rng(40)
-        state = initial_record(kernel, posterior, np.zeros(prior.dim))
+        state = initial_record(kernel, phi, np.zeros(prior.dim))
         accepted = outside = 0
         for _ in range(40):
             v = propose(kernel, state.u, twin.standard_normal(prior.dim), state.pack)
             twin.random()
             outside += radius is not None and np.linalg.norm(v) >= radius
-            state, step_accepted = mh_step(kernel, posterior, state, rng, radius=radius)
+            state, step_accepted = mh_step(kernel, phi, state, rng, radius=radius)
             accepted += step_accepted
             assert rng.bit_generator.state == twin.bit_generator.state
             assert not step_accepted or np.array_equal(state.u, v)
@@ -94,46 +94,45 @@ class TestMhStep:
         assert radius is None or outside > 0       # some steps were rejected at the ball
 
     def test_flat_target_always_accepts(self):
-        posterior = flat_posterior(4)
-        kernel = pcn(posterior.prior, 0.7)
+        prior, phi = flat_target(4)
+        kernel = pcn(prior, 0.7)
         rng = np.random.default_rng(0)
-        state = initial_record(kernel, posterior, np.zeros(4))
+        state = initial_record(kernel, phi, np.zeros(4))
         for _ in range(50):
-            state, accepted = mh_step(kernel, posterior, state, rng)
+            state, accepted = mh_step(kernel, phi, state, rng)
             assert accepted
 
     def test_restriction_rejects_outside_ball(self):
-        posterior = flat_posterior(3)
-        kernel = random_walk(posterior.prior, 50.0)   # surely leaves the tiny ball
+        prior, phi = flat_target(3)
+        kernel = random_walk(prior, 50.0)   # surely leaves the tiny ball
         rng = np.random.default_rng(1)
-        start = initial_record(kernel, posterior, np.zeros(3))
-        state, accepted = mh_step(kernel, posterior, start, rng, radius=1e-3)
+        start = initial_record(kernel, phi, np.zeros(3))
+        state, accepted = mh_step(kernel, phi, start, rng, radius=1e-3)
         assert accepted is False
         assert state is start
 
     def test_nonfinite_phi_counts_as_rejection(self):
         prior = PriorSpec(2)
-        posterior = Posterior(prior, lambda u: np.inf if u[0] > 0 else 0.0)
+        phi = lambda u: np.inf if u[0] > 0 else 0.0
         kernel = pcn(prior, 0.9)
         rng = np.random.default_rng(2)
-        start = initial_record(kernel, posterior, np.array([-0.5, 0.0]))
-        state, accepted = mh_step(kernel, posterior, start, rng)
+        start = initial_record(kernel, phi, np.array([-0.5, 0.0]))
+        state, accepted = mh_step(kernel, phi, start, rng)
         if state.u[0] > 0:
             raise AssertionError("moved to a forbidden state")
         assert np.isfinite(state.phi)
 
     def test_adapted_kernel_accepts_more_on_linear_gaussian(self):
-        posterior, _, _, gamma = linear_gaussian_setup(n=2)
-        prior = posterior.prior
+        prior, phi, _, _, gamma = linear_gaussian_setup(n=2)
         s = 0.5
         pack = build_operator_pack(prior, gamma, s)
         counts = {}
         for name, kernel in (("pcn", pcn(prior, s)), ("gpcn", gpcn(pack))):
             rng = np.random.default_rng(33)
-            state = initial_record(kernel, posterior, np.zeros(2))
+            state = initial_record(kernel, phi, np.zeros(2))
             hits = 0
             for _ in range(10000):
-                state, accepted = mh_step(kernel, posterior, state, rng)
+                state, accepted = mh_step(kernel, phi, state, rng)
                 hits += accepted
             counts[name] = hits
         assert counts["gpcn"] > counts["pcn"]
@@ -141,17 +140,17 @@ class TestMhStep:
 
 class TestRunChain:
     def test_empty_run(self):
-        posterior = flat_posterior(3)
-        cfg = ChainConfig(pcn(posterior.prior, 0.5), posterior, n=0, n0=50, seed=4)
+        prior, phi = flat_target(3)
+        cfg = ChainConfig(pcn(prior, 0.5), phi, n=0, n0=50, seed=4)
         trace = run_chain(cfg)
         assert trace.states.shape == (0, 3)
         assert trace.accepts.shape == (50,)
         assert trace.acceptance_rate == 1.0
 
     def test_seeded_determinism(self):
-        posterior, _, _, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.4))
-        cfg = ChainConfig(kernel, posterior, n=500, n0=100, seed=9,
+        prior, phi, _, _, gamma = linear_gaussian_setup()
+        kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
+        cfg = ChainConfig(kernel, phi, n=500, n0=100, seed=9,
                           qoi={"first": lambda u: float(u[0])})
         a, b = run_chain(cfg), run_chain(cfg)
         assert np.array_equal(a.states, b.states)
@@ -159,8 +158,8 @@ class TestRunChain:
         assert np.array_equal(a.qoi_series["first"], b.qoi_series["first"])
 
     def test_thinning_keeps_qoi_dense(self):
-        posterior = flat_posterior(2)
-        cfg = ChainConfig(pcn(posterior.prior, 0.5), posterior, n=100, n0=10, seed=5,
+        prior, phi = flat_target(2)
+        cfg = ChainConfig(pcn(prior, 0.5), phi, n=100, n0=10, seed=5,
                           thin=7, qoi={"norm": lambda u: float(np.linalg.norm(u))})
         trace = run_chain(cfg)
         assert trace.states.shape == (15, 2)      # ceil(100 / 7)
@@ -168,26 +167,26 @@ class TestRunChain:
         assert trace.accepts.shape == (110,)
 
     def test_thin_none_keeps_no_states_and_the_same_chain(self):
-        posterior, _, _, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.4))
+        prior, phi, _, _, gamma = linear_gaussian_setup()
+        kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
         qoi = {"first": lambda u: float(u[0]), "norm": lambda u: float(np.linalg.norm(u))}
-        full, bare = (run_chain(ChainConfig(kernel, posterior, n=300, n0=30, seed=9,
+        full, bare = (run_chain(ChainConfig(kernel, phi, n=300, n0=30, seed=9,
                                             thin=thin, qoi=qoi)) for thin in (1, None))
-        assert full.states.shape == (300, posterior.prior.dim)
-        assert bare.states.shape == (0, posterior.prior.dim)
+        assert full.states.shape == (300, prior.dim)
+        assert bare.states.shape == (0, prior.dim)
         assert np.array_equal(bare.accepts, full.accepts)
         for name in qoi:
             assert np.array_equal(bare.qoi_series[name], full.qoi_series[name])
 
     @pytest.mark.parametrize("thin", (0, -3, 1.5, 2.0, True, "2"))
     def test_thin_must_be_none_or_a_positive_integer(self, thin):
-        posterior = flat_posterior(2)
+        prior, phi = flat_target(2)
         with pytest.raises(ValueError, match="thin"):
-            ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0, thin=thin)
+            ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0, thin=thin)
 
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
-        posterior = flat_posterior(2)
-        cfg = ChainConfig(random_walk(posterior.prior, 2.0), posterior, n=100, n0=10,
+        prior, phi = flat_target(2)
+        cfg = ChainConfig(random_walk(prior, 2.0), phi, n=100, n0=10,
                           seed=5, thin=3, qoi={"norm": lambda u: float(np.linalg.norm(u))})
         full = run_chain(cfg)
         for steps in (4, 10, 11, 47, 110):
@@ -207,30 +206,29 @@ class TestRunChain:
         assert 0 < full.acceptance_rate < 1
 
     def test_restricted_chain_stays_in_ball(self):
-        prior = PriorSpec(3)
-        posterior = Posterior(prior, lambda u: 0.0)
+        prior, phi = flat_target(3)
         radius = 0.8
-        cfg = ChainConfig(pcn(prior, 0.6), posterior, n=2000, n0=0, seed=6,
+        cfg = ChainConfig(pcn(prior, 0.6), phi, n=2000, n0=0, seed=6,
                           restriction_radius=radius)
         trace = run_chain(cfg)
         assert np.linalg.norm(trace.states, axis=1).max() < radius
         assert not trace.accepts.all()      # some proposals left the ball
 
     def test_initial_state_must_respect_radius(self):
-        posterior = flat_posterior(2)
+        prior, phi = flat_target(2)
         with pytest.raises(ValueError, match="radius"):
-            ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0,
+            ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0,
                         initial_state=np.array([2.0, 0.0]), restriction_radius=1.0)
 
     def test_nonfinite_radius_rejected(self):
-        posterior = flat_posterior(2)
+        prior, phi = flat_target(2)
         for radius in (np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
-                ChainConfig(pcn(posterior.prior, 0.5), posterior, n=10, n0=0, seed=0,
+                ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0,
                             restriction_radius=radius)
 
     def test_qoi_evaluated_only_at_new_states(self):
-        posterior, _, _, _ = linear_gaussian_setup()
+        prior, phi, _, _, _ = linear_gaussian_setup()
         calls = []
 
         def first(u):
@@ -238,7 +236,7 @@ class TestRunChain:
             return float(u[0])
 
         n0 = 50
-        cfg = ChainConfig(pcn(posterior.prior, 0.6), posterior, n=400, n0=n0, seed=12,
+        cfg = ChainConfig(pcn(prior, 0.6), phi, n=400, n0=n0, seed=12,
                           qoi={"first": first})
         trace = run_chain(cfg)
         assert 0 < trace.accepts[n0 + 1:].sum() < 399        # some steps rejected
@@ -246,9 +244,9 @@ class TestRunChain:
         assert np.array_equal(trace.qoi_series["first"], [first(u) for u in trace.states])
 
     def test_recovers_linear_gaussian_posterior_mean(self):
-        posterior, mean, cov, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(posterior.prior, gamma, 0.5))
-        cfg = ChainConfig(kernel, posterior, n=40000, n0=2000, seed=21, initial_state=mean)
+        prior, phi, mean, cov, gamma = linear_gaussian_setup()
+        kernel = gpcn(build_operator_pack(prior, gamma, 0.5))
+        cfg = ChainConfig(kernel, phi, n=40000, n0=2000, seed=21, initial_state=mean)
         trace = run_chain(cfg)
         err = np.abs(trace.states.mean(axis=0) - mean)
         marginal_sd = np.sqrt(np.diag(cov))
@@ -263,7 +261,7 @@ class TestStateRecords:
         prior = PriorSpec(n)
         obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
                                      np.random.default_rng(30), seed=30)
-        posterior = elliptic.make_posterior(obs, model, prior)
+        phi = elliptic.make_posterior(obs, model)
         xi_map = elliptic.map_estimate(obs, model, prior).xi
         calls = []
 
@@ -272,13 +270,13 @@ class TestStateRecords:
             return elliptic.build_gamma_from_map(u, obs, model)
 
         qoi = {"exp_integral": lambda u: qoi_exp_integral(u, model)}
-        return prior, posterior, xi_map, gamma_map, calls, qoi
+        return prior, phi, xi_map, gamma_map, calls, qoi
 
     @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
     def test_chain_matches_the_step_rule_without_records(self, factory):
-        prior, posterior, xi_map, gamma_map, _, qoi = self.local_setup()
+        prior, phi, xi_map, gamma_map, _, qoi = self.local_setup()
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
-            cfg = ChainConfig(factory(prior, gamma_map, 0.3), posterior, n=50, n0=10,
+            cfg = ChainConfig(factory(prior, gamma_map, 0.3), phi, n=50, n0=10,
                               seed=31, initial_state=xi_map, restriction_radius=radius,
                               qoi=qoi)
             trace = run_chain(cfg)
@@ -290,10 +288,10 @@ class TestStateRecords:
 
     @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
     def test_one_curvature_evaluation_per_tested_candidate(self, factory):
-        prior, posterior, xi_map, gamma_map, calls, _ = self.local_setup()
+        prior, phi, xi_map, gamma_map, calls, _ = self.local_setup()
         n0, n = 10, 50
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
-            cfg = ChainConfig(factory(prior, gamma_map, 0.3), posterior, n=n, n0=n0,
+            cfg = ChainConfig(factory(prior, gamma_map, 0.3), phi, n=n, n0=n0,
                               seed=31, initial_state=xi_map, restriction_radius=radius)
             calls.clear()
             run_chain(cfg)
@@ -306,16 +304,16 @@ class TestStateRecords:
                 assert tested < n0 + n          # some candidates left the ball
 
     def test_step_returns_the_candidate_record_on_accept(self):
-        prior, posterior, xi_map, gamma_map, calls, _ = self.local_setup()
+        prior, phi, xi_map, gamma_map, calls, _ = self.local_setup()
         kernel = local_gpcn(prior, gamma_map, 0.3)
         rng = np.random.default_rng(5)
-        state = initial_record(kernel, posterior, xi_map)
+        state = initial_record(kernel, phi, xi_map)
         moves = 0
         for _ in range(20):
-            new, accepted = mh_step(kernel, posterior, state, rng)
+            new, accepted = mh_step(kernel, phi, state, rng)
             if accepted:
                 moves += 1
-                assert new.phi == posterior.phi(new.u)
+                assert new.phi == phi(new.u)
                 fresh = kernel.pack_at(new.u)
                 assert np.array_equal(new.pack.v, fresh.v) and np.array_equal(new.pack.w, fresh.w)
             else:
@@ -324,17 +322,16 @@ class TestStateRecords:
         assert 0 < moves < 20
 
     def test_non_local_records_carry_the_fixed_pack(self):
-        posterior, _, _, gamma = linear_gaussian_setup()
-        prior = posterior.prior
+        prior, phi, _, _, gamma = linear_gaussian_setup()
         pack = build_operator_pack(prior, gamma, 0.4)
         for kernel, want in ((random_walk(prior, 0.4), None), (pcn(prior, 0.4), None),
                              (gauss_newton_rw(pack), pack), (gpcn(pack), pack)):
             rng = np.random.default_rng(3)
-            state = initial_record(kernel, posterior, np.zeros(prior.dim))
+            state = initial_record(kernel, phi, np.zeros(prior.dim))
             assert state.pack is want
             moves = 0
             for _ in range(10):
-                state, accepted = mh_step(kernel, posterior, state, rng)
+                state, accepted = mh_step(kernel, phi, state, rng)
                 moves += accepted
                 assert state.pack is want
             assert moves > 0
@@ -342,8 +339,8 @@ class TestStateRecords:
 
 class TestTuner:
     def test_flat_target_returns_upper_boundary_with_warning(self):
-        posterior = flat_posterior(3)
-        result = tune_step_size(pcn(posterior.prior, 0.5), posterior, 0.25, 1000,
+        prior, phi = flat_target(3)
+        result = tune_step_size(pcn(prior, 0.5), phi, 0.25, 1000,
                                 np.random.default_rng(7))
         assert result.s == pytest.approx(0.999)
         assert result.acceptance_rate == 1.0
@@ -354,9 +351,9 @@ class TestTuner:
         prior = PriorSpec(50)
         obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
                                      np.random.default_rng(8), seed=8)
-        posterior = elliptic.make_posterior(obs, model, prior)
+        phi = elliptic.make_posterior(obs, model)
         start = elliptic.map_estimate(obs, model, prior).xi
-        result = tune_step_size(pcn(prior, 0.5), posterior, 0.25, 2000,
+        result = tune_step_size(pcn(prior, 0.5), phi, 0.25, 2000,
                                 np.random.default_rng(9), initial_state=start)
         assert result.converged
         assert 0.20 <= result.acceptance_rate <= 0.30
@@ -366,13 +363,13 @@ class TestTuner:
         prior = PriorSpec(20)
         obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
                                      np.random.default_rng(10), seed=10)
-        posterior = elliptic.make_posterior(obs, model, prior)
+        phi = elliptic.make_posterior(obs, model)
         start = elliptic.map_estimate(obs, model, prior).xi
 
         def median_rate(s):
             rates = []
             for seed in (1, 2, 3):
-                cfg = ChainConfig(pcn(prior, s), posterior, n=2000, n0=0, seed=seed,
+                cfg = ChainConfig(pcn(prior, s), phi, n=2000, n0=0, seed=seed,
                                   initial_state=start)
                 rates.append(run_chain(cfg).acceptance_rate)
             return np.median(rates)
@@ -381,18 +378,18 @@ class TestTuner:
             assert median_rate(s / 2.0) >= median_rate(s)
 
     def test_validates_inputs(self):
-        posterior = flat_posterior(2)
-        kernel = pcn(posterior.prior, 0.5)
+        prior, phi = flat_target(2)
+        kernel = pcn(prior, 0.5)
         with pytest.raises(ValueError):
-            tune_step_size(kernel, posterior, 1.5, 1000, np.random.default_rng(0))
+            tune_step_size(kernel, phi, 1.5, 1000, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            tune_step_size(kernel, posterior, 0.3, 100, np.random.default_rng(0))
+            tune_step_size(kernel, phi, 0.3, 100, np.random.default_rng(0))
         for tol in (float("nan"), float("inf"), 0.0, -0.1, 1.0):
             with pytest.raises(ValueError, match="tol"):
-                tune_step_size(kernel, posterior, 0.3, 1000, np.random.default_rng(0), tol=tol)
+                tune_step_size(kernel, phi, 0.3, 1000, np.random.default_rng(0), tol=tol)
         for max_iters in (0, -1):
             with pytest.raises(ValueError, match="max_iters"):
-                tune_step_size(kernel, posterior, 0.3, 1000, np.random.default_rng(0),
+                tune_step_size(kernel, phi, 0.3, 1000, np.random.default_rng(0),
                                max_iters=max_iters)
 
     def test_early_stopped_pilots_match_full_pilots(self):
@@ -405,7 +402,7 @@ class TestTuner:
         for sigma, data_seed in ((0.1, 30), (0.01, 31)):
             obs = elliptic.generate_data(elliptic.default_truth, sigma, model,
                                          np.random.default_rng(data_seed), seed=data_seed)
-            posterior = elliptic.make_posterior(obs, model, prior)
+            phi = elliptic.make_posterior(obs, model)
             xi_map = elliptic.map_estimate(obs, model, prior).xi
             pack = build_operator_pack(prior, elliptic.build_gamma_from_map(xi_map, obs, model),
                                        0.5)
@@ -413,23 +410,22 @@ class TestTuner:
                        gpcn(pack))
             for kernel in kernels:
                 for tol in (0.05, 0.02):
-                    cases.append((kernel, posterior, 0.25, dict(initial_state=xi_map, tol=tol)))
+                    cases.append((kernel, phi, 0.25, dict(initial_state=xi_map, tol=tol)))
             for max_iters in (1, 2, 3):
-                cases.append((pcn(prior, 0.5), posterior, 0.25,
+                cases.append((pcn(prior, 0.5), phi, 0.25,
                               dict(initial_state=xi_map, tol=0.02, max_iters=max_iters)))
-        flat = flat_posterior(3)
-        cases.append((pcn(flat.prior, 0.5), flat, 0.25, {}))
+        flat_prior, flat = flat_target(3)
+        cases.append((pcn(flat_prior, 0.5), flat, 0.25, {}))
         # A potential so steep that even S_LO accepts only about half its
         # proposals, below the band around 0.9.
-        steep = Posterior(PriorSpec(3), lambda u: 1e7 * u[0])
-        cases.append((random_walk(steep.prior, 0.5), steep, 0.9, {}))
+        cases.append((random_walk(PriorSpec(3), 0.5), lambda u: 1e7 * u[0], 0.9, {}))
 
         returned = set()
         steps_full = steps_stopped = 0
-        for seed, (kernel, posterior, target, kwargs) in enumerate(cases):
-            full = reference_tune(kernel, posterior, target, 1000,
+        for seed, (kernel, phi, target, kwargs) in enumerate(cases):
+            full = reference_tune(kernel, phi, target, 1000,
                                   np.random.default_rng(seed), **kwargs)
-            fast = tune_step_size(kernel, posterior, target, 1000,
+            fast = tune_step_size(kernel, phi, target, 1000,
                                   np.random.default_rng(seed), **kwargs)
             assert fast.s == full.s
             assert fast.acceptance_rate == full.acceptance_rate
@@ -449,11 +445,11 @@ class TestTuner:
         # Hoeffding interval is [-h(k), h(k)]; it falls below the target at
         # the first k above ln(2 n / delta) / (2 target^2), where the exact
         # rule alone needs k > (1 - target) n.
-        steep = Posterior(PriorSpec(3), lambda u: 1e7 * float(u @ u))
+        steep = lambda u: 1e7 * float(u @ u)
         n, target = 1000, 0.25
         bound = math.ceil(math.log(2 * n / PILOT_DELTA) / (2 * target**2))
         assert bound == 117
-        result = tune_step_size(pcn(steep.prior, 0.5), steep, target, n,
+        result = tune_step_size(pcn(PriorSpec(3), 0.5), steep, target, n,
                                 np.random.default_rng(3))
         assert result.pilots[0] == (S_HI, bound, 0)
         assert result.converged and result.pilots[-1][1] == n   # the returned pilot ran to its end
@@ -466,20 +462,20 @@ class TestTuner:
             prior = PriorSpec(n_modes)
             obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
                                          np.random.default_rng(20), seed=20)
-            posterior = elliptic.make_posterior(obs, model, prior)
+            phi = elliptic.make_posterior(obs, model)
             xi_map = elliptic.map_estimate(obs, model, prior).xi
             gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
-            return prior, posterior, xi_map, gamma
+            return prior, phi, xi_map, gamma
 
-        prior, posterior, xi_map, gamma = cell(50)
-        tuned = tune_step_size(gpcn(build_operator_pack(prior, gamma, 0.5)), posterior,
+        prior, phi, xi_map, gamma = cell(50)
+        tuned = tune_step_size(gpcn(build_operator_pack(prior, gamma, 0.5)), phi,
                                0.25, 2000, np.random.default_rng(21),
                                initial_state=xi_map)
         rates = {}
         for n_modes in (50, 200):
-            prior, posterior, xi_map, gamma = cell(n_modes)
+            prior, phi, xi_map, gamma = cell(n_modes)
             kernel = gpcn(build_operator_pack(prior, gamma, tuned.s))
-            cfg = ChainConfig(kernel, posterior, n=5000, n0=500, seed=22,
+            cfg = ChainConfig(kernel, phi, n=5000, n0=500, seed=22,
                               initial_state=xi_map, thin=None)
             rates[n_modes] = run_chain(cfg).acceptance_rate
         assert abs(rates[50] - rates[200]) <= 0.05
@@ -487,9 +483,9 @@ class TestTuner:
 
 class TestExports:
     def make_trace(self, tmp_path):
-        posterior = flat_posterior(2)
+        prior, phi = flat_target(2)
         model = elliptic.ForwardModel(2)
-        cfg = ChainConfig(pcn(posterior.prior, 0.4), posterior, n=200, n0=20, seed=12,
+        cfg = ChainConfig(pcn(prior, 0.4), phi, n=200, n0=20, seed=12,
                           qoi={"exp_integral": lambda u: qoi_exp_integral(u, model)})
         return run_chain(cfg)
 
@@ -521,9 +517,9 @@ class TestExports:
         assert np.array_equal(loaded, trace.states)
 
     def test_csv_reader_matches_the_row_list_parser(self, tmp_path):
-        posterior = flat_posterior(3)
+        prior, phi = flat_target(3)
         model = elliptic.ForwardModel(3)
-        cfg = ChainConfig(pcn(posterior.prior, 0.6), posterior, n=500, n0=50, seed=13,
+        cfg = ChainConfig(pcn(prior, 0.6), phi, n=500, n0=50, seed=13,
                           thin=None,
                           qoi={"exp_integral": lambda u: qoi_exp_integral(u, model),
                                "first": lambda u: float(u[0])})

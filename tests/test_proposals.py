@@ -207,6 +207,17 @@ class TestKernelPlumbing:
         with pytest.raises(ValueError):
             ProposalKernel("gpcn", PriorSpec(2), 0.5)
 
+    @pytest.mark.parametrize("variant", ("gn-rw", "gpcn"))
+    def test_pack_must_share_the_kernel_prior(self, variant):
+        prior = PriorSpec(3)
+        for other in (PriorSpec(3, eigenvalues=[4.0, 4.0, 4.0]), PriorSpec(4)):
+            pack = build_operator_pack(other, FactoredGamma(np.eye(other.dim)), 0.5)
+            with pytest.raises(ValueError, match="prior spectrum"):
+                ProposalKernel(variant, prior, 0.5, pack=pack)
+        # an equal spectrum in another PriorSpec object is the same prior
+        same = build_operator_pack(PriorSpec(3), FactoredGamma(np.eye(3)), 0.5)
+        assert ProposalKernel(variant, prior, 0.5, pack=same).pack is same
+
     def test_with_step_size_rebuilds_pack(self):
         rng = np.random.default_rng(3)
         prior = PriorSpec(4)
