@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import ForwardModel, kl_to_field
+from .elliptic import ForwardModel, kl_to_field, stored_solve
 
 
 def _acf_full(series: np.ndarray) -> np.ndarray:
@@ -104,5 +104,9 @@ def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:
 
 
 def qoi_exp_integral(xi, model: ForwardModel) -> float:
-    """Quantity of interest int_0^1 exp(u(x)) dx by the trapezoidal rule."""
-    return float(model.weights[-1] @ np.exp(kl_to_field(xi, model)))
+    """Quantity of interest int_0^1 exp(u(x)) dx by the trapezoidal rule.
+
+    At a chain state the field is the one its ``phi`` synthesized."""
+    solve = stored_solve(xi, model)
+    field = kl_to_field(xi, model) if solve is None else solve[0]
+    return float(model.weights[-1] @ np.exp(field))

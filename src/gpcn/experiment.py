@@ -427,12 +427,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Compute and persist the MAP point and the curvature ``sampler.gamma``
-    selects for the first sweep cell."""
+    selects for the first sweep cell, the latter as its r x N factor F
+    (Gamma = F^T F) in ``gamma_factor.npy``."""
     out = out_dir or cfg.out_dir
     model, prior, data_seed, obs, phi, result = build_problem(cfg, 0, 0)
     os.makedirs(out, exist_ok=True)
     np.save(os.path.join(out, "xi_map.npy"), result.xi)
-    np.save(os.path.join(out, "gamma.npy"), build_curvature(cfg, prior, model, obs, result.xi).dense())
+    gamma = build_curvature(cfg, prior, model, obs, result.xi)
+    np.save(os.path.join(out, "gamma_factor.npy"), gamma.factor)
     summary = {
         "config": dict((k, v) for k, v in cfg.items()),
         "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,

@@ -19,6 +19,8 @@ kernels, cost O(N r); no N x N matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 
@@ -70,10 +72,12 @@ class FactoredGamma:
 class OperatorPack:
     """All Gamma-derived operators for one (Gamma, s), from H = V diag(w) V^T.
 
-    ``logdet_ih`` = log det(I + H), ``h_norm`` = ||H||, ``a0`` and the
-    s-scaled N x r factors are derived on construction, so
-    ``dataclasses.replace(pack, s=...)`` needs no new SVD; ``cm_norm`` =
-    ||C^{-1/2} Delta|| is computed on access (only the moment bound reads it).
+    ``logdet_ih`` = log det(I + H), ``h_norm`` = ||H|| and ``a0`` are
+    derived on construction, so ``dataclasses.replace(pack, s=...)`` needs
+    no new SVD.  The s-scaled factors of A and R are built on first use and
+    kept, since a rejected local-variant candidate reads at most one of
+    them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed on access (only the
+    moment bound reads it).
     """
 
     prior: PriorSpec
@@ -82,21 +86,28 @@ class OperatorPack:
     w: np.ndarray
 
     def __post_init__(self):
-        s, w, std = self.s, self.w, self.prior.std
+        s, w = self.s, self.w
         if not 0.0 <= s < 1.0:
             raise ValueError(f"step size s must lie in [0, 1), got {s}")
-        a0 = np.sqrt(1.0 - s * s)
-        mean_coef = np.sqrt(1.0 - s * s / (1.0 + w)) - a0     # f(w) - a0
-        derived = {
-            "logdet_ih": float(np.sum(np.log1p(w))),
-            "h_norm": float(w.max(initial=0.0)),
-            "a0": a0,
-            "_left": std[:, None] * self.v,                   # C^{1/2} V
-            "_mean_right": mean_coef[:, None] * (self.v.T / std[None, :]),   # (f(w) - a0) V^T C^{-1/2}
-            "_noise_right": (s * (1.0 / np.sqrt(1.0 + w) - 1.0))[:, None] * self.v.T,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "logdet_ih", float(np.sum(np.log1p(w))))
+        object.__setattr__(self, "h_norm", float(w.max(initial=0.0)))
+        object.__setattr__(self, "a0", np.sqrt(1.0 - s * s))
+
+    @cached_property
+    def _left(self) -> np.ndarray:
+        """C^{1/2} V, N x r."""
+        return self.prior.std[:, None] * self.v
+
+    @cached_property
+    def _mean_right(self) -> np.ndarray:
+        """(f(w) - a0) V^T C^{-1/2}, r x N."""
+        mean_coef = np.sqrt(1.0 - self.s * self.s / (1.0 + self.w)) - self.a0
+        return mean_coef[:, None] * (self.v.T / self.prior.std[None, :])
+
+    @cached_property
+    def _noise_right(self) -> np.ndarray:
+        """s ((1 + w)^{-1/2} - 1) V^T, r x N."""
+        return (self.s * (1.0 / np.sqrt(1.0 + self.w) - 1.0))[:, None] * self.v.T
 
     @property
     def cm_norm(self) -> float:
@@ -156,19 +167,25 @@ def log_rho_gamma(pack: OperatorPack, u: np.ndarray, v: np.ndarray) -> float:
     """Log density at v between the plain and adapted proposals started at u.
 
     rho(u, v) = dN(sqrt(1-s^2) u, s^2 C) / dN(A u, s^2 C_Gamma) evaluated at
-    v, composed from the two primitive densities with the residual
-    t = (v - A u)/s:
+    v.  With the residual t = (v - A u)/s it is the composition
 
-        log rho = log_pi_cm(Delta u / s, t) + log_pi_gamma(t)
+        log rho = log_pi_cm(Delta u / s, t) + log_pi_gamma(t),
 
-    The shift passed to the mean-change factor carries the 1/s from the
-    change of variables; rho is symmetric in (u, v).
+    the shift carrying the 1/s from the change of variables.  Both factors
+    live in range(V): C^{-1/2} Delta u / s = -V c with c = (f(w) - a0)
+    V^T C^{-1/2} u / s, and x = V^T C^{-1/2} t = V^T C^{-1/2} (v - a0 u) / s - c,
+    so in those r coordinates
+
+        log rho = -1/2 |c|^2 - c.x + 1/2 w.x^2 - 1/2 log det(I + H),
+
+    two r x N products, reading neither C^{1/2} V nor the noise factor.  rho
+    is symmetric in (u, v).
     """
     if pack.s <= 0.0:
         raise ValueError("proposal density requires s > 0 (degenerate proposals at s = 0)")
-    range_part = pack._left @ (pack._mean_right @ u)     # A u - a0 u = -Delta u
-    t = (v - pack.a0 * u - range_part) / pack.s
-    return log_pi_cm(pack.prior, -range_part / pack.s, t) + log_pi_gamma(pack, t)
+    c = (pack._mean_right @ u) / pack.s
+    x = (pack.v.T @ ((v - pack.a0 * u) / pack.prior.std)) / pack.s - c
+    return float(0.5 * (pack.w @ (x * x)) - c @ (0.5 * c + x) - 0.5 * pack.logdet_ih)
 
 
 def admissible_exponent_bound(pack: OperatorPack) -> float:

@@ -4,6 +4,10 @@
 the record ``State(u, phi(u), kernel.pack_at(u))``.  A target is named by its
 potential phi alone: it is exp(-phi) times ``kernel.prior``, the chain's one prior.
 
+Every chain state u is a read-only array.  So a potential may keep what it
+computed at u for the pack and the QoI to read (``elliptic.forward_solve``
+does), knowing that u cannot change under it.
+
 Determinism contract: every step consumes exactly one standard normal vector
 (the proposal draw) followed by one uniform (the accept test), both drawn by
 ``mh_step`` from the chain's ``numpy.random.Generator``, so a fixed seed
@@ -52,12 +56,14 @@ def mh_step(kernel, phi, state, rng, radius=None):
     times the indicator ||v|| < radius when a radius is given.  Non-finite
     phi(v) counts as a rejection.  ``kernel.pack_at(v)`` runs once, only for
     a v that passed both checks.  Returns ``(state, accepted)``: the
-    candidate's record on accept, the given one otherwise.
+    candidate's record on accept, the given one otherwise.  The candidate
+    is made read-only before ``phi`` sees it.
     """
     u, phi_u, pack_u = state
     z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
     v = propose(kernel, u, z, pack_u)
+    v.setflags(write=False)
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
     phi_v = phi(v)
@@ -155,6 +161,7 @@ def run_chain(config: ChainConfig,
     n, n0, thin = config.n, config.n0, config.thin
 
     u = config.initial_state.copy()
+    u.setflags(write=False)
     phi_u = phi(u)
     if not math.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")

@@ -377,15 +377,17 @@ class TestMapCommand:
         cfg = resolve_config(text)
         summary = run_map_command(cfg)
         xi = np.load(out / "xi_map.npy")
-        gamma = np.load(out / "gamma.npy")
+        factor = np.load(out / "gamma_factor.npy")
         from gpcn import elliptic
         from gpcn.gaussian_ops import PriorSpec
 
         model = elliptic.ForwardModel(12)
         obs = observation_from_json(json.dumps(summary["observation"]))
         assert summary["phi_at_map"] == elliptic.phi(xi, obs, model)
-        rebuilt = elliptic.build_gamma_from_map(xi, obs, model).dense()
-        assert np.array_equal(gamma, rebuilt)
+        rebuilt = elliptic.build_gamma_from_map(xi, obs, model)
+        assert factor.shape == (4, 12) and np.array_equal(factor, rebuilt.factor)
+        assert not (out / "gamma.npy").exists()
+        assert np.array_equal(factor.T @ factor, rebuilt.dense())
         assert json.loads((out / "map.json").read_text())["converged"] is True
         assert summary["stop"] in ("gradient", "step")
         assert PriorSpec(12).dim == xi.shape[0]
@@ -394,20 +396,23 @@ class TestMapCommand:
         from gpcn import elliptic
         from gpcn.gaussian_ops import PriorSpec
 
-        gammas = {}
+        factors = {}
         for source in ("zero", "averaged"):
             out = tmp_path / source
             text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
                     f"sampler.variant = gpcn\nsampler.gamma = {source}\n"
                     f"sampler.gamma_points = 3\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
             run_map_command(resolve_config(text))
-            gammas[source] = np.load(out / "gamma.npy")
-        assert gammas["zero"].shape == (12, 12) and not gammas["zero"].any()
+            factors[source] = np.load(out / "gamma_factor.npy")
+        assert factors["zero"].shape == (0, 12)
+        assert not (factors["zero"].T @ factors["zero"]).any()
         prior = PriorSpec(12)
         rng = np.random.default_rng(derive_seed(11, 3, 12))
         points = [prior.sample(rng) for _ in range(3)]
-        expected = elliptic.build_gamma_averaged(points, 0.1, elliptic.ForwardModel(12)).dense()
-        assert np.array_equal(gammas["averaged"], expected)
+        expected = elliptic.build_gamma_averaged(points, 0.1, elliptic.ForwardModel(12))
+        averaged = factors["averaged"]
+        assert averaged.shape == (4 * 3, 12) and np.array_equal(averaged, expected.factor)
+        assert np.array_equal(averaged.T @ averaged, expected.dense())
 
     def test_consistent_data_gives_near_zero_map(self, tmp_path):
         out = tmp_path / "map0"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpcn import elliptic
+from gpcn import diagnostics, elliptic
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.elliptic import (
     FFT_MIN_SIZE,
@@ -15,11 +15,13 @@ from gpcn.elliptic import (
     default_truth,
     forward,
     forward_from_field,
+    forward_solve,
     generate_data,
     jacobian,
     kl_to_field,
     map_estimate,
     phi,
+    stored_solve,
 )
 from gpcn.gaussian_ops import PriorSpec
 from helpers import (
@@ -171,6 +173,57 @@ class TestJacobian:
         # trapezoid error on these integrals grows like k dx^2 (~1e-6 k)
         assert np.allclose(s1, analytic_s1, atol=1e-5)
         assert np.abs(s1[1::2]).max() < 1e-15
+
+
+class TestForwardSolve:
+    """A model keeps the last solve of a read-only array that owns its data,
+    and serves it only for that array while it stays read-only."""
+
+    def problem(self, n=12):
+        model = ForwardModel(n)
+        obs = make_obs(LINEAR_G + 0.05)
+        xi = 0.4 * np.random.default_rng(n).standard_normal(n) / np.arange(1, n + 1)
+        return model, obs, xi
+
+    def test_read_only_owner_is_solved_once(self, monkeypatch):
+        model, obs, xi = self.problem()
+        xi.flags.writeable = False
+        fields = []
+        synthesize = elliptic.kl_to_field
+        for module in (elliptic, diagnostics):
+            monkeypatch.setattr(module, "kl_to_field",
+                                lambda x, m: fields.append(1) or synthesize(x, m))
+        value = phi(xi, obs, model)
+        jac = jacobian(xi, model)
+        qoi = qoi_exp_integral(xi, model)
+        assert len(fields) == 1 and stored_solve(xi, model) is forward_solve(xi, model)
+        assert value == phi(xi, obs, ForwardModel(12))
+        assert np.array_equal(jac, jacobian(xi, ForwardModel(12)))
+        assert qoi == qoi_exp_integral(xi, ForwardModel(12))
+        assert stored_solve(xi.copy(), model) is None
+
+    @pytest.mark.parametrize("read", ["jacobian", "qoi"])
+    def test_array_changed_in_place_gets_a_fresh_solve(self, read):
+        # A writeable array, a read-only view of a writeable base, and a
+        # read-only owner made writeable again: each is changed in place
+        # after phi, and the read that follows sees the new values.
+        def evaluate(x, model):
+            return jacobian(x, model) if read == "jacobian" else qoi_exp_integral(x, model)
+
+        model, obs, xi = self.problem()
+        writeable = xi.copy()
+        base = xi.copy()
+        view = base[:]
+        view.flags.writeable = False
+        reopened = xi.copy()
+        reopened.flags.writeable = False
+        for x, target in ((writeable, writeable), (view, base), (reopened, reopened)):
+            phi(x, obs, model)
+            if x is reopened:
+                x.flags.writeable = True
+            target[3] += 0.25
+            assert stored_solve(x, model) is None
+            assert np.array_equal(evaluate(x, model), evaluate(x, ForwardModel(12)))
 
 
 # Table side: N <= 255 at dx 2^-9, N <= 127 at dx 2^-10; FFT side above.

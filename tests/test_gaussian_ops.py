@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,40 @@ class TestBuildOperatorPack:
         assert np.all(diags[0] > diags[1]) and np.all(diags[1] > diags[2])
 
 
+def eager_factors(pack):
+    """The pack's three factors, by the formulas once evaluated eagerly on construction."""
+    std, w, s = pack.prior.std, pack.w, pack.s
+    a0 = np.sqrt(1.0 - s * s)
+    mean_coef = np.sqrt(1.0 - s * s / (1.0 + w)) - a0
+    return {"_left": std[:, None] * pack.v,
+            "_mean_right": mean_coef[:, None] * (pack.v.T / std[None, :]),
+            "_noise_right": (s * (1.0 / np.sqrt(1.0 + w) - 1.0))[:, None] * pack.v.T}
+
+
+class TestLazyFactors:
+    def test_built_on_first_use_by_the_eager_formulas(self):
+        rng = np.random.default_rng(43)
+        for n, r in ((6, 0), (7, 3), (5, 5), (20, 4), (8, 12)):
+            pack = build_operator_pack(PriorSpec(n), FactoredGamma(rng.standard_normal((r, n))),
+                                       float(rng.uniform(0.05, 0.95)))
+            assert set(vars(pack)) == {"prior", "s", "v", "w", "logdet_ih", "h_norm", "a0"}
+            for name, want in eager_factors(pack).items():
+                got = getattr(pack, name)
+                assert np.array_equal(got, want), name
+                assert getattr(pack, name) is got, name          # built once, then kept
+
+    def test_replace_rebuilds_them_at_the_new_step(self):
+        pack = build_operator_pack(PriorSpec(9), random_factor(9, np.random.default_rng(47)), 0.3)
+        before = {name: getattr(pack, name) for name in eager_factors(pack)}
+        moved = replace(pack, s=0.7)
+        assert moved.v is pack.v and moved.w is pack.w
+        for name, want in eager_factors(moved).items():
+            assert np.array_equal(getattr(moved, name), want), name
+        assert not np.array_equal(moved._mean_right, before["_mean_right"])
+        assert not np.array_equal(moved._noise_right, before["_noise_right"])
+        assert np.array_equal(pack._mean_right, before["_mean_right"])
+
+
 class TestDensities:
     def test_pi_cm_zero_shift(self):
         prior = PriorSpec(4)
@@ -256,6 +292,24 @@ class TestLogRhoGamma:
         pack = build_operator_pack(PriorSpec(3), random_factor(3, rng), 0.0)
         with pytest.raises(ValueError):
             log_rho_gamma(pack, np.zeros(3), np.zeros(3))
+
+    def test_r_coordinates_match_the_composition_of_the_two_factors(self):
+        # The reference is the N-space composition log_pi_cm(Delta u / s, t)
+        # + log_pi_gamma(t), t = (v - A u) / s, evaluated at the proposal's
+        # own draws v and at prior draws.
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            n, r = int(rng.integers(2, 51)), int(rng.integers(0, 5))
+            prior = PriorSpec(n)
+            pack = build_operator_pack(prior, FactoredGamma(rng.standard_normal((r, n))),
+                                       float(rng.uniform(0.05, 0.95)))
+            u = prior.sample(rng)
+            for v in (pack.apply_a(u) + pack.scaled_noise(rng.standard_normal(n)), prior.sample(rng)):
+                range_part = pack._left @ (pack._mean_right @ u)        # A u - a0 u = -Delta u
+                t = (v - pack.a0 * u - range_part) / pack.s
+                want = log_pi_cm(prior, -range_part / pack.s, t) + log_pi_gamma(pack, t)
+                got = log_rho_gamma(pack, u, v)
+                assert abs(got - want) <= 1e-12 * abs(want), (n, r, got, want)
 
 
 class TestIntegrabilityBound:

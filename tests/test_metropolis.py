@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpcn import elliptic
+from gpcn import diagnostics, elliptic
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
 from gpcn.metropolis import (
@@ -20,6 +20,7 @@ from gpcn.metropolis import (
     write_trace_csv,
 )
 from gpcn.proposals import (
+    LOCAL_VARIANTS,
     VARIANTS,
     gauss_newton_rw,
     gpcn,
@@ -335,6 +336,66 @@ class TestStateRecords:
                 moves += accepted
                 assert state.pack is want
             assert moves > 0
+
+
+class TestSharedSolve:
+    """Over the elliptic posterior a chain synthesizes each field once: phi
+    does, and the Jacobian of a local pack and the QoI read its solve."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_field_per_candidate_that_reaches_phi(self, variant, monkeypatch):
+        n, n0, steps = 20, 10, 60
+        model, prior = elliptic.ForwardModel(n), PriorSpec(n)
+        obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
+                                     np.random.default_rng(30), seed=30)
+        xi_map = elliptic.map_estimate(obs, model, prior).xi
+        gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
+        syntheses, within = {"phi": 0, "gamma_map": 0, "qoi": 0}, []
+        phi_calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                within.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    within.pop()
+            return call
+
+        potential = elliptic.make_posterior(obs, model)
+        phi = counted("phi", lambda u: phi_calls.append(1) or potential(u))
+        qoi = {"exp_integral": counted("qoi", lambda u: qoi_exp_integral(u, model))}
+        if variant in LOCAL_VARIANTS:
+            factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
+            gamma_map = counted("gamma_map", lambda u: elliptic.build_gamma_from_map(u, obs, model))
+            kernel = factory(prior, gamma_map, 0.2)
+        else:
+            kernel = kernel_of(variant, prior, gamma, 0.2)
+
+        synthesize = elliptic.kl_to_field
+
+        def synthesis(xi, m):
+            syntheses[within[-1]] += 1
+            return synthesize(xi, m)
+
+        for module in (elliptic, diagnostics):
+            monkeypatch.setattr(module, "kl_to_field", synthesis)
+        for radius in (None, np.linalg.norm(xi_map) + 0.05):
+            phi_calls.clear()
+            syntheses.update(dict.fromkeys(syntheses, 0))
+            cfg = ChainConfig(kernel, phi, n=steps, n0=n0, seed=32, initial_state=xi_map,
+                              restriction_radius=radius, qoi=qoi)
+            trace = run_chain(cfg)
+            counts, calls = dict(syntheses), len(phi_calls)
+            assert 0 < trace.accepts.sum() < n0 + steps
+            # once for the initial state, then once per candidate that reaches phi
+            assert counts["phi"] == calls == 1 + reference_chain(cfg)[3]
+            assert (calls < 1 + n0 + steps) == (radius is not None)   # some left the ball
+            assert counts["gamma_map"] == 0
+            # The QoI reads the field of every accepted candidate.  Only its first
+            # value, when that step rejects, is of a state the one-entry memo has
+            # since dropped for a later candidate.
+            assert counts["qoi"] == (0 if trace.accepts[n0] else 1)
 
 
 class TestTuner:
