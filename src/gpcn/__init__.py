@@ -67,8 +67,8 @@ from .spectral import (
     comparison_check,
     conductance,
     detailed_balance_gap,
+    discretize_kernel,
     discretize_metropolis,
-    grid_gpcn_metropolis,
     kappa_p,
     positivity_check,
     restrict_chain,

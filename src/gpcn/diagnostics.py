@@ -16,9 +16,18 @@ import numpy as np
 from .elliptic import ForwardModel, kl_to_field, stored_solve
 
 
-def _acf_full(series: np.ndarray) -> np.ndarray:
-    """Biased-normalized ACF at all lags 0..n-1 via FFT; rejects constant input."""
+def _finite(series) -> np.ndarray:
+    """The series as a flat float array; ValueError at its first non-finite entry."""
     x = np.asarray(series, dtype=float).ravel()
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"series must be finite, got series[{i}] = {x[i]}")
+    return x
+
+
+def _acf_full(series: np.ndarray) -> np.ndarray:
+    """Biased-normalized ACF at all lags 0..n-1 via FFT; rejects constant or non-finite input."""
+    x = _finite(series)
     n = x.shape[0]
     x = x - x.mean()
     nfft = 1 << int(np.ceil(np.log2(2 * n)))
@@ -89,7 +98,7 @@ def ess_ims(series) -> DiagnosticsReport:
 
 def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:
     """Batch-means ESS with ``n_batches`` equal batches (tail truncated if ragged)."""
-    x = np.asarray(series, dtype=float).ravel()
+    x = _finite(series)
     n = x.shape[0]
     size = n // n_batches
     if size < 10:

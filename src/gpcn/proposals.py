@@ -34,6 +34,7 @@ from .gaussian_ops import (
 VARIANTS = ("rw", "pcn", "gn-rw", "gpcn", "local-gpcn", "local-gpcn2")
 PACK_VARIANTS = ("gn-rw", "gpcn")
 LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
+PRIOR_REVERSIBLE = ("pcn", "gpcn")     # reversible for the prior: zero acceptance correction
 
 
 def check_step_size(variant: str, s: float) -> None:
@@ -149,7 +150,7 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     at u and v, ``kernel.pack_at(u)`` and ``kernel.pack_at(v)``.
     """
     variant = kernel.variant
-    if variant in ("pcn", "gpcn"):
+    if variant in PRIOR_REVERSIBLE:
         return 0.0
     lam = kernel.prior.eigenvalues
     if variant in ("rw", "gn-rw"):

@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
+from .proposals import PRIOR_REVERSIBLE, ProposalKernel, gpcn, propose
+
 MAX_ENUM_STATES = 22       # subset enumeration budget (a conductance call: about 15 ms at n = 22)
 _ENUM_BLOCK = 1 << 14      # subsets per block of the enumeration (cache-sized temporaries)
 _STOCHASTIC_TOL = 1e-12
@@ -90,10 +93,7 @@ def _centered_spectrum(chain: FiniteChain) -> np.ndarray:
 def spectral_gap(chain: FiniteChain) -> float:
     """1 minus the largest absolute eigenvalue on the centered subspace."""
     _require_reversible(chain, "spectral_gap")
-    w = _centered_spectrum(chain)
-    if w.size == 0:
-        return 1.0
-    return float(1.0 - np.abs(w).max())
+    return float(1.0 - np.abs(_centered_spectrum(chain)).max(initial=0.0))
 
 
 def _check_enum_budget(n: int, what: str) -> None:
@@ -175,8 +175,7 @@ def cheeger_check(chain: FiniteChain) -> dict:
     """Both sides of phi^2/2 <= 1 - Lambda <= 2 phi, with pass flag."""
     _require_reversible(chain, "cheeger_check")
     phi = conductance(chain)
-    w = _centered_spectrum(chain)
-    lam = float(w.max()) if w.size else -1.0
+    lam = float(_centered_spectrum(chain).max(initial=-1.0))
     lower, upper = 0.5 * phi * phi, 2.0 * phi
     ok = (lower <= 1.0 - lam + _EIG_SLACK) and (1.0 - lam <= upper + _EIG_SLACK)
     return {"phi": phi, "lambda_max": lam, "lower": lower, "upper": upper,
@@ -201,6 +200,11 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
         raise ValueError("target pmf must be a strictly positive vector")
     if q1.shape != (pi.size, pi.size) or q2.shape != q1.shape:
         raise ValueError("proposal matrix shape mismatch")
+    for name, q in (("q1", q1), ("q2", q2)):
+        bad = np.argwhere(~(q >= 0.0) | np.isinf(q))        # q >= 0 is False for NaN
+        if bad.size:
+            raise ValueError(f"proposal entries must be finite and >= 0, got "
+                             f"{name}[{bad[0, 0]},{bad[0, 1]}] = {q[tuple(bad[0])]}")
     pi = pi / pi.sum()
     bad = (q1 > 0.0) & (q2 == 0.0)
     if bad.any():
@@ -235,6 +239,40 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
     np.fill_diagonal(m, 0.0)
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
     return FiniteChain(m, pi)
+
+
+def _proposal_law(kernel: ProposalKernel, x: np.ndarray) -> np.ndarray:
+    """Rows propose(kernel, x, z, kernel.pack_at(x)) for z = 0, e_1, ..., e_N."""
+    pack = kernel.pack_at(x)
+    return np.array([propose(kernel, x, z, pack) for z in np.eye(x.size + 1, x.size, -1)])
+
+
+def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> FiniteChain:
+    """Metropolis chain of ``kernel`` on ``points`` (n x N, cell volume ``cell``) for the target
+    prior(x_i) exp(-phi(x_i)).  q_ij is the density at x_j of the law ``propose`` gives at x_i
+    times ``cell``; ``PRIOR_REVERSIBLE`` variants average log prior_i + log q_ij with its
+    transpose (an exactly symmetric flow).  Entries whose transpose underflows are zeroed, q is
+    divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's Riemann sum),
+    and the diagonal takes the rest of each row (the restricted chain).  ValueError naming s if
+    the chain is reducible (a second eigenvalue within 1e-10 of 1): the grid misses the step."""
+    x = np.asarray(points, dtype=float)
+    draws = np.array([_proposal_law(kernel, u) for u in x])     # means, then means + root columns
+    means, roots = draws[:, 0], (draws[:, 1:] - draws[:, :1]).transpose(0, 2, 1)
+    white = np.linalg.solve(roots, (x[None, :, :] - means[:, None, :]).transpose(0, 2, 1))
+    log_q = (np.log(cell) - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
+             - np.linalg.slogdet(roots)[1][:, None] - 0.5 * (white * white).sum(axis=1))
+    log_prior = -0.5 * (x * x / kernel.prior.eigenvalues).sum(axis=1)
+    if kernel.variant in PRIOR_REVERSIBLE:
+        log_q = 0.5 * (log_q + log_q.T + log_prior[None, :] - log_prior[:, None])
+    q = np.exp(log_q)
+    q *= (q.T > 0.0) & ~np.eye(len(x), dtype=bool)
+    q /= max(1.0, q.sum(axis=1).max())
+    q[np.diag_indices_from(q)] = np.maximum(1.0 - q.sum(axis=1), 0.0)    # >= 0 despite rounding
+    log_target = log_prior - np.array([phi(u) for u in x])
+    chain = discretize_metropolis(np.exp(log_target - log_target.max()), q)
+    if _centered_spectrum(chain).max(initial=-1.0) < 1.0 - _EIG_SLACK:
+        return chain
+    raise ValueError(f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible")
 
 
 def positivity_check(chain: FiniteChain) -> float:
@@ -367,32 +405,6 @@ def random_proposal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def grid_gpcn_metropolis(n_states: int = 15, prior_var: float = 1.0, gamma: float = 2.0,
-                         s: float = 0.5, like_precision: float = 1.5,
-                         half_width: float = 4.0) -> FiniteChain:
-    """Grid discretization of the adapted autoregressive Metropolis chain on a
-    1-D Gaussian target.
-
-    The discrete proposal is built from the symmetric object
-    prior(x_i) q(x_i, x_j) (symmetric because the proposal is
-    prior-reversible), so the quadrature chain inherits positivity exactly;
-    the target is the discrete prior reweighted by exp(-like_precision x^2/2).
-    """
-    x = np.linspace(-half_width * np.sqrt(prior_var), half_width * np.sqrt(prior_var), n_states)
-    h = prior_var * gamma
-    a = np.sqrt(1.0 - s * s / (1.0 + h))
-    c_gamma = prior_var / (1.0 + h)
-    prop_var = s * s * c_gamma
-    log_prior = -0.5 * x**2 / prior_var
-    log_kernel = -0.5 * (x[None, :] - a * x[:, None]) ** 2 / prop_var
-    flow = np.exp(log_prior[:, None] + log_kernel)
-    flow = 0.5 * (flow + flow.T)
-    proposal = flow / flow.sum(axis=1, keepdims=True)
-    prior_pmf = flow.sum(axis=1)
-    target = prior_pmf * np.exp(-0.5 * like_precision * x**2)
-    return discretize_metropolis(target / target.sum(), proposal)
-
-
 def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0) -> dict:
     """Randomized verification battery; the report is replayable from its seed.
 
@@ -424,7 +436,10 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
             "instance": k, "db_gap": db, "cheeger": cheeger, "comparison": comparison,
             "restriction": restriction, "asymptotic_variance": avar, "ok": bool(ok),
         })
-    grid_min_eig = positivity_check(grid_gpcn_metropolis())
+    pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
+    grid = discretize_kernel(gpcn(pack), lambda u: 0.75 * float(u @ u),
+                             np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
+    grid_min_eig = positivity_check(grid)
     grid_ok = grid_min_eig >= -_EIG_SLACK
     return {
         "seed": int(seed), "n_instances": n_instances, "n_states": n_states, "p": p,

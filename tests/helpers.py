@@ -75,6 +75,18 @@ def sampler_operators(pack):
     return a, root
 
 
+def lab_grid_chain():
+    """The grid gpCN chain whose positivity ``run_lab`` certifies: prior N(0, 1),
+    Gamma = 2, s = 0.5 and phi = 0.75 x^2 on 15 points of [-4, 4]."""
+    from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
+    from gpcn.proposals import gpcn
+    from gpcn.spectral import discretize_kernel
+
+    pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
+    return discretize_kernel(gpcn(pack), lambda u: 0.75 * float(u @ u),
+                             np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
+
+
 def linear_posterior(L, b, y, Sigma, prior):
     """Exact Gaussian posterior (mean, covariance) for the affine model y = L xi + b + noise.
 

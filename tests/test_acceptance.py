@@ -27,7 +27,6 @@ from gpcn.spectral import (
     cheeger_check,
     comparison_check,
     detailed_balance_gap,
-    grid_gpcn_metropolis,
     positivity_check,
     random_proposal,
     random_reversible_chain,
@@ -37,6 +36,7 @@ from helpers import (
     ar1_series,
     dense_operators,
     gaussian_logpdf,
+    lab_grid_chain,
     linear_posterior,
     random_factor,
     sampler_operators,
@@ -266,13 +266,14 @@ def test_criterion_09_finite_state_lab():
         subset = rng.choice(n, size=max(2, n // 2), replace=False)
         if not restriction_check(chain, subset)["ok"]:
             failures.append(f"{k}: restriction")
-    grid_eig = positivity_check(grid_gpcn_metropolis(n_states=15))
+    grid_eig = positivity_check(lab_grid_chain())
     if grid_eig < -1e-10:
         failures.append("grid positivity")
     report("criterion-09 finite-state-lab", not failures,
            f"20 seeded instances (n <= 12): detailed balance < 1e-12, Cheeger, "
-           f"comparison (lazified as needed), restriction all hold; grid-adapted "
-           f"Metropolis min eig = {grid_eig:.2e} (>= -1e-10); failures: {failures or 'none'}")
+           f"comparison (lazified as needed), restriction all hold; the lab's grid "
+           f"gpCN chain (read from propose) min eig = {grid_eig:.2e} (>= -1e-10); "
+           f"failures: {failures or 'none'}")
 
 
 def test_criterion_10_ess_estimators():

@@ -460,6 +460,22 @@ class TestDiagnoseCommand:
         assert "at least 100 samples" in entry["ims"]["error"]
         assert "too short" in entry["batch_means"]["error"]
 
+    def test_nonfinite_qoi_gives_strict_json(self, tmp_path, capsys):
+        # a nan QoI row made both estimators return NaN, printed as a bare NaN
+        path = tmp_path / "nan.csv"
+        series = np.random.default_rng(0).standard_normal(2000)
+        series[10] = np.nan
+        self.write_synthetic_trace(path, series)
+        assert main(["diagnose", str(path)]) == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        entry = report["qoi"]["f"]
+        assert entry["ims"]["error"] == entry["batch_means"]["error"]
+        assert "series[10] = nan" in entry["ims"]["error"]
+
     def test_empty_trace_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("step,accept,qoi_f\n")

@@ -62,3 +62,30 @@ def test_only_the_spectral_lab_calls_dense_solvers():
              for name, line in linalg_names(path) if name in DENSE_SOLVERS}
     assert not found, sorted(found)
     assert any(name in DENSE_SOLVERS for name, _ in linalg_names(ROOT / "src/gpcn/spectral.py"))
+
+
+def gpcn_modules(path):
+    """The ``gpcn`` modules that one source file imports, relative or absolute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.startswith("gpcn"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "gpcn" + (f".{module}" if module else "")
+            if module.startswith("gpcn"):
+                yield module
+                yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("name", ["gaussian_ops", "proposals", "metropolis", "elliptic",
+                                  "diagnostics"])
+def test_sampler_modules_never_import_the_lab(name):
+    # the lab reads the sampler's proposal law (discretize_kernel); the sampler
+    # must not lean on the lab in turn
+    imported = set(gpcn_modules(ROOT / "src" / "gpcn" / f"{name}.py"))
+    assert "gpcn.spectral" not in imported, sorted(imported)
+
+
+def test_the_lab_imports_the_sampler():
+    assert "gpcn.proposals" in set(gpcn_modules(ROOT / "src" / "gpcn" / "spectral.py"))

@@ -8,6 +8,7 @@ from gpcn.diagnostics import (
     ess_ims,
     qoi_exp_integral,
 )
+from gpcn.experiment import ess_summary
 from gpcn.gaussian_ops import PriorSpec
 from gpcn.metropolis import ChainConfig, run_chain
 from gpcn.proposals import pcn
@@ -99,6 +100,25 @@ class TestEssBatchMeans:
         ims = ess_ims(series).ess
         bm = ess_batch_means(series).ess
         assert abs(ims - bm) / ims < 0.3
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimator", [ess_ims, ess_batch_means,
+                                           lambda x: autocorrelation(x, 5)])
+    def test_first_nonfinite_index_is_named(self, estimator, bad):
+        # each returned NaN, which a diagnostics report then wrote as a bare NaN
+        x = np.random.default_rng(2).standard_normal(2000)
+        x[[417, 1500]] = bad
+        with pytest.raises(ValueError, match=rf"series\[417\] = {bad}"):
+            estimator(x)
+
+    def test_summary_records_the_errors(self):
+        x = np.random.default_rng(2).standard_normal(2000)
+        x[3] = np.nan
+        summary = ess_summary(x)
+        assert summary == {name: {"error": "series must be finite, got series[3] = nan"}
+                           for name in ("ims", "batch_means")}
 
 
 class TestEstimatorProperties:

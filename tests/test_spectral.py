@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from gpcn import elliptic
+from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
+from gpcn.proposals import PRIOR_REVERSIBLE, VARIANTS, ProposalKernel, pcn
 from gpcn.spectral import (
     FiniteChain,
+    _proposal_law,
     asymptotic_variance,
     cheeger_check,
     comparison_check,
     conductance,
     detailed_balance_gap,
+    discretize_kernel,
     discretize_metropolis,
-    grid_gpcn_metropolis,
     kappa_p,
     positivity_check,
     random_proposal,
@@ -19,7 +23,15 @@ from gpcn.spectral import (
     run_lab,
     spectral_gap,
 )
-from helpers import full_grid_conductance, lazy, stationary_distribution, subset_extremum
+from helpers import (
+    dense_operators,
+    full_grid_conductance,
+    gaussian_logpdf,
+    lab_grid_chain,
+    lazy,
+    stationary_distribution,
+    subset_extremum,
+)
 
 TWO_STATE = FiniteChain(np.array([[0.7, 0.3], [0.2, 0.8]]), np.array([0.4, 0.6]))
 
@@ -97,6 +109,125 @@ class TestDiscretizeMetropolis:
         q = np.array([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0], [0.0, 0.5, 0.5]])
         with pytest.raises(ValueError, match="support"):
             discretize_metropolis(np.full(3, 1 / 3), q)
+
+
+def grid_points(prior, n_axis, width=3.0):
+    """An n_axis^N grid on +-width prior standard deviations, and its cell volume."""
+    axes = [np.linspace(-width, width, n_axis) * sd for sd in prior.std]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, prior.dim)
+    return points, float(np.prod([a[1] - a[0] for a in axes]))
+
+
+def make_kernel(variant, prior, gamma, s, gamma_map=None):
+    """A kernel of any variant; the local ones take ``gamma_map``, else the constant ``gamma``."""
+    if variant.startswith("local"):
+        return ProposalKernel(variant, prior, s, gamma_map=gamma_map or (lambda u: gamma))
+    if variant in ("rw", "pcn"):
+        return ProposalKernel(variant, prior, s)
+    return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
+
+
+def oracle_law(kernel, gamma, x):
+    """The proposal's mean and covariance at x, from the dense operators of
+    ``gamma`` (the local variants': ``kernel.gamma_map(x)``)."""
+    s, prior, a0 = kernel.s, kernel.prior, np.sqrt(1 - kernel.s**2)
+    if kernel.variant in ("rw", "pcn"):
+        return (x if kernel.variant == "rw" else a0 * x), s * s * np.diag(prior.eigenvalues)
+    ops = dense_operators(prior, kernel.gamma_map(x) if kernel.gamma_map else gamma, s)
+    mean = {"gn-rw": x, "gpcn": ops["a"] @ x, "local-gpcn": ops["a"] @ x,
+            "local-gpcn2": a0 * x}[kernel.variant]
+    return mean, s * s * ops["c_gamma"]
+
+
+@pytest.fixture(scope="module")
+def elliptic_n2():
+    """phi, the MAP curvature and the local curvature map of an N = 2 elliptic posterior."""
+    model, prior = elliptic.ForwardModel(2), PriorSpec(2)
+    obs = elliptic.generate_data(elliptic.default_truth, 0.3, model, np.random.default_rng(4))
+    gamma = elliptic.build_gamma_from_map(elliptic.map_estimate(obs, model, prior).xi, obs, model)
+    return (elliptic.make_posterior(obs, model), gamma,
+            lambda u: elliptic.build_gamma_from_map(u, obs, model))
+
+
+class TestDiscretizeKernel:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_read_off_law_matches_dense_oracle(self, dim, variant):
+        rng = np.random.default_rng([18, dim])
+        prior, base = PriorSpec(dim), FactoredGamma(rng.standard_normal((dim, dim)))
+        def gamma_map(u):
+            return FactoredGamma(np.vstack([base.factor, u / np.sqrt(1.0 + u @ u)]))
+        kernel = make_kernel(variant, prior, base, 0.6, gamma_map)
+        for x in rng.standard_normal((3, dim)):
+            draws = _proposal_law(kernel, x)
+            mean, root = draws[0], (draws[1:] - draws[0]).T
+            want_mean, want_cov = oracle_law(kernel, base, x)
+            np.testing.assert_allclose(mean, want_mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(root @ root.T, want_cov, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("potential", ["linear", "elliptic"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_gives_a_reversible_chain(self, elliptic_n2, variant, potential):
+        phi, gamma, gamma_map = elliptic_n2
+        if potential == "linear":
+            phi, gamma_map = (lambda u: float(u @ [1.0, -0.5])), None
+        prior = PriorSpec(2)
+        points, cell = grid_points(prior, 9)
+        chain = discretize_kernel(make_kernel(variant, prior, gamma, 0.5, gamma_map),
+                                  phi, points, cell)
+        assert chain.n_states == 81
+        assert detailed_balance_gap(chain) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["rw", "pcn", "gn-rw", "gpcn"])
+    def test_prior_reversible_flows_are_symmetric(self, variant):
+        # with phi = 0 a symmetric flow prior_i q_ij accepts every move, so the
+        # chain is the proposal pmf (density times cell) off the diagonal
+        prior, gamma = PriorSpec(2), FactoredGamma(np.array([[1.0, 0.5], [0.0, 2.0]]))
+        points, cell = grid_points(prior, 7)
+        kernel = make_kernel(variant, prior, gamma, 0.5)
+        chain = discretize_kernel(kernel, lambda u: 0.0, points, cell)
+        q = np.array([[cell * np.exp(gaussian_logpdf(y, mean, cov)) for y in points]
+                      for mean, cov in (oracle_law(kernel, gamma, x) for x in points)])
+        off = ~np.eye(len(points), dtype=bool)
+        accepted = chain.p[off] / q[off]
+        if variant in PRIOR_REVERSIBLE:
+            np.testing.assert_allclose(accepted, 1.0, rtol=1e-10, atol=0.0)
+        else:
+            assert accepted.min() < 0.5
+
+    def test_one_way_underflow_builds(self):
+        # pcn at s = 0.15: log q straddles exp's range between x = -0.15 and x = -6, so
+        # q underflows one way only; the pair is zeroed both ways and the chain builds
+        points, cell = np.linspace(-6.0, 6.0, 81)[:, None], 0.15
+        kernel = pcn(PriorSpec(1, np.ones(1)), 0.15)
+        forth, back = (gaussian_logpdf(points[j], *oracle_law(kernel, None, points[i]))
+                       + np.log(cell) for i, j in ((39, 0), (0, 39)))
+        assert forth < -746.0 and back > -744.0
+        chain = discretize_kernel(kernel, lambda u: 0.0, points, cell)
+        assert detailed_balance_gap(chain) < 1e-12
+        assert chain.p[39, 0] == 0.0 and chain.p[0, 39] == 0.0
+
+    def test_unresolved_step_is_rejected_by_name(self):
+        # too narrow for the cell: no state reaches another, so the chain is reducible
+        points, kernel = np.linspace(-4.0, 4.0, 15)[:, None], pcn(PriorSpec(1, np.ones(1)), 0.05)
+        with pytest.raises(ValueError, match=r"pcn at step size s = 0\.05 is reducible"):
+            discretize_kernel(kernel, lambda u: 0.0, points, 8.0 / 14.0)
+
+    def test_riemann_overshoot_is_scaled_out(self):
+        # pcn at s = 0.4 on a unit grid: from x = 12 the proposal is centred on x = 11 and
+        # its off-diagonal grid mass passes 1; q is divided by the largest such mass c, so
+        # every move is still accepted, at probability q_ij / c
+        points = np.arange(-12.0, 13.0)[:, None]
+        kernel = pcn(PriorSpec(1, np.ones(1)), 0.4)
+        q = np.array([[np.exp(gaussian_logpdf(y, mean, cov)) for y in points]
+                      for mean, cov in (oracle_law(kernel, None, x) for x in points)])
+        off = ~np.eye(len(points), dtype=bool)
+        c = (q * off).sum(axis=1).max()
+        assert c > 1.01
+        chain = discretize_kernel(kernel, lambda u: 0.0, points, 1.0)
+        assert chain.p.diagonal().min() >= 0.0
+        normal = off & (q > 1e-300)               # not the entries zeroed for a one-way underflow
+        np.testing.assert_allclose(chain.p[normal] * c, q[normal], rtol=1e-10, atol=0.0)
 
 
 class TestSpectralGap:
@@ -234,6 +365,15 @@ class TestKappaP:
         with pytest.raises(ValueError, match=r"q1\[0,1\]"):
             kappa_p(q1, q2, np.array([0.5, 0.5]), 2.0)
 
+    @pytest.mark.parametrize("name, i, j, bad", [
+        ("q1", 0, 1, np.nan), ("q1", 1, 0, np.inf), ("q2", 1, 1, -0.25), ("q2", 0, 0, -np.inf)])
+    def test_nonfinite_or_negative_entry_is_named(self, name, i, j, bad):
+        # a NaN in q1 used to return NaN, and a negative q2 entry was used as given
+        q = {"q1": np.full((2, 2), 0.5), "q2": np.full((2, 2), 0.5)}
+        q[name][i, j] = bad
+        with pytest.raises(ValueError, match=rf"{name}\[{i},{j}\] = {bad}"):
+            kappa_p(q["q1"], q["q2"], np.array([0.5, 0.5]), 2.0)
+
 
 class TestComparison:
     def test_identical_proposals_pass(self):
@@ -283,9 +423,10 @@ class TestPositivity:
         assert np.isclose(positivity_check(flip), -1.0)
 
     def test_grid_adapted_metropolis_is_positive(self):
-        chain = grid_gpcn_metropolis(n_states=15)
+        chain = lab_grid_chain()
         assert detailed_balance_gap(chain) < 1e-12
         assert positivity_check(chain) >= -1e-10
+        assert positivity_check(chain) == run_lab(0, 1, 2)["grid_gpcn_min_eig"]
 
     def test_lazification_makes_spectra_nonnegative(self):
         flip = FiniteChain(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
