@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import ForwardModel, kl_to_field, stored_solve
+from .elliptic import ForwardModel, kl_to_field
 
 
 def _finite(series) -> np.ndarray:
@@ -112,10 +112,8 @@ def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:
     return _clip_report(used, sigma2 / var, "batch-means")
 
 
-def qoi_exp_integral(xi, model: ForwardModel) -> float:
-    """Quantity of interest int_0^1 exp(u(x)) dx by the trapezoidal rule.
-
-    At a chain state the field is the one its ``phi`` synthesized."""
-    solve = stored_solve(xi, model)
+def qoi_exp_integral(xi, model: ForwardModel, solve: Optional[tuple] = None) -> float:
+    """Quantity of interest int_0^1 exp(u(x)) dx by the trapezoidal rule,
+    on the field of ``solve``, the ``elliptic.forward_solve`` at xi, when given."""
     field = kl_to_field(xi, model) if solve is None else solve[0]
     return float(model.weights[-1] @ np.exp(field))

@@ -68,11 +68,6 @@ class ForwardModel:
     cumulative trapezoid weights to x with the linear interpolation between
     the two nearest nodes folded in, and a last row of full trapezoid
     weights, so ``W @ f`` gives S_x(f) at every observation point and S_1(f).
-
-    The model also keeps its last ``forward_solve`` of a read-only array as
-    a one-entry memo, the array and its solve in one tuple that is replaced
-    whole, so a reader never pairs an array with another array's solve; it
-    holds no other state.
     """
 
     n_modes: int
@@ -106,7 +101,6 @@ class ForwardModel:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "sine_table", sine)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_last_solve", None)
 
     @property
     def n_nodes(self) -> int:
@@ -133,36 +127,16 @@ def kl_to_field(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
     return xi @ model.sine_table
 
 
-def stored_solve(xi, model: ForwardModel) -> Optional[tuple]:
-    """The model's memoized ``forward_solve`` at xi, or None.
-
-    The memo keeps one entry, for an array that was read-only and owned its
-    data when it was solved; it is served only for that same array, still
-    read-only, so its values cannot have changed since."""
-    memo = model._last_solve
-    if memo is not None and memo[0] is xi and not xi.flags.writeable:
-        return memo[1]
-    return None
-
-
 def forward_solve(xi, model: ForwardModel) -> tuple:
     """The forward solve at xi, ``(field, w, flux)``: the field u on the
     grid, w = e^{-u} and flux = W w, which holds S_x(w) at each observation
-    point and then S_1(w).  ``phi``, ``jacobian`` and the QoI read it.
-
-    It is computed once per point for read-only arrays (the chain states,
-    see ``stored_solve``); a writeable array is solved afresh at every call.
-    A plain tuple, because one is built at every MH step: constructing a
-    named tuple took 0.6 us on a 2-core Xeon VM, where a pcn step at N = 100
-    takes 20-40 us."""
-    solve = stored_solve(xi, model)
-    if solve is None:
-        field = kl_to_field(xi, model)
-        w = np.exp(-field)
-        solve = (field, w, model.weights @ w)
-        if isinstance(xi, np.ndarray) and xi.base is None and not xi.flags.writeable:
-            object.__setattr__(model, "_last_solve", (xi, solve))
-    return solve
+    point and then S_1(w).  ``phi`` returns it with its value, and a chain
+    carries it with its state to ``jacobian`` and the QoI.  A plain tuple,
+    because one is built at every MH step: constructing a named tuple took
+    0.6 us on a 2-core Xeon VM, where a pcn step at N = 100 takes 20-40 us."""
+    field = kl_to_field(xi, model)
+    w = np.exp(-field)
+    return field, w, model.weights @ w
 
 
 def forward_from_field(u_grid: np.ndarray, model: ForwardModel) -> np.ndarray:
@@ -171,9 +145,10 @@ def forward_from_field(u_grid: np.ndarray, model: ForwardModel) -> np.ndarray:
     return 2.0 * flux[:-1] / flux[-1]
 
 
-def forward(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
-    """Observation operator G(xi): pressure at the four observation points."""
-    _, _, flux = forward_solve(xi, model)
+def forward(xi: np.ndarray, model: ForwardModel, solve: Optional[tuple] = None) -> np.ndarray:
+    """Observation operator G(xi): pressure at the four observation points,
+    from ``solve``, the ``forward_solve`` at xi, when given."""
+    _, _, flux = forward_solve(xi, model) if solve is None else solve
     return 2.0 * flux[:-1] / flux[-1]
 
 
@@ -219,19 +194,21 @@ def generate_data(truth, sigma_eps: float, model: ForwardModel,
     return Observation(y=y, sigma_eps=sigma_eps, truth=spec, seed=seed)
 
 
-def phi(xi: np.ndarray, obs: Observation, model: ForwardModel) -> float:
-    """Data misfit potential 1/2 sigma^-2 |y - G(xi)|^2."""
-    r = obs.y - forward(xi, model)
-    return float(0.5 * (r @ r) / obs.sigma_eps**2)
+def phi(xi: np.ndarray, obs: Observation, model: ForwardModel) -> tuple:
+    """Data misfit potential 1/2 sigma^-2 |y - G(xi)|^2, returned with the
+    ``forward_solve`` at xi that it was computed from: ``(value, solve)``."""
+    solve = forward_solve(xi, model)
+    r = obs.y - forward(xi, model, solve)
+    return float(0.5 * (r @ r) / obs.sigma_eps**2), solve
 
 
-def make_posterior(obs: Observation, model: ForwardModel) -> Callable[[np.ndarray], float]:
+def make_posterior(obs: Observation, model: ForwardModel) -> Callable[[np.ndarray], tuple]:
     """The potential xi -> phi(xi, obs, model) of the posterior: the target is
     exp(-phi) times the prior of the kernel that samples it."""
     return lambda xi: phi(xi, obs, model)
 
 
-def jacobian(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
+def jacobian(xi: np.ndarray, model: ForwardModel, solve: Optional[tuple] = None) -> np.ndarray:
     """4 x N derivative of the observation operator.
 
     Differentiating p = 2 S_x(w)/S_1(w) with w = e^{-u} and
@@ -242,11 +219,10 @@ def jacobian(xi: np.ndarray, model: ForwardModel) -> np.ndarray:
     with S_x and S_1 taken by the forward map's own weights W, so finite
     differences of ``forward`` match exactly in the limit.  All N modes'
     integrals come from one (W * w) @ sine_table^T product, or from the sine
-    transform of the rows of W * w when the model has no table.  The field,
-    w and W w come from ``forward_solve``, so at a chain state they are the
-    ones ``phi`` computed.
+    transform of the rows of W * w when the model has no table.  w and W w
+    come from ``solve``, the ``forward_solve`` at xi, computed when not given.
     """
-    _, w, flux = forward_solve(xi, model)
+    _, w, flux = forward_solve(xi, model) if solve is None else solve
     if model.sine_table is None:
         mode_flux = _sine_transform(model.weights * w, model.n_nodes - 1)[:, 1:model.n_modes + 1]
     else:
@@ -322,10 +298,11 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     return MapResult(xi, grad_norm < 1e-8, max_iter, grad_norm, "max_iter")
 
 
-def build_gamma_from_map(xi_map: np.ndarray, obs: Observation, model: ForwardModel) -> FactoredGamma:
+def build_gamma_from_map(xi_map: np.ndarray, obs: Observation, model: ForwardModel,
+                         solve: Optional[tuple] = None) -> FactoredGamma:
     """Curvature sigma^-2 J^T J of the linearized misfit at the MAP point, as
-    its factor J / sigma (4 x N, so rank <= 4)."""
-    return FactoredGamma(jacobian(xi_map, model) / obs.sigma_eps)
+    its factor J / sigma (4 x N, so rank <= 4); ``solve`` as for ``jacobian``."""
+    return FactoredGamma(jacobian(xi_map, model, solve) / obs.sigma_eps)
 
 
 def build_gamma_averaged(points: Sequence[np.ndarray], sigma_eps: float,

@@ -267,7 +267,7 @@ def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
         gamma = build_curvature(cfg, prior, model, obs, xi_map)
         return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
     if variant in LOCAL_VARIANTS:
-        gamma_map = lambda u: elliptic.build_gamma_from_map(u, obs, model)
+        gamma_map = lambda u, solve: elliptic.build_gamma_from_map(u, obs, model, solve)
         return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
     return ProposalKernel(variant, prior, s)
 
@@ -307,7 +307,7 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
     chain_cfg = ChainConfig(kernel, phi, n=cfg.n, n0=cfg.n0, seed=chain_seed,
                             initial_state=xi_map,
                             thin=cfg.thin if "npy" in cfg.formats else None,
-                            qoi={QOI_NAME: lambda xi: qoi_exp_integral(xi, model)})
+                            qoi={QOI_NAME: lambda xi, solve: qoi_exp_integral(xi, model, solve)})
     trace = run_chain(chain_cfg)
 
     series = trace.qoi_series[QOI_NAME]
@@ -331,7 +331,7 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
             "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
             **cell_seeds, "s": s, "tuned": tuned,
             "acceptance_rate": trace.acceptance_rate,
-            "phi_at_map": phi(xi_map),
+            "phi_at_map": phi(xi_map)[0],
             "map": {"iterations": map_result.iterations,
                     "gradient_norm": map_result.gradient_norm,
                     "converged": map_result.converged,
@@ -438,7 +438,7 @@ def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     summary = {
         "config": dict((k, v) for k, v in cfg.items()),
         "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,
-        "phi_at_map": phi(result.xi),
+        "phi_at_map": phi(result.xi)[0],
         "converged": result.converged, "iterations": result.iterations,
         "gradient_norm": result.gradient_norm, "stop": result.stop,
         "observation": json.loads(obs.to_json()),

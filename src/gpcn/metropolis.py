@@ -1,12 +1,11 @@
 """Metropolis transition, ball-restricted variant, chain runner, step tuner.
 
 ``mh_step`` is the one step for every proposal variant; a chain's state is
-the record ``State(u, phi(u), kernel.pack_at(u))``.  A target is named by its
-potential phi alone: it is exp(-phi) times ``kernel.prior``, the chain's one prior.
-
-Every chain state u is a read-only array.  So a potential may keep what it
-computed at u for the pack and the QoI to read (``elliptic.forward_solve``
-does), knowing that u cannot change under it.
+the record ``State(u, phi, aux, pack)``.  A target is named by its potential
+alone: it is exp(-phi) times ``kernel.prior``, the chain's one prior.  The
+potential returns ``(phi(u), aux)``, where aux is whatever it computed at u
+that the pack and the QoI also read (the elliptic potential's forward solve),
+or None; the record carries aux to ``kernel.pack_at(u, aux)`` and the QoI.
 
 Determinism contract: every step consumes exactly one standard normal vector
 (the proposal draw) followed by one uniform (the accept test), both drawn by
@@ -41,9 +40,10 @@ PILOT_DELTA = 1e-3
 
 
 class State(NamedTuple):
-    """A chain's state u with phi(u) and ``kernel.pack_at(u)``."""
+    """A chain's state u with ``(phi, aux) = phi(u)`` and ``kernel.pack_at(u, aux)``."""
     u: np.ndarray
     phi: float
+    aux: object
     pack: Optional[OperatorPack]
 
 
@@ -54,25 +54,23 @@ def mh_step(kernel, phi, state, rng, radius=None):
     Draws z, then the accept test's uniform, and accepts v = propose(kernel,
     u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
     times the indicator ||v|| < radius when a radius is given.  Non-finite
-    phi(v) counts as a rejection.  ``kernel.pack_at(v)`` runs once, only for
-    a v that passed both checks.  Returns ``(state, accepted)``: the
-    candidate's record on accept, the given one otherwise.  The candidate
-    is made read-only before ``phi`` sees it.
+    phi(v) counts as a rejection.  ``kernel.pack_at(v, aux)`` runs once, only
+    for a v that passed both checks.  Returns ``(state, accepted)``: the
+    candidate's record on accept, the given one otherwise.
     """
-    u, phi_u, pack_u = state
+    u, phi_u, _, pack_u = state
     z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
     v = propose(kernel, u, z, pack_u)
-    v.setflags(write=False)
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
-    phi_v = phi(v)
+    phi_v, aux_v = phi(v)
     if not math.isfinite(phi_v):
         return state, False
-    pack_v = kernel.pack_at(v)
+    pack_v = kernel.pack_at(v, aux_v)
     log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v, pack_u, pack_v)
     if np.log(accept_u) < log_alpha:
-        return State(v, phi_v, pack_v), True
+        return State(v, phi_v, aux_v, pack_v), True
     return state, False
 
 
@@ -84,11 +82,12 @@ class ChainConfig:
     ``thin`` keeps every thin-th post burn-in state in ``ChainTrace.states``;
     ``None`` keeps none, so a chain whose caller reads only the accept flags
     and the QoI series holds O(n) scalars instead of n / thin states of N
-    floats.  ``qoi`` maps names to functions of the state, each recorded at
-    every post burn-in step whatever ``thin`` is.
+    floats.  ``qoi`` maps names to functions (u, aux) of the state and its
+    potential's aux, each recorded at every post burn-in step whatever
+    ``thin`` is.
     """
     kernel: ProposalKernel
-    phi: Callable[[np.ndarray], float]
+    phi: Callable[[np.ndarray], tuple]
     n: int
     n0: int
     seed: int
@@ -111,6 +110,10 @@ class ChainConfig:
             start = np.asarray(start, dtype=float)
             if start.shape != (self.kernel.prior.dim,):
                 raise ValueError("initial state dimension mismatch")
+            if not np.isfinite(start).all():
+                i = int(np.argmin(np.isfinite(start)))
+                raise ValueError(f"initial state must be finite, "
+                                 f"got initial_state[{i}] = {start[i]}")
         object.__setattr__(self, "initial_state", start)
         r = self.restriction_radius
         if r is not None:
@@ -160,12 +163,11 @@ def run_chain(config: ChainConfig,
     kernel, phi, radius = config.kernel, config.phi, config.restriction_radius
     n, n0, thin = config.n, config.n0, config.thin
 
-    u = config.initial_state.copy()
-    u.setflags(write=False)
-    phi_u = phi(u)
+    u = config.initial_state
+    phi_u, aux_u = phi(u)
     if not math.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
-    state = State(u, phi_u, kernel.pack_at(u))
+    state = State(u, phi_u, aux_u, kernel.pack_at(u, aux_u))
 
     total = n0 + n
     accepts = np.zeros(total, dtype=bool)
@@ -183,7 +185,7 @@ def run_chain(config: ChainConfig,
         j = i - n0
         if j >= 0:
             for series, fn in recorders:
-                series[j] = fn(state.u) if j == 0 or accepted else series[j - 1]
+                series[j] = fn(state.u, state.aux) if j == 0 or accepted else series[j - 1]
             if thin is not None and j % thin == 0:
                 states[kept] = state.u
                 kept += 1

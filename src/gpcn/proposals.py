@@ -9,7 +9,8 @@ gpcn         v = A u + s C_Gamma^{1/2} z             (adapted autoregressive, pr
 local-gpcn   v = A_{Gamma(u)} u + s C_{Gamma(u)}^{1/2} z
 local-gpcn2  v = sqrt(1-s^2) u + s C_{Gamma(u)}^{1/2} z
 
-``ProposalKernel.pack_at(u)`` is the one source of a state's operator pack.
+``ProposalKernel.pack_at(u, aux)`` is the one source of a state's operator
+pack; aux is what the chain's potential returned at u with phi(u).
 ``propose`` is pure: it maps u, a standard normal draw z and the pack at u
 to the candidate v.  ``log_acceptance_correction`` reads the packs at u and v
 and gives the additive log term completing phi(u) - phi(v) + correction(u, v).
@@ -61,13 +62,14 @@ def check_step_size(variant: str, s: float) -> None:
 class ProposalKernel:
     """One proposal family at step size ``s`` on ``prior``, its chain's one prior.
     ``gn-rw``/``gpcn`` carry a pack built at ``s`` on that prior; the local
-    variants a ``gamma_map`` u -> Gamma(u) that returns a ``FactoredGamma``."""
+    variants a ``gamma_map`` (u, aux) -> Gamma(u) that returns a
+    ``FactoredGamma``, aux being what the potential returned at u."""
 
     variant: str
     prior: PriorSpec
     s: float
     pack: Optional[OperatorPack] = None
-    gamma_map: Optional[Callable[[np.ndarray], FactoredGamma]] = None
+    gamma_map: Optional[Callable[[np.ndarray, object], FactoredGamma]] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -89,11 +91,12 @@ class ProposalKernel:
         pack = None if self.pack is None else replace(self.pack, s=s)
         return replace(self, s=s, pack=pack)
 
-    def pack_at(self, u: np.ndarray) -> Optional[OperatorPack]:
-        """The operator pack at u: built from Gamma(u) for the local variants,
-        the kernel's fixed pack otherwise (None for rw and pcn)."""
+    def pack_at(self, u: np.ndarray, aux) -> Optional[OperatorPack]:
+        """The operator pack at u: built from Gamma(u) = ``gamma_map(u, aux)``
+        for the local variants, the kernel's fixed pack otherwise (None for rw
+        and pcn)."""
         if self.variant in LOCAL_VARIANTS:
-            return build_operator_pack(self.prior, self.gamma_map(u), self.s)
+            return build_operator_pack(self.prior, self.gamma_map(u, aux), self.s)
         return self.pack
 
 
@@ -124,7 +127,7 @@ def local_gpcn2(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
 def propose(kernel: ProposalKernel, u: np.ndarray, z: np.ndarray,
             pack: Optional[OperatorPack]) -> np.ndarray:
     """The candidate that the standard normal draw z gives from u under the
-    kernel's law at u; ``pack`` is ``kernel.pack_at(u)``."""
+    kernel's law at u; ``pack`` is ``kernel.pack_at(u, aux)``."""
     s = kernel.s
     v = kernel.variant
     if v == "rw":
@@ -147,7 +150,7 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     gn-rw are symmetric Lebesgue proposals; keeping the chain reversible for
     the posterior requires the prior log-density ratio.  The local variants
     carry the density ratio of their state-dependent laws, from their packs
-    at u and v, ``kernel.pack_at(u)`` and ``kernel.pack_at(v)``.
+    at u and v, ``kernel.pack_at(u, aux_u)`` and ``kernel.pack_at(v, aux_v)``.
     """
     variant = kernel.variant
     if variant in PRIOR_REVERSIBLE:

@@ -241,22 +241,29 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
     return FiniteChain(m, pi)
 
 
-def _proposal_law(kernel: ProposalKernel, x: np.ndarray) -> np.ndarray:
-    """Rows propose(kernel, x, z, kernel.pack_at(x)) for z = 0, e_1, ..., e_N."""
-    pack = kernel.pack_at(x)
+def _proposal_law(kernel: ProposalKernel, x: np.ndarray, aux) -> np.ndarray:
+    """Rows propose(kernel, x, z, kernel.pack_at(x, aux)) for z = 0, e_1, ..., e_N."""
+    pack = kernel.pack_at(x, aux)
     return np.array([propose(kernel, x, z, pack) for z in np.eye(x.size + 1, x.size, -1)])
 
 
 def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> FiniteChain:
     """Metropolis chain of ``kernel`` on ``points`` (n x N, cell volume ``cell``) for the target
-    prior(x_i) exp(-phi(x_i)).  q_ij is the density at x_j of the law ``propose`` gives at x_i
-    times ``cell``; ``PRIOR_REVERSIBLE`` variants average log prior_i + log q_ij with its
-    transpose (an exactly symmetric flow).  Entries whose transpose underflows are zeroed, q is
-    divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's Riemann sum),
-    and the diagonal takes the rest of each row (the restricted chain).  ValueError naming s if
-    the chain is reducible (a second eigenvalue within 1e-10 of 1): the grid misses the step."""
+    prior(x_i) exp(-phi(x_i)); phi returns (value, aux) as a chain's potential does, and each
+    point's aux goes to ``kernel.pack_at``.  q_ij is the density at x_j of the law ``propose``
+    gives at x_i times ``cell``; ``PRIOR_REVERSIBLE`` variants average log prior_i + log q_ij
+    with its transpose (an exactly symmetric flow).  Entries whose transpose underflows are
+    zeroed, q is divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's
+    Riemann sum), and the diagonal takes the rest of each row (the restricted chain).
+    ValueError naming s if the chain is reducible (a second eigenvalue within 1e-10 of 1): the
+    grid misses the step, or s = 0 and every proposal stays put."""
+    reducible = f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible"
+    if kernel.s == 0.0:
+        raise ValueError(reducible)
     x = np.asarray(points, dtype=float)
-    draws = np.array([_proposal_law(kernel, u) for u in x])     # means, then means + root columns
+    potentials = [phi(u) for u in x]
+    # means, then means + root columns
+    draws = np.array([_proposal_law(kernel, u, aux) for u, (_, aux) in zip(x, potentials)])
     means, roots = draws[:, 0], (draws[:, 1:] - draws[:, :1]).transpose(0, 2, 1)
     white = np.linalg.solve(roots, (x[None, :, :] - means[:, None, :]).transpose(0, 2, 1))
     log_q = (np.log(cell) - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
@@ -268,11 +275,11 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     q *= (q.T > 0.0) & ~np.eye(len(x), dtype=bool)
     q /= max(1.0, q.sum(axis=1).max())
     q[np.diag_indices_from(q)] = np.maximum(1.0 - q.sum(axis=1), 0.0)    # >= 0 despite rounding
-    log_target = log_prior - np.array([phi(u) for u in x])
+    log_target = log_prior - np.array([value for value, _ in potentials])
     chain = discretize_metropolis(np.exp(log_target - log_target.max()), q)
     if _centered_spectrum(chain).max(initial=-1.0) < 1.0 - _EIG_SLACK:
         return chain
-    raise ValueError(f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible")
+    raise ValueError(reducible)
 
 
 def positivity_check(chain: FiniteChain) -> float:
@@ -437,7 +444,7 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
             "restriction": restriction, "asymptotic_variance": avar, "ok": bool(ok),
         })
     pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
-    grid = discretize_kernel(gpcn(pack), lambda u: 0.75 * float(u @ u),
+    grid = discretize_kernel(gpcn(pack), lambda u: (0.75 * float(u @ u), None),
                              np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
     grid_min_eig = positivity_check(grid)
     grid_ok = grid_min_eig >= -_EIG_SLACK

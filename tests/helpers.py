@@ -83,7 +83,7 @@ def lab_grid_chain():
     from gpcn.spectral import discretize_kernel
 
     pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
-    return discretize_kernel(gpcn(pack), lambda u: 0.75 * float(u @ u),
+    return discretize_kernel(gpcn(pack), lambda u: (0.75 * float(u @ u), None),
                              np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
 
 
@@ -198,7 +198,8 @@ def elliptic_pipeline(xi, model):
 def reference_chain(config):
     """``run_chain`` by the step rule without state records: every step
     draws z and the uniform itself, and evaluates phi and looks up the packs
-    at u and v afresh with ``kernel.pack_at``, so no record outlives its step.
+    at u and v afresh with ``kernel.pack_at``, so no record outlives its step;
+    each QoI reads the aux of a fresh phi at its state.
 
     Returns (accepts, retained states, QoI series, steps that reached the
     acceptance test), with the QoI evaluated at every post burn-in state.
@@ -213,15 +214,17 @@ def reference_chain(config):
     for i in range(config.n0 + config.n):
         z = rng.standard_normal(kernel.prior.dim)
         accept_u = rng.random()
-        pack_u = kernel.pack_at(u)
+        phi_u, aux_u = phi(u)
+        pack_u = kernel.pack_at(u, aux_u)
         v = propose(kernel, u, z, pack_u)
         accepted = False
         if radius is None or np.linalg.norm(v) < radius:
-            phi_v = phi(v)
+            phi_v, aux_v = phi(v)
             if np.isfinite(phi_v):
                 tested += 1
-                correction = log_acceptance_correction(kernel, u, v, pack_u, kernel.pack_at(v))
-                log_alpha = phi(u) - phi_v + correction
+                correction = log_acceptance_correction(kernel, u, v, pack_u,
+                                                       kernel.pack_at(v, aux_v))
+                log_alpha = phi_u - phi_v + correction
                 accepted = bool(np.log(accept_u) < log_alpha)
         if accepted:
             u = v
@@ -229,7 +232,7 @@ def reference_chain(config):
         j = i - config.n0
         if j >= 0:
             for name, fn in config.qoi.items():
-                qoi[name].append(fn(u))
+                qoi[name].append(fn(u, phi(u)[1]))
             if j % config.thin == 0:
                 states.append(u)
     states = np.array(states).reshape(-1, config.kernel.prior.dim)

@@ -91,7 +91,7 @@ def median_ess(variant, n_modes, sigma):
         seed = derive_seed(MASTER, 2, VARIANT_ID[variant], n_modes, int(sigma * 1000), rep)
         cfg = ChainConfig(kernel, phi, n=N_SAMPLES, n0=N_BURN, seed=seed,
                           initial_state=xi_map, thin=None,
-                          qoi={"f": lambda xi: qoi_exp_integral(xi, model)})
+                          qoi={"f": lambda xi, solve: qoi_exp_integral(xi, model, solve)})
         esses.append(ess_ims(run_chain(cfg).qoi_series["f"]).ess)
     value = float(np.median(esses))
     _cell_cache[key] = value
@@ -145,7 +145,7 @@ def test_criterion_04_linear_posterior_oracle():
 
     def potential(u):
         r = y - (obs_matrix @ u + offset)
-        return float(0.5 * (r @ r) / sigma**2)
+        return float(0.5 * (r @ r) / sigma**2), None
 
     gamma = FactoredGamma(obs_matrix / sigma)        # Gamma = L^T L / sigma^2
     marginals = np.diag(post_cov)
@@ -303,12 +303,12 @@ def test_criterion_11_local_gpcn():
         base = random_factor(n, rng, scale=rng.uniform(0.2, 2.0)).factor
         s = float(rng.uniform(0.1, 0.9))
         # Gamma(u) = base^T base + u u^T / (1 + |u|^2)
-        kernel = local_gpcn(prior, lambda u, b=base: FactoredGamma(
+        kernel = local_gpcn(prior, lambda u, aux, b=base: FactoredGamma(
             np.vstack([b, u / np.sqrt(1.0 + u @ u)])), s)
         u, v = prior.sample(rng), prior.sample(rng)
-        pack_u, pack_v = kernel.pack_at(u), kernel.pack_at(v)
-        ops_u = dense_operators(prior, kernel.gamma_map(u), s)
-        ops_v = dense_operators(prior, kernel.gamma_map(v), s)
+        pack_u, pack_v = kernel.pack_at(u, None), kernel.pack_at(v, None)
+        ops_u = dense_operators(prior, kernel.gamma_map(u, None), s)
+        ops_v = dense_operators(prior, kernel.gamma_map(v, None), s)
         c = np.diag(prior.eigenvalues)
         # pointwise detailed balance: q(u,v) pdf0(u) rho_{G(u)}(u,v) symmetric
         lhs = (gaussian_logpdf(v, ops_u["a"] @ u, s * s * ops_u["c_gamma"])
@@ -320,10 +320,10 @@ def test_criterion_11_local_gpcn():
         worst = max(worst, abs(lhs - rhs))
     prior = PriorSpec(6)
     gamma = random_factor(6, rng)
-    const_kernel = local_gpcn(prior, lambda u: gamma, 0.4)
+    const_kernel = local_gpcn(prior, lambda u, aux: gamma, 0.4)
     u, v = prior.sample(rng), prior.sample(rng)
-    exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u),
-                                           const_kernel.pack_at(v)) == 0.0
+    exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u, None),
+                                           const_kernel.pack_at(v, None)) == 0.0
     ok = worst < 1e-8 and exact_zero
     report("criterion-11 local-gpcn", ok,
            f"max detailed-balance log asymmetry = {worst:.3e} over 100 pairs (< 1e-8); "

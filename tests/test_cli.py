@@ -383,7 +383,7 @@ class TestMapCommand:
 
         model = elliptic.ForwardModel(12)
         obs = observation_from_json(json.dumps(summary["observation"]))
-        assert summary["phi_at_map"] == elliptic.phi(xi, obs, model)
+        assert summary["phi_at_map"] == elliptic.phi(xi, obs, model)[0]
         rebuilt = elliptic.build_gamma_from_map(xi, obs, model)
         assert factor.shape == (4, 12) and np.array_equal(factor, rebuilt.factor)
         assert not (out / "gamma.npy").exists()

@@ -95,7 +95,7 @@ class TestEssBatchMeans:
         start = elliptic.map_estimate(obs, model, prior).xi
         cfg = ChainConfig(pcn(prior, 0.35), phi, n=50000, n0=2000, seed=11,
                           initial_state=start,
-                          qoi={"f": lambda xi: qoi_exp_integral(xi, model)})
+                          qoi={"f": lambda xi, solve: qoi_exp_integral(xi, model, solve)})
         series = run_chain(cfg).qoi_series["f"]
         ims = ess_ims(series).ess
         bm = ess_batch_means(series).ess

@@ -35,11 +35,12 @@ from helpers import linear_posterior, reference_chain, reference_read_trace_csv,
 
 def flat_target(n):
     """A prior and the zero potential: the chain's target is the prior itself."""
-    return PriorSpec(n), lambda u: 0.0
+    return PriorSpec(n), lambda u: (0.0, None)
 
 
 def initial_record(kernel, phi, u):
-    return State(u, phi(u), kernel.pack_at(u))
+    value, aux = phi(u)
+    return State(u, value, aux, kernel.pack_at(u, aux))
 
 
 def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
@@ -53,7 +54,7 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
 
     def potential(u):
         r = y - (L @ u + b)
-        return float(0.5 * (r @ r) / sigma**2)
+        return float(0.5 * (r @ r) / sigma**2), None
 
     mean, cov = linear_posterior(L, b, y, sigma**2 * np.eye(3), prior)
     gamma = FactoredGamma(L / sigma)                  # Gamma = L^T L / sigma^2
@@ -69,7 +70,7 @@ def kernel_of(variant, prior, gamma, s):
         pack = build_operator_pack(prior, gamma, s)
         return (gauss_newton_rw if variant == "gn-rw" else gpcn)(pack)
     factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
-    def gamma_map(u):                 # Gamma + u u^T / (1 + |u|^2)
+    def gamma_map(u, aux):            # Gamma + u u^T / (1 + |u|^2)
         return FactoredGamma(np.vstack([gamma.factor, u / np.sqrt(1.0 + u @ u)]))
     return factory(prior, gamma_map, s)
 
@@ -114,7 +115,7 @@ class TestMhStep:
 
     def test_nonfinite_phi_counts_as_rejection(self):
         prior = PriorSpec(2)
-        phi = lambda u: np.inf if u[0] > 0 else 0.0
+        phi = lambda u: (np.inf if u[0] > 0 else 0.0, None)
         kernel = pcn(prior, 0.9)
         rng = np.random.default_rng(2)
         start = initial_record(kernel, phi, np.array([-0.5, 0.0]))
@@ -152,7 +153,7 @@ class TestRunChain:
         prior, phi, _, _, gamma = linear_gaussian_setup()
         kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
         cfg = ChainConfig(kernel, phi, n=500, n0=100, seed=9,
-                          qoi={"first": lambda u: float(u[0])})
+                          qoi={"first": lambda u, aux: float(u[0])})
         a, b = run_chain(cfg), run_chain(cfg)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.accepts, b.accepts)
@@ -161,7 +162,7 @@ class TestRunChain:
     def test_thinning_keeps_qoi_dense(self):
         prior, phi = flat_target(2)
         cfg = ChainConfig(pcn(prior, 0.5), phi, n=100, n0=10, seed=5,
-                          thin=7, qoi={"norm": lambda u: float(np.linalg.norm(u))})
+                          thin=7, qoi={"norm": lambda u, aux: float(np.linalg.norm(u))})
         trace = run_chain(cfg)
         assert trace.states.shape == (15, 2)      # ceil(100 / 7)
         assert trace.qoi_series["norm"].shape == (100,)
@@ -170,7 +171,8 @@ class TestRunChain:
     def test_thin_none_keeps_no_states_and_the_same_chain(self):
         prior, phi, _, _, gamma = linear_gaussian_setup()
         kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
-        qoi = {"first": lambda u: float(u[0]), "norm": lambda u: float(np.linalg.norm(u))}
+        qoi = {"first": lambda u, aux: float(u[0]),
+               "norm": lambda u, aux: float(np.linalg.norm(u))}
         full, bare = (run_chain(ChainConfig(kernel, phi, n=300, n0=30, seed=9,
                                             thin=thin, qoi=qoi)) for thin in (1, None))
         assert full.states.shape == (300, prior.dim)
@@ -188,7 +190,7 @@ class TestRunChain:
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
         prior, phi = flat_target(2)
         cfg = ChainConfig(random_walk(prior, 2.0), phi, n=100, n0=10,
-                          seed=5, thin=3, qoi={"norm": lambda u: float(np.linalg.norm(u))})
+                          seed=5, thin=3, qoi={"norm": lambda u, aux: float(np.linalg.norm(u))})
         full = run_chain(cfg)
         for steps in (4, 10, 11, 47, 110):
             calls = []
@@ -221,6 +223,18 @@ class TestRunChain:
             ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0,
                         initial_state=np.array([2.0, 0.0]), restriction_radius=1.0)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_nonfinite_initial_state_is_named(self, bad):
+        prior, phi = flat_target(3)
+        for i in (0, 2):
+            start = np.zeros(3)
+            start[i] = bad
+            with pytest.raises(ValueError, match=rf"initial_state\[{i}\] = {bad}"):
+                ChainConfig(pcn(prior, 0.5), phi, n=5, n0=0, seed=0, initial_state=start)
+        start = [0.0, bad, bad]           # the first non-finite entry is named
+        with pytest.raises(ValueError, match=r"initial_state\[1\]"):
+            ChainConfig(pcn(prior, 0.5), phi, n=5, n0=0, seed=0, initial_state=start)
+
     def test_nonfinite_radius_rejected(self):
         prior, phi = flat_target(2)
         for radius in (np.nan, np.inf):
@@ -232,7 +246,7 @@ class TestRunChain:
         prior, phi, _, _, _ = linear_gaussian_setup()
         calls = []
 
-        def first(u):
+        def first(u, aux):
             calls.append(u.copy())
             return float(u[0])
 
@@ -242,7 +256,7 @@ class TestRunChain:
         trace = run_chain(cfg)
         assert 0 < trace.accepts[n0 + 1:].sum() < 399        # some steps rejected
         assert len(calls) == 1 + trace.accepts[n0 + 1:].sum()
-        assert np.array_equal(trace.qoi_series["first"], [first(u) for u in trace.states])
+        assert np.array_equal(trace.qoi_series["first"], [first(u, None) for u in trace.states])
 
     def test_recovers_linear_gaussian_posterior_mean(self):
         prior, phi, mean, cov, gamma = linear_gaussian_setup()
@@ -255,7 +269,7 @@ class TestRunChain:
 
 
 class TestStateRecords:
-    """Every variant carries the record State(u, phi(u), pack(u)) as the chain state."""
+    """Every variant carries the record State(u, phi, aux, pack) as the chain state."""
 
     def local_setup(self, n=20):
         model = elliptic.ForwardModel(n)
@@ -266,11 +280,11 @@ class TestStateRecords:
         xi_map = elliptic.map_estimate(obs, model, prior).xi
         calls = []
 
-        def gamma_map(u):
+        def gamma_map(u, solve):
             calls.append(1)
-            return elliptic.build_gamma_from_map(u, obs, model)
+            return elliptic.build_gamma_from_map(u, obs, model, solve)
 
-        qoi = {"exp_integral": lambda u: qoi_exp_integral(u, model)}
+        qoi = {"exp_integral": lambda u, solve: qoi_exp_integral(u, model, solve)}
         return prior, phi, xi_map, gamma_map, calls, qoi
 
     @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
@@ -314,8 +328,10 @@ class TestStateRecords:
             new, accepted = mh_step(kernel, phi, state, rng)
             if accepted:
                 moves += 1
-                assert new.phi == phi(new.u)
-                fresh = kernel.pack_at(new.u)
+                value, solve = phi(new.u)
+                assert new.phi == value
+                assert all(np.array_equal(a, b) for a, b in zip(new.aux, solve, strict=True))
+                fresh = kernel.pack_at(new.u, solve)
                 assert np.array_equal(new.pack.v, fresh.v) and np.array_equal(new.pack.w, fresh.w)
             else:
                 assert new is state
@@ -364,10 +380,11 @@ class TestSharedSolve:
 
         potential = elliptic.make_posterior(obs, model)
         phi = counted("phi", lambda u: phi_calls.append(1) or potential(u))
-        qoi = {"exp_integral": counted("qoi", lambda u: qoi_exp_integral(u, model))}
+        qoi = {"exp_integral": counted("qoi", lambda u, solve: qoi_exp_integral(u, model, solve))}
         if variant in LOCAL_VARIANTS:
             factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
-            gamma_map = counted("gamma_map", lambda u: elliptic.build_gamma_from_map(u, obs, model))
+            gamma_map = counted("gamma_map", lambda u, solve: elliptic.build_gamma_from_map(
+                u, obs, model, solve))
             kernel = factory(prior, gamma_map, 0.2)
         else:
             kernel = kernel_of(variant, prior, gamma, 0.2)
@@ -380,6 +397,7 @@ class TestSharedSolve:
 
         for module in (elliptic, diagnostics):
             monkeypatch.setattr(module, "kl_to_field", synthesis)
+        model_state = dict(vars(model))
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
             phi_calls.clear()
             syntheses.update(dict.fromkeys(syntheses, 0))
@@ -392,10 +410,11 @@ class TestSharedSolve:
             assert counts["phi"] == calls == 1 + reference_chain(cfg)[3]
             assert (calls < 1 + n0 + steps) == (radius is not None)   # some left the ball
             assert counts["gamma_map"] == 0
-            # The QoI reads the field of every accepted candidate.  Only its first
-            # value, when that step rejects, is of a state the one-entry memo has
-            # since dropped for a later candidate.
-            assert counts["qoi"] == (0 if trace.accepts[n0] else 1)
+            # the QoI reads the field of the state's own solve, on accept or reject
+            assert counts["qoi"] == 0
+            # the model carries no state: every attribute is the object it was
+            assert vars(model).keys() == model_state.keys()
+            assert all(vars(model)[k] is v for k, v in model_state.items())
 
 
 class TestTuner:
@@ -479,7 +498,7 @@ class TestTuner:
         cases.append((pcn(flat_prior, 0.5), flat, 0.25, {}))
         # A potential so steep that even S_LO accepts only about half its
         # proposals, below the band around 0.9.
-        cases.append((random_walk(PriorSpec(3), 0.5), lambda u: 1e7 * u[0], 0.9, {}))
+        cases.append((random_walk(PriorSpec(3), 0.5), lambda u: (1e7 * u[0], None), 0.9, {}))
 
         returned = set()
         steps_full = steps_stopped = 0
@@ -506,7 +525,7 @@ class TestTuner:
         # Hoeffding interval is [-h(k), h(k)]; it falls below the target at
         # the first k above ln(2 n / delta) / (2 target^2), where the exact
         # rule alone needs k > (1 - target) n.
-        steep = lambda u: 1e7 * float(u @ u)
+        steep = lambda u: (1e7 * float(u @ u), None)
         n, target = 1000, 0.25
         bound = math.ceil(math.log(2 * n / PILOT_DELTA) / (2 * target**2))
         assert bound == 117
@@ -547,7 +566,7 @@ class TestExports:
         prior, phi = flat_target(2)
         model = elliptic.ForwardModel(2)
         cfg = ChainConfig(pcn(prior, 0.4), phi, n=200, n0=20, seed=12,
-                          qoi={"exp_integral": lambda u: qoi_exp_integral(u, model)})
+                          qoi={"exp_integral": lambda u, aux: qoi_exp_integral(u, model)})
         return run_chain(cfg)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
@@ -582,8 +601,8 @@ class TestExports:
         model = elliptic.ForwardModel(3)
         cfg = ChainConfig(pcn(prior, 0.6), phi, n=500, n0=50, seed=13,
                           thin=None,
-                          qoi={"exp_integral": lambda u: qoi_exp_integral(u, model),
-                               "first": lambda u: float(u[0])})
+                          qoi={"exp_integral": lambda u, aux: qoi_exp_integral(u, model),
+                               "first": lambda u, aux: float(u[0])})
         path = tmp_path / "trace.csv"
         write_trace_csv(run_chain(cfg), path, header={"seed": 13, "cell": "pcn_N3"})
         header, steps, accepts, qoi = read_trace_csv(path)

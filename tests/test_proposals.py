@@ -19,17 +19,17 @@ from helpers import dense_operators, gaussian_logpdf, random_factor, sampler_ope
 
 def draw(kernel, u, rng):
     """One candidate from u: one standard normal draw and the pack at u."""
-    return propose(kernel, u, rng.standard_normal(kernel.prior.dim), kernel.pack_at(u))
+    return propose(kernel, u, rng.standard_normal(kernel.prior.dim), kernel.pack_at(u, None))
 
 
 def correction(kernel, u, v):
     """The acceptance correction with the packs at u and v, as a chain looks them up."""
-    return log_acceptance_correction(kernel, u, v, kernel.pack_at(u), kernel.pack_at(v))
+    return log_acceptance_correction(kernel, u, v, kernel.pack_at(u, None), kernel.pack_at(v, None))
 
 
 def make_gamma_map(base):
-    """u -> Gamma(u) = base + u u^T / (1 + |u|^2), as the stacked factor."""
-    def gamma_map(u):
+    """(u, aux) -> Gamma(u) = base + u u^T / (1 + |u|^2), as the stacked factor."""
+    def gamma_map(u, aux):
         return FactoredGamma(np.vstack([base.factor, u / np.sqrt(1.0 + u @ u)]))
     return gamma_map
 
@@ -49,7 +49,7 @@ def proposal_log_density(kernel, u, v, gamma=None):
         ops = dense_operators(prior, gamma, s)
         mean = u if kernel.variant == "gn-rw" else ops["a"] @ u
         return gaussian_logpdf(v, mean, s * s * ops["c_gamma"])
-    ops = dense_operators(prior, kernel.gamma_map(u), s)
+    ops = dense_operators(prior, kernel.gamma_map(u, None), s)
     mean = ops["a"] @ u if kernel.variant == "local-gpcn" else np.sqrt(1 - s * s) * u
     return gaussian_logpdf(v, mean, s * s * ops["c_gamma"])
 
@@ -111,7 +111,7 @@ class TestPropose:
         u = prior.sample(rng)
         for factory, uses_adapted_mean in ((local_gpcn, True), (local_gpcn2, False)):
             kernel = factory(prior, make_gamma_map(base), 0.35)
-            pack = kernel.pack_at(u)
+            pack = kernel.pack_at(u, None)
             draws = np.array([propose(kernel, u, rng.standard_normal(4), pack) for _ in range(50000)])
             mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
@@ -160,7 +160,7 @@ class TestCorrections:
         rng = np.random.default_rng(7)
         prior = PriorSpec(4)
         gamma = random_factor(4, rng)
-        kernel = local_gpcn(prior, lambda u: gamma, 0.5)
+        kernel = local_gpcn(prior, lambda u, aux: gamma, 0.5)
         u, v = prior.sample(rng), prior.sample(rng)
         assert correction(kernel, u, v) == 0.0
         # and the defining difference of density factors is itself ~0
@@ -195,7 +195,7 @@ class TestCorrections:
         prior = PriorSpec(3)
         for factory in (local_gpcn, local_gpcn2):
             with pytest.raises(ValueError, match=r"\(0, 1\)"):
-                factory(prior, lambda u: FactoredGamma(np.zeros((0, 3))), 0.0)
+                factory(prior, lambda u, aux: FactoredGamma(np.zeros((0, 3))), 0.0)
 
 
 class TestKernelPlumbing:
@@ -249,7 +249,7 @@ class TestKernelPlumbing:
         pack = build_operator_pack(prior, eye, 0.5)
         for s in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                ProposalKernel(variant, prior, s, pack=pack, gamma_map=lambda u: eye)
+                ProposalKernel(variant, prior, s, pack=pack, gamma_map=lambda u, aux: eye)
 
     def test_dense_gamma_is_a_type_error(self):
         # An N x N array is also the (N, N) factor of another Gamma, so only a
@@ -258,9 +258,9 @@ class TestKernelPlumbing:
         with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
             build_operator_pack(prior, np.eye(3), 0.5)
         for factory in (local_gpcn, local_gpcn2):
-            kernel = factory(prior, lambda u: np.eye(3), 0.5)
+            kernel = factory(prior, lambda u, aux: np.eye(3), 0.5)
             with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
-                kernel.pack_at(np.zeros(3))
+                kernel.pack_at(np.zeros(3), None)
 
     def test_rw_allows_step_above_one(self):
         kernel = random_walk(PriorSpec(2), 1.7)

@@ -121,7 +121,7 @@ def grid_points(prior, n_axis, width=3.0):
 def make_kernel(variant, prior, gamma, s, gamma_map=None):
     """A kernel of any variant; the local ones take ``gamma_map``, else the constant ``gamma``."""
     if variant.startswith("local"):
-        return ProposalKernel(variant, prior, s, gamma_map=gamma_map or (lambda u: gamma))
+        return ProposalKernel(variant, prior, s, gamma_map=gamma_map or (lambda u, aux: gamma))
     if variant in ("rw", "pcn"):
         return ProposalKernel(variant, prior, s)
     return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
@@ -129,11 +129,11 @@ def make_kernel(variant, prior, gamma, s, gamma_map=None):
 
 def oracle_law(kernel, gamma, x):
     """The proposal's mean and covariance at x, from the dense operators of
-    ``gamma`` (the local variants': ``kernel.gamma_map(x)``)."""
+    ``gamma`` (the local variants': ``kernel.gamma_map(x, None)``)."""
     s, prior, a0 = kernel.s, kernel.prior, np.sqrt(1 - kernel.s**2)
     if kernel.variant in ("rw", "pcn"):
         return (x if kernel.variant == "rw" else a0 * x), s * s * np.diag(prior.eigenvalues)
-    ops = dense_operators(prior, kernel.gamma_map(x) if kernel.gamma_map else gamma, s)
+    ops = dense_operators(prior, kernel.gamma_map(x, None) if kernel.gamma_map else gamma, s)
     mean = {"gn-rw": x, "gpcn": ops["a"] @ x, "local-gpcn": ops["a"] @ x,
             "local-gpcn2": a0 * x}[kernel.variant]
     return mean, s * s * ops["c_gamma"]
@@ -146,7 +146,7 @@ def elliptic_n2():
     obs = elliptic.generate_data(elliptic.default_truth, 0.3, model, np.random.default_rng(4))
     gamma = elliptic.build_gamma_from_map(elliptic.map_estimate(obs, model, prior).xi, obs, model)
     return (elliptic.make_posterior(obs, model), gamma,
-            lambda u: elliptic.build_gamma_from_map(u, obs, model))
+            lambda u, solve: elliptic.build_gamma_from_map(u, obs, model, solve))
 
 
 class TestDiscretizeKernel:
@@ -155,11 +155,11 @@ class TestDiscretizeKernel:
     def test_read_off_law_matches_dense_oracle(self, dim, variant):
         rng = np.random.default_rng([18, dim])
         prior, base = PriorSpec(dim), FactoredGamma(rng.standard_normal((dim, dim)))
-        def gamma_map(u):
+        def gamma_map(u, aux):
             return FactoredGamma(np.vstack([base.factor, u / np.sqrt(1.0 + u @ u)]))
         kernel = make_kernel(variant, prior, base, 0.6, gamma_map)
         for x in rng.standard_normal((3, dim)):
-            draws = _proposal_law(kernel, x)
+            draws = _proposal_law(kernel, x, None)
             mean, root = draws[0], (draws[1:] - draws[0]).T
             want_mean, want_cov = oracle_law(kernel, base, x)
             np.testing.assert_allclose(mean, want_mean, rtol=0.0, atol=1e-12)
@@ -170,7 +170,7 @@ class TestDiscretizeKernel:
     def test_every_variant_gives_a_reversible_chain(self, elliptic_n2, variant, potential):
         phi, gamma, gamma_map = elliptic_n2
         if potential == "linear":
-            phi, gamma_map = (lambda u: float(u @ [1.0, -0.5])), None
+            phi, gamma_map = (lambda u: (float(u @ [1.0, -0.5]), None)), None
         prior = PriorSpec(2)
         points, cell = grid_points(prior, 9)
         chain = discretize_kernel(make_kernel(variant, prior, gamma, 0.5, gamma_map),
@@ -185,7 +185,7 @@ class TestDiscretizeKernel:
         prior, gamma = PriorSpec(2), FactoredGamma(np.array([[1.0, 0.5], [0.0, 2.0]]))
         points, cell = grid_points(prior, 7)
         kernel = make_kernel(variant, prior, gamma, 0.5)
-        chain = discretize_kernel(kernel, lambda u: 0.0, points, cell)
+        chain = discretize_kernel(kernel, lambda u: (0.0, None), points, cell)
         q = np.array([[cell * np.exp(gaussian_logpdf(y, mean, cov)) for y in points]
                       for mean, cov in (oracle_law(kernel, gamma, x) for x in points)])
         off = ~np.eye(len(points), dtype=bool)
@@ -203,7 +203,7 @@ class TestDiscretizeKernel:
         forth, back = (gaussian_logpdf(points[j], *oracle_law(kernel, None, points[i]))
                        + np.log(cell) for i, j in ((39, 0), (0, 39)))
         assert forth < -746.0 and back > -744.0
-        chain = discretize_kernel(kernel, lambda u: 0.0, points, cell)
+        chain = discretize_kernel(kernel, lambda u: (0.0, None), points, cell)
         assert detailed_balance_gap(chain) < 1e-12
         assert chain.p[39, 0] == 0.0 and chain.p[0, 39] == 0.0
 
@@ -211,7 +211,17 @@ class TestDiscretizeKernel:
         # too narrow for the cell: no state reaches another, so the chain is reducible
         points, kernel = np.linspace(-4.0, 4.0, 15)[:, None], pcn(PriorSpec(1, np.ones(1)), 0.05)
         with pytest.raises(ValueError, match=r"pcn at step size s = 0\.05 is reducible"):
-            discretize_kernel(kernel, lambda u: 0.0, points, 8.0 / 14.0)
+            discretize_kernel(kernel, lambda u: (0.0, None), points, 8.0 / 14.0)
+
+    @pytest.mark.parametrize("variant", ["rw", "pcn", "gn-rw", "gpcn"])
+    def test_zero_step_is_rejected_by_name(self, variant):
+        # at s = 0 every proposal stays put: the chain is reducible, and the noise
+        # root it would read off is the zero matrix
+        prior = PriorSpec(1, np.ones(1))
+        kernel = make_kernel(variant, prior, FactoredGamma(np.sqrt([[2.0]])), 0.0)
+        points = np.linspace(-4.0, 4.0, 15)[:, None]
+        with pytest.raises(ValueError, match=rf"{variant} at step size s = 0\.0 is reducible"):
+            discretize_kernel(kernel, lambda u: (0.0, None), points, 8.0 / 14.0)
 
     def test_riemann_overshoot_is_scaled_out(self):
         # pcn at s = 0.4 on a unit grid: from x = 12 the proposal is centred on x = 11 and
@@ -224,7 +234,7 @@ class TestDiscretizeKernel:
         off = ~np.eye(len(points), dtype=bool)
         c = (q * off).sum(axis=1).max()
         assert c > 1.01
-        chain = discretize_kernel(kernel, lambda u: 0.0, points, 1.0)
+        chain = discretize_kernel(kernel, lambda u: (0.0, None), points, 1.0)
         assert chain.p.diagonal().min() >= 0.0
         normal = off & (q > 1e-300)               # not the entries zeroed for a one-way underflow
         np.testing.assert_allclose(chain.p[normal] * c, q[normal], rtol=1e-10, atol=0.0)
