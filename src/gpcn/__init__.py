@@ -49,17 +49,7 @@ from .metropolis import (
     write_state_dump,
     write_trace_csv,
 )
-from .proposals import (
-    ProposalKernel,
-    gauss_newton_rw,
-    gpcn,
-    local_gpcn,
-    local_gpcn2,
-    log_acceptance_correction,
-    pcn,
-    propose,
-    random_walk,
-)
+from .proposals import ProposalKernel, log_acceptance_correction, propose
 from .spectral import (
     FiniteChain,
     asymptotic_variance,

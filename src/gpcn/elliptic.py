@@ -72,7 +72,6 @@ class ForwardModel:
 
     n_modes: int
     dx: float = DEFAULT_DX
-    obs_points: Sequence[float] = OBS_POINTS
 
     def __post_init__(self):
         steps = grid_steps(self.dx)
@@ -85,9 +84,7 @@ class ForwardModel:
         if self.n_modes * (steps + 1) < FFT_MIN_SIZE:
             k = np.arange(1, self.n_modes + 1)
             sine = (np.sqrt(2.0) / np.pi) * np.sin(np.outer(k, np.pi * x))
-        obs = np.asarray(self.obs_points, dtype=float)
-        if np.any(obs <= 0.0) or np.any(obs >= 1.0):
-            raise ValueError("observation points must lie strictly inside (0, 1)")
+        obs = np.asarray(OBS_POINTS)
         idx = np.minimum((obs / self.dx).astype(int), steps - 1)
         frac = (obs / self.dx - idx)[:, None]
         nodes = np.arange(steps + 1)
@@ -154,7 +151,8 @@ def forward(xi: np.ndarray, model: ForwardModel, solve: Optional[tuple] = None) 
 
 @dataclass(frozen=True)
 class Observation:
-    """Observed data, noise level and provenance of the generating truth."""
+    """Observed data, noise level and provenance of the generating truth;
+    ``y`` holds one finite datum per point of ``OBS_POINTS``."""
 
     y: np.ndarray
     sigma_eps: float
@@ -164,7 +162,15 @@ class Observation:
     def __post_init__(self):
         if not 0.0 < self.sigma_eps < np.inf:
             raise ValueError(f"sigma_eps must be positive and finite, got {self.sigma_eps}")
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        y = np.asarray(self.y, dtype=float)
+        if y.shape != (len(OBS_POINTS),):
+            raise ValueError(f"y must hold one datum per observation point, shape "
+                             f"({len(OBS_POINTS)},), got shape {y.shape}")
+        bad = ~np.isfinite(y)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"y must be finite, got y[{i}] = {y[i]}")
+        object.__setattr__(self, "y", y)
 
     def to_json(self) -> str:
         return json.dumps({"y": self.y.tolist(), "sigma_eps": self.sigma_eps,

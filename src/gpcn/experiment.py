@@ -14,14 +14,14 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import elliptic
 from .diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
-from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
+from .gaussian_ops import FactoredGamma, PriorSpec
 from .metropolis import ChainConfig, run_chain, tune_step_size, write_state_dump, write_trace_csv
 from .proposals import LOCAL_VARIANTS, PACK_VARIANTS, VARIANTS, ProposalKernel, check_step_size
 
@@ -171,8 +171,8 @@ def resolve_config(text: str) -> ExperimentConfig:
     for v in cfg.variants:
         if v not in VARIANTS:
             raise ConfigError(f"line {lines['sampler.variant']}: unknown variant {v!r}")
-    if cfg.gamma_source not in ("map", "zero", "averaged"):
-        raise ConfigError(f"line {lines['sampler.gamma']}: gamma source must be map, zero or averaged")
+    if cfg.gamma_source not in ("map", "averaged"):
+        raise ConfigError(f"line {lines['sampler.gamma']}: gamma source must be map or averaged")
     if cfg.s is not None:
         for v in cfg.variants:
             try:
@@ -252,9 +252,7 @@ def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
 
 def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> FactoredGamma:
     """The fixed curvature Gamma that ``sampler.gamma`` selects: at the MAP
-    point, zero, or averaged over prior draws from the points stream."""
-    if cfg.gamma_source == "zero":
-        return FactoredGamma(np.zeros((0, prior.dim)))
+    point, or averaged over prior draws from the points stream."""
     if cfg.gamma_source == "averaged":
         rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_POINTS, prior.dim))
         points = [prior.sample(rng) for _ in range(cfg.gamma_points)]
@@ -265,7 +263,7 @@ def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> Factore
 def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
     if variant in PACK_VARIANTS:
         gamma = build_curvature(cfg, prior, model, obs, xi_map)
-        return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
+        return ProposalKernel(variant, prior, s, gamma=gamma)
     if variant in LOCAL_VARIANTS:
         gamma_map = lambda u, solve: elliptic.build_gamma_from_map(u, obs, model, solve)
         return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
@@ -299,7 +297,7 @@ def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> 
         tune_seed = derive_seed(cfg.seed, _SEED_TUNE, iv, i_n, i_sig)
         result = tune_step_size(kernel, phi, cfg.target_acceptance, cfg.pilot_n,
                                 np.random.default_rng(tune_seed), initial_state=xi_map)
-        kernel = kernel.with_step_size(result.s)
+        kernel = replace(kernel, s=result.s)
     s = kernel.s
 
     chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, i_n, i_sig, rep)

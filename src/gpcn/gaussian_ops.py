@@ -64,20 +64,16 @@ class FactoredGamma:
 
     factor: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        return self.factor.T @ self.factor
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorPack:
     """All Gamma-derived operators for one (Gamma, s), from H = V diag(w) V^T.
 
     ``logdet_ih`` = log det(I + H), ``h_norm`` = ||H|| and ``a0`` are
-    derived on construction, so ``dataclasses.replace(pack, s=...)`` needs
-    no new SVD.  The s-scaled factors of A and R are built on first use and
-    kept, since a rejected local-variant candidate reads at most one of
-    them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed on access (only the
-    moment bound reads it).
+    derived on construction.  The s-scaled factors of A and R are built on
+    first use and kept, since a rejected local-variant candidate reads at
+    most one of them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed on access
+    (only the moment bound reads it).
     """
 
     prior: PriorSpec

@@ -20,7 +20,7 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -264,7 +264,7 @@ def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
             rate, h = a / k, math.sqrt(log_term / (2 * k))
             return decides(max(a / pilot_n, rate - h), min((a + pilot_n - k) / pilot_n, rate + h))
 
-        cfg = ChainConfig(kernel.with_step_size(s), phi, n=pilot_n, n0=0,
+        cfg = ChainConfig(replace(kernel, s=s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius, thin=None)
         trace = run_chain(cfg, stop=None if decides is None else stop)

@@ -18,7 +18,7 @@ and gives the additive log term completing phi(u) - phi(v) + correction(u, v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,36 +60,30 @@ def check_step_size(variant: str, s: float) -> None:
 
 @dataclass(frozen=True)
 class ProposalKernel:
-    """One proposal family at step size ``s`` on ``prior``, its chain's one prior.
-    ``gn-rw``/``gpcn`` carry a pack built at ``s`` on that prior; the local
-    variants a ``gamma_map`` (u, aux) -> Gamma(u) that returns a
-    ``FactoredGamma``, aux being what the potential returned at u."""
+    """One proposal law, fixed by its variant, ``prior`` (its chain's one
+    prior) and step size ``s``.  ``gn-rw``/``gpcn`` take the curvature
+    ``gamma`` (a ``FactoredGamma``) and build their operator pack from it on
+    construction, so ``dataclasses.replace(kernel, s=...)`` rebuilds the pack
+    at the new s.  The local variants take a ``gamma_map`` (u, aux) -> Gamma(u)
+    that returns a ``FactoredGamma``, aux being what the potential returned at u."""
 
     variant: str
     prior: PriorSpec
     s: float
-    pack: Optional[OperatorPack] = None
+    gamma: Optional[FactoredGamma] = None
     gamma_map: Optional[Callable[[np.ndarray, object], FactoredGamma]] = None
+    pack: Optional[OperatorPack] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
         check_step_size(self.variant, self.s)
-        if self.variant in PACK_VARIANTS and self.pack is None:
-            raise ValueError(f"{self.variant} requires an OperatorPack")
-        if self.pack is not None and self.pack.s != self.s:
-            raise ValueError(f"pack step size {self.pack.s} differs from kernel step size {self.s}")
-        if self.pack is not None and not np.array_equal(self.pack.prior.eigenvalues,
-                                                        self.prior.eigenvalues):
-            raise ValueError(f"pack built on another prior spectrum than the kernel's "
-                             f"(dim {self.pack.prior.dim} vs {self.prior.dim})")
+        if self.variant in PACK_VARIANTS and self.gamma is None:
+            raise ValueError(f"{self.variant} requires a gamma")
         if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
             raise ValueError(f"{self.variant} requires a gamma_map")
-
-    def with_step_size(self, s: float) -> "ProposalKernel":
-        """Copy of this kernel at a new step size; a pack keeps its V and w."""
-        pack = None if self.pack is None else replace(self.pack, s=s)
-        return replace(self, s=s, pack=pack)
+        object.__setattr__(self, "pack", build_operator_pack(self.prior, self.gamma, self.s)
+                           if self.variant in PACK_VARIANTS else None)
 
     def pack_at(self, u: np.ndarray, aux) -> Optional[OperatorPack]:
         """The operator pack at u: built from Gamma(u) = ``gamma_map(u, aux)``
@@ -98,30 +92,6 @@ class ProposalKernel:
         if self.variant in LOCAL_VARIANTS:
             return build_operator_pack(self.prior, self.gamma_map(u, aux), self.s)
         return self.pack
-
-
-def random_walk(prior: PriorSpec, s: float) -> ProposalKernel:
-    return ProposalKernel("rw", prior, s)
-
-
-def pcn(prior: PriorSpec, s: float) -> ProposalKernel:
-    return ProposalKernel("pcn", prior, s)
-
-
-def gauss_newton_rw(pack: OperatorPack) -> ProposalKernel:
-    return ProposalKernel("gn-rw", pack.prior, pack.s, pack=pack)
-
-
-def gpcn(pack: OperatorPack) -> ProposalKernel:
-    return ProposalKernel("gpcn", pack.prior, pack.s, pack=pack)
-
-
-def local_gpcn(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
-    return ProposalKernel("local-gpcn", prior, s, gamma_map=gamma_map)
-
-
-def local_gpcn2(prior: PriorSpec, gamma_map, s: float) -> ProposalKernel:
-    return ProposalKernel("local-gpcn2", prior, s, gamma_map=gamma_map)
 
 
 def propose(kernel: ProposalKernel, u: np.ndarray, z: np.ndarray,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
-from .proposals import PRIOR_REVERSIBLE, ProposalKernel, gpcn, propose
+from .gaussian_ops import FactoredGamma, PriorSpec
+from .proposals import PRIOR_REVERSIBLE, ProposalKernel, propose
 
 MAX_ENUM_STATES = 22       # subset enumeration budget (a conductance call: about 15 ms at n = 22)
 _ENUM_BLOCK = 1 << 14      # subsets per block of the enumeration (cache-sized temporaries)
@@ -443,8 +443,9 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
             "instance": k, "db_gap": db, "cheeger": cheeger, "comparison": comparison,
             "restriction": restriction, "asymptotic_variance": avar, "ok": bool(ok),
         })
-    pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
-    grid = discretize_kernel(gpcn(pack), lambda u: (0.75 * float(u @ u), None),
+    kernel = ProposalKernel("gpcn", PriorSpec(1, np.ones(1)), 0.5,
+                            gamma=FactoredGamma(np.sqrt([[2.0]])))
+    grid = discretize_kernel(kernel, lambda u: (0.75 * float(u @ u), None),
                              np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
     grid_min_eig = positivity_check(grid)
     grid_ok = grid_min_eig >= -_EIG_SLACK

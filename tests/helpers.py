@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +23,11 @@ def random_factor(n, rng, scale=1.0):
     return FactoredGamma(np.sqrt(scale / n) * m.T)
 
 
+def dense_gamma(gamma):
+    """The dense N x N matrix Gamma = F^T F of a ``FactoredGamma``."""
+    return gamma.factor.T @ gamma.factor
+
+
 def dense_operators(prior, gamma, s):
     """The gpCN operators by dense N x N algebra from Gamma itself, never from
     an operator pack's V and w.  ``gamma`` is a ``FactoredGamma`` or its dense
@@ -31,7 +37,7 @@ def dense_operators(prior, gamma, s):
         A = C^{1/2} f(H) C^{-1/2},      B = C^{1/2} f(H)^{1/2} C^{-1/2},
         Delta = sqrt(1 - s^2) I - A,    D = C - B C B^T.
     """
-    gamma = gamma.dense() if hasattr(gamma, "dense") else np.asarray(gamma, dtype=float)
+    gamma = dense_gamma(gamma) if hasattr(gamma, "factor") else np.asarray(gamma, dtype=float)
     lam, std = prior.eigenvalues, prior.std
     c = np.diag(lam)
     h = std[:, None] * gamma * std[None, :]
@@ -78,12 +84,13 @@ def sampler_operators(pack):
 def lab_grid_chain():
     """The grid gpCN chain whose positivity ``run_lab`` certifies: prior N(0, 1),
     Gamma = 2, s = 0.5 and phi = 0.75 x^2 on 15 points of [-4, 4]."""
-    from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
-    from gpcn.proposals import gpcn
+    from gpcn.gaussian_ops import FactoredGamma, PriorSpec
+    from gpcn.proposals import ProposalKernel
     from gpcn.spectral import discretize_kernel
 
-    pack = build_operator_pack(PriorSpec(1, np.ones(1)), FactoredGamma(np.sqrt([[2.0]])), 0.5)
-    return discretize_kernel(gpcn(pack), lambda u: (0.75 * float(u @ u), None),
+    kernel = ProposalKernel("gpcn", PriorSpec(1, np.ones(1)), 0.5,
+                            gamma=FactoredGamma(np.sqrt([[2.0]])))
+    return discretize_kernel(kernel, lambda u: (0.75 * float(u @ u), None),
                              np.linspace(-4.0, 4.0, 15)[:, None], 8.0 / 14.0)
 
 
@@ -183,6 +190,8 @@ def elliptic_pipeline(xi, model):
     pipeline: cumulative trapezoid over every node, then interpolation at
     the observation points.  Reads only the model's grid and dimensions, so
     it does not depend on how the model applies its sine basis."""
+    from gpcn.elliptic import OBS_POINTS
+
     sine = sine_basis(model)
     u = np.asarray(xi, dtype=float) @ sine
     w = np.exp(-u)
@@ -190,8 +199,8 @@ def elliptic_pipeline(xi, model):
     p = 2.0 * flux / flux[-1]
     mode_flux = cumulative_trapezoid(sine * w[None, :], model.dx)
     dp = (-2.0 * mode_flux + p[None, :] * mode_flux[:, -1:]) / flux[-1]
-    forward = interp_at(p, model.x, model.obs_points)
-    jacobian = interp_at(dp, model.x, model.obs_points).T
+    forward = interp_at(p, model.x, OBS_POINTS)
+    jacobian = interp_at(dp, model.x, OBS_POINTS).T
     return forward, jacobian, trapezoid(np.exp(u), model.dx)
 
 
@@ -268,7 +277,7 @@ def reference_tune(kernel, phi, target_rate, pilot_n, rng, initial_state=None,
     pilots = []
 
     def pilot(s):
-        cfg = ChainConfig(kernel.with_step_size(s), phi, n=pilot_n, n0=0,
+        cfg = ChainConfig(replace(kernel, s=s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
                           initial_state=initial_state, restriction_radius=radius)
         trace = run_chain(cfg)

@@ -22,7 +22,7 @@ from gpcn.gaussian_ops import (
     log_rho_gamma,
 )
 from gpcn.metropolis import ChainConfig, run_chain, tune_step_size
-from gpcn.proposals import ProposalKernel, local_gpcn, log_acceptance_correction
+from gpcn.proposals import ProposalKernel, log_acceptance_correction
 from gpcn.spectral import (
     cheeger_check,
     comparison_check,
@@ -48,8 +48,6 @@ N_BURN = 5000
 CHAIN_SEEDS = (0, 1, 2)
 VARIANT_ID = {"rw": 0, "pcn": 1, "gn-rw": 2, "gpcn": 3}
 
-_cell_cache = {}
-
 
 def report(criterion, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}"
@@ -69,23 +67,14 @@ def _elliptic_problem(n_modes, sigma):
     return model, prior, phi, xi_map, gamma
 
 
-def _kernel(variant, prior, gamma, s):
-    if variant in ("rw", "pcn"):
-        return ProposalKernel(variant, prior, s)
-    return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
-
-
 def median_ess(variant, n_modes, sigma):
     """Median IMS effective sample size over three tuned chains for one cell."""
-    key = (variant, n_modes, sigma)
-    if key in _cell_cache:
-        return _cell_cache[key]
     model, prior, phi, xi_map, gamma = _elliptic_problem(n_modes, sigma)
     tune_seed = derive_seed(MASTER, 1, VARIANT_ID[variant], n_modes, int(sigma * 1000))
-    tuned = tune_step_size(_kernel(variant, prior, gamma, 0.5), phi, 0.25, 2000,
+    tuned = tune_step_size(ProposalKernel(variant, prior, 0.5, gamma=gamma), phi, 0.25, 2000,
                            np.random.default_rng(tune_seed), initial_state=xi_map,
                            tol=0.02)
-    kernel = _kernel(variant, prior, gamma, tuned.s)
+    kernel = ProposalKernel(variant, prior, tuned.s, gamma=gamma)
     esses = []
     for rep in CHAIN_SEEDS:
         seed = derive_seed(MASTER, 2, VARIANT_ID[variant], n_modes, int(sigma * 1000), rep)
@@ -93,9 +82,7 @@ def median_ess(variant, n_modes, sigma):
                           initial_state=xi_map, thin=None,
                           qoi={"f": lambda xi, solve: qoi_exp_integral(xi, model, solve)})
         esses.append(ess_ims(run_chain(cfg).qoi_series["f"]).ess)
-    value = float(np.median(esses))
-    _cell_cache[key] = value
-    return value
+    return float(np.median(esses))
 
 
 def test_criterion_01_dimension_robustness():
@@ -152,7 +139,7 @@ def test_criterion_04_linear_posterior_oracle():
 
     details, ok = [], True
     for variant, s in (("pcn", 0.25), ("gpcn", 0.7)):
-        kernel = _kernel(variant, prior, gamma, s)
+        kernel = ProposalKernel(variant, prior, s, gamma=gamma)
         cfg = ChainConfig(kernel, potential, n=200000, n0=10000, seed=17,
                           initial_state=post_mean)
         states = run_chain(cfg).states
@@ -303,8 +290,9 @@ def test_criterion_11_local_gpcn():
         base = random_factor(n, rng, scale=rng.uniform(0.2, 2.0)).factor
         s = float(rng.uniform(0.1, 0.9))
         # Gamma(u) = base^T base + u u^T / (1 + |u|^2)
-        kernel = local_gpcn(prior, lambda u, aux, b=base: FactoredGamma(
-            np.vstack([b, u / np.sqrt(1.0 + u @ u)])), s)
+        kernel = ProposalKernel("local-gpcn", prior, s,
+                                gamma_map=lambda u, aux, b=base: FactoredGamma(
+                                    np.vstack([b, u / np.sqrt(1.0 + u @ u)])))
         u, v = prior.sample(rng), prior.sample(rng)
         pack_u, pack_v = kernel.pack_at(u, None), kernel.pack_at(v, None)
         ops_u = dense_operators(prior, kernel.gamma_map(u, None), s)
@@ -320,7 +308,7 @@ def test_criterion_11_local_gpcn():
         worst = max(worst, abs(lhs - rhs))
     prior = PriorSpec(6)
     gamma = random_factor(6, rng)
-    const_kernel = local_gpcn(prior, lambda u, aux: gamma, 0.4)
+    const_kernel = ProposalKernel("local-gpcn", prior, 0.4, gamma_map=lambda u, aux: gamma)
     u, v = prior.sample(rng), prior.sample(rng)
     exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u, None),
                                            const_kernel.pack_at(v, None)) == 0.0

@@ -19,10 +19,9 @@ from gpcn.experiment import (
     run_map_command,
     worker_pool,
 )
-from gpcn.gaussian_ops import build_operator_pack
 from gpcn.metropolis import ChainConfig, ChainTrace, run_chain, write_trace_csv
-from gpcn.proposals import gpcn
-from helpers import ar1_series, observation_from_json
+from gpcn.proposals import ProposalKernel
+from helpers import ar1_series, dense_gamma, observation_from_json
 
 MINIMAL = """
 seed = 7
@@ -185,6 +184,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"line {list(lines).index(key) + 1}: {key}"):
             resolve_config(text)
 
+    @pytest.mark.parametrize("source", ["zero", "dense"])
+    def test_unknown_gamma_source_names_its_line(self, source):
+        # zero curvature is plain pcn (rw for gn-rw), so it is no gamma source
+        text = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\nsampler.variant = gpcn\n"
+                f"sampler.gamma = {source}\nrun.n = 10\nrun.n0 = 0\n")
+        with pytest.raises(ConfigError, match="line 5: gamma source must be map or averaged"):
+            resolve_config(text)
+
     def test_short_pilots_and_single_points_accepted_where_unused(self):
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\nsampler.variant = gpcn\n"
                 "run.n = 0\nrun.n0 = 0\n")
@@ -267,8 +274,8 @@ class TestRunCommand:
             assert summary_without_wall_time(out / "summary.csv") == first_summary
         chain_cfg = resolve_config(text)
         model, prior, _, obs, phi, map_result = build_problem(chain_cfg, 0, 0)
-        kernel = gpcn(build_operator_pack(
-            prior, elliptic.build_gamma_from_map(map_result.xi, obs, model), chain_cfg.s))
+        kernel = ProposalKernel("gpcn", prior, chain_cfg.s,
+                                gamma=elliptic.build_gamma_from_map(map_result.xi, obs, model))
         chain = run_chain(ChainConfig(kernel, phi, n=1000, n0=100,
                                       seed=json.loads(first[1])["chain_seed"],
                                       initial_state=map_result.xi, thin=3))
@@ -348,17 +355,14 @@ class TestRunCommand:
         report = json.loads((out / "diagnostics_pcn_N6_sig0.1_r0.json").read_text())
         assert "error" in report["ess"]["ims"]
 
-    def test_gamma_sources_zero_and_averaged(self, tmp_path):
-        # zero-curvature gpcn runs (it degenerates to the plain sampler), and
+    def test_averaged_gamma_source_runs(self, tmp_path):
         # averaged linearizations build a usable curvature without a MAP point
-        for source, extra in (("zero", ""), ("averaged", "sampler.gamma_points = 3\n")):
-            out = tmp_path / source
-            text = (f"seed = 9\nproblem.N = 8\nproblem.sigma_eps = 0.1\n"
-                    f"sampler.variant = gpcn\nsampler.s = 0.4\nsampler.gamma = {source}\n"
-                    f"{extra}run.n = 300\nrun.n0 = 30\noutput.dir = {out}\n"
-                    f"output.formats = csv\n")
-            rows = run_experiment(resolve_config(text))
-            assert len(rows) == 1 and np.isfinite(rows[0]["acceptance_rate"])
+        text = (f"seed = 9\nproblem.N = 8\nproblem.sigma_eps = 0.1\n"
+                f"sampler.variant = gpcn\nsampler.s = 0.4\nsampler.gamma = averaged\n"
+                f"sampler.gamma_points = 3\nrun.n = 300\nrun.n0 = 30\n"
+                f"output.dir = {tmp_path / 'averaged'}\noutput.formats = csv\n")
+        rows = run_experiment(resolve_config(text))
+        assert len(rows) == 1 and np.isfinite(rows[0]["acceptance_rate"])
 
     def test_trace_header_contains_resolved_config(self, tmp_path):
         out = tmp_path / "out"
@@ -387,7 +391,7 @@ class TestMapCommand:
         rebuilt = elliptic.build_gamma_from_map(xi, obs, model)
         assert factor.shape == (4, 12) and np.array_equal(factor, rebuilt.factor)
         assert not (out / "gamma.npy").exists()
-        assert np.array_equal(factor.T @ factor, rebuilt.dense())
+        assert np.array_equal(factor.T @ factor, dense_gamma(rebuilt))
         assert json.loads((out / "map.json").read_text())["converged"] is True
         assert summary["stop"] in ("gradient", "step")
         assert PriorSpec(12).dim == xi.shape[0]
@@ -396,23 +400,18 @@ class TestMapCommand:
         from gpcn import elliptic
         from gpcn.gaussian_ops import PriorSpec
 
-        factors = {}
-        for source in ("zero", "averaged"):
-            out = tmp_path / source
-            text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
-                    f"sampler.variant = gpcn\nsampler.gamma = {source}\n"
-                    f"sampler.gamma_points = 3\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
-            run_map_command(resolve_config(text))
-            factors[source] = np.load(out / "gamma_factor.npy")
-        assert factors["zero"].shape == (0, 12)
-        assert not (factors["zero"].T @ factors["zero"]).any()
+        out = tmp_path / "averaged"
+        text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
+                f"sampler.variant = gpcn\nsampler.gamma = averaged\n"
+                f"sampler.gamma_points = 3\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
+        run_map_command(resolve_config(text))
+        averaged = np.load(out / "gamma_factor.npy")
         prior = PriorSpec(12)
         rng = np.random.default_rng(derive_seed(11, 3, 12))
         points = [prior.sample(rng) for _ in range(3)]
         expected = elliptic.build_gamma_averaged(points, 0.1, elliptic.ForwardModel(12))
-        averaged = factors["averaged"]
         assert averaged.shape == (4 * 3, 12) and np.array_equal(averaged, expected.factor)
-        assert np.array_equal(averaged.T @ averaged, expected.dense())
+        assert np.array_equal(averaged.T @ averaged, dense_gamma(expected))
 
     def test_consistent_data_gives_near_zero_map(self, tmp_path):
         out = tmp_path / "map0"

@@ -89,3 +89,28 @@ def test_sampler_modules_never_import_the_lab(name):
 
 def test_the_lab_imports_the_sampler():
     assert "gpcn.proposals" in set(gpcn_modules(ROOT / "src" / "gpcn" / "spectral.py"))
+
+
+def named(path):
+    """Every name that one source file defines, reads or imports."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.split(".")[-1] for alias in node.names)
+
+
+def test_only_the_kernel_builds_a_fixed_pack():
+    # A gn-rw or gpcn kernel builds its pack from its own (prior, Gamma, s), so
+    # no other module can hand it one built on another prior or step size.
+    # The package __init__ re-exports the builder for library callers.
+    naming = {path.name for path in SOURCES if "build_operator_pack" in set(named(path))}
+    assert naming - {"__init__.py"} <= {"gaussian_ops.py", "proposals.py"}, sorted(naming)
+
+
+def test_the_kernel_names_the_pack_builder():
+    assert "build_operator_pack" in set(named(ROOT / "src" / "gpcn" / "proposals.py"))

@@ -11,7 +11,7 @@ from gpcn.diagnostics import (
 from gpcn.experiment import ess_summary
 from gpcn.gaussian_ops import PriorSpec
 from gpcn.metropolis import ChainConfig, run_chain
-from gpcn.proposals import pcn
+from gpcn.proposals import ProposalKernel
 from helpers import ar1_series, simpson
 
 
@@ -93,7 +93,7 @@ class TestEssBatchMeans:
                                      np.random.default_rng(1), seed=1)
         phi = elliptic.make_posterior(obs, model)
         start = elliptic.map_estimate(obs, model, prior).xi
-        cfg = ChainConfig(pcn(prior, 0.35), phi, n=50000, n0=2000, seed=11,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.35), phi, n=50000, n0=2000, seed=11,
                           initial_state=start,
                           qoi={"f": lambda xi, solve: qoi_exp_integral(xi, model, solve)})
         series = run_chain(cfg).qoi_series["f"]

@@ -8,6 +8,7 @@ from gpcn import diagnostics, elliptic
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.elliptic import (
     FFT_MIN_SIZE,
+    OBS_POINTS,
     ForwardModel,
     Observation,
     build_gamma_averaged,
@@ -24,6 +25,7 @@ from gpcn.elliptic import (
 from gpcn.gaussian_ops import PriorSpec
 from helpers import (
     cumulative_trapezoid,
+    dense_gamma,
     elliptic_pipeline,
     interp_at,
     linear_posterior,
@@ -164,7 +166,7 @@ class TestJacobian:
         jac = jacobian(np.zeros(8), model)
         mode_flux = cumulative_trapezoid(model.sine_table, model.dx)
         closed = -2.0 * mode_flux + 2.0 * model.x[None, :] * mode_flux[:, -1:]
-        assert np.allclose(jac, interp_at(closed, model.x, model.obs_points).T, atol=1e-13)
+        assert np.allclose(jac, interp_at(closed, model.x, OBS_POINTS).T, atol=1e-13)
         k = np.arange(1, 9)
         analytic_s1 = (np.sqrt(2.0) / np.pi) * (1.0 - np.cos(k * np.pi)) / (k * np.pi)
         s1 = model.sine_table @ model.weights[-1]
@@ -287,7 +289,7 @@ class TestGamma:
         model = ForwardModel(12)
         prior = PriorSpec(12)
         obs = generate_data(default_truth, 0.1, model, np.random.default_rng(9), seed=9)
-        gamma = build_gamma_from_map(map_estimate(obs, model, prior).xi, obs, model).dense()
+        gamma = dense_gamma(build_gamma_from_map(map_estimate(obs, model, prior).xi, obs, model))
         eigs = np.sort(np.linalg.eigvalsh(gamma))[::-1]
         assert eigs.min() > -1e-12 * eigs.max()
         assert eigs[4:].max() < 1e-12 * eigs.max()
@@ -297,7 +299,7 @@ class TestGamma:
         rng = np.random.default_rng(10)
         xi = rng.standard_normal(10) * 0.2
         obs = make_obs(LINEAR_G, sigma=0.25)
-        gamma = build_gamma_from_map(xi, obs, model).dense()
+        gamma = dense_gamma(build_gamma_from_map(xi, obs, model))
         sv = np.linalg.svd(jacobian(xi, model) / obs.sigma_eps, compute_uv=False)
         eigs = np.sort(np.linalg.eigvalsh(gamma))[::-1][:4]
         assert np.allclose(eigs, sv**2, rtol=1e-10, atol=1e-12)
@@ -306,7 +308,7 @@ class TestGamma:
         model = ForwardModel(6)
         rng = np.random.default_rng(11)
         pts = [rng.standard_normal(6) * 0.2 for _ in range(3)]
-        avg = build_gamma_averaged(pts, 0.1, model).dense()
+        avg = dense_gamma(build_gamma_averaged(pts, 0.1, model))
         direct = sum(jacobian(p, model).T @ jacobian(p, model) for p in pts) / (3 * 0.01)
         assert np.allclose(avg, direct)
         with pytest.raises(ValueError):
@@ -383,6 +385,17 @@ class TestGenerateData:
         for sigma in (0.0, -0.1, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 Observation(np.zeros(4), sigma, {"kind": "test"})
+
+    def test_data_must_hold_one_finite_datum_per_observation_point(self):
+        # one datum would broadcast against the four predictions in phi
+        for shape in ((1,), (5,), (1, 4)):
+            with pytest.raises(ValueError, match=rf"shape \(4,\), got shape \({shape[0]},"):
+                Observation(np.full(shape, 0.5), 0.1, {"kind": "test"})
+        for bad, name in ((np.nan, "nan"), (np.inf, "inf")):
+            y = np.array([0.4, 0.8, bad, np.nan])
+            with pytest.raises(ValueError, match=rf"y must be finite, got y\[2\] = {name}"):
+                Observation(y, 0.1, {"kind": "test"})
+        assert len(OBS_POINTS) == 4 and make_obs(LINEAR_G).y.shape == (4,)
 
     def test_coefficient_truth_matches_function_truth(self):
         model = ForwardModel(6)

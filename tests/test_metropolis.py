@@ -5,7 +5,7 @@ import pytest
 
 from gpcn import diagnostics, elliptic
 from gpcn.diagnostics import qoi_exp_integral
-from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
+from gpcn.gaussian_ops import FactoredGamma, PriorSpec
 from gpcn.metropolis import (
     PILOT_DELTA,
     S_HI,
@@ -19,17 +19,7 @@ from gpcn.metropolis import (
     write_state_dump,
     write_trace_csv,
 )
-from gpcn.proposals import (
-    LOCAL_VARIANTS,
-    VARIANTS,
-    gauss_newton_rw,
-    gpcn,
-    local_gpcn,
-    local_gpcn2,
-    pcn,
-    propose,
-    random_walk,
-)
+from gpcn.proposals import LOCAL_VARIANTS, VARIANTS, ProposalKernel, propose
 from helpers import linear_posterior, reference_chain, reference_read_trace_csv, reference_tune
 
 
@@ -64,15 +54,9 @@ def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
 def kernel_of(variant, prior, gamma, s):
     """A kernel of each variant on one curvature: fixed for gn-rw and gpcn,
     varied with the state for the local variants."""
-    if variant in ("rw", "pcn"):
-        return (random_walk if variant == "rw" else pcn)(prior, s)
-    if variant in ("gn-rw", "gpcn"):
-        pack = build_operator_pack(prior, gamma, s)
-        return (gauss_newton_rw if variant == "gn-rw" else gpcn)(pack)
-    factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
     def gamma_map(u, aux):            # Gamma + u u^T / (1 + |u|^2)
         return FactoredGamma(np.vstack([gamma.factor, u / np.sqrt(1.0 + u @ u)]))
-    return factory(prior, gamma_map, s)
+    return ProposalKernel(variant, prior, s, gamma=gamma, gamma_map=gamma_map)
 
 
 class TestMhStep:
@@ -97,7 +81,7 @@ class TestMhStep:
 
     def test_flat_target_always_accepts(self):
         prior, phi = flat_target(4)
-        kernel = pcn(prior, 0.7)
+        kernel = ProposalKernel("pcn", prior, 0.7)
         rng = np.random.default_rng(0)
         state = initial_record(kernel, phi, np.zeros(4))
         for _ in range(50):
@@ -106,7 +90,7 @@ class TestMhStep:
 
     def test_restriction_rejects_outside_ball(self):
         prior, phi = flat_target(3)
-        kernel = random_walk(prior, 50.0)   # surely leaves the tiny ball
+        kernel = ProposalKernel("rw", prior, 50.0)   # surely leaves the tiny ball
         rng = np.random.default_rng(1)
         start = initial_record(kernel, phi, np.zeros(3))
         state, accepted = mh_step(kernel, phi, start, rng, radius=1e-3)
@@ -116,7 +100,7 @@ class TestMhStep:
     def test_nonfinite_phi_counts_as_rejection(self):
         prior = PriorSpec(2)
         phi = lambda u: (np.inf if u[0] > 0 else 0.0, None)
-        kernel = pcn(prior, 0.9)
+        kernel = ProposalKernel("pcn", prior, 0.9)
         rng = np.random.default_rng(2)
         start = initial_record(kernel, phi, np.array([-0.5, 0.0]))
         state, accepted = mh_step(kernel, phi, start, rng)
@@ -127,9 +111,9 @@ class TestMhStep:
     def test_adapted_kernel_accepts_more_on_linear_gaussian(self):
         prior, phi, _, _, gamma = linear_gaussian_setup(n=2)
         s = 0.5
-        pack = build_operator_pack(prior, gamma, s)
         counts = {}
-        for name, kernel in (("pcn", pcn(prior, s)), ("gpcn", gpcn(pack))):
+        for name in ("pcn", "gpcn"):
+            kernel = ProposalKernel(name, prior, s, gamma=gamma)
             rng = np.random.default_rng(33)
             state = initial_record(kernel, phi, np.zeros(2))
             hits = 0
@@ -143,7 +127,7 @@ class TestMhStep:
 class TestRunChain:
     def test_empty_run(self):
         prior, phi = flat_target(3)
-        cfg = ChainConfig(pcn(prior, 0.5), phi, n=0, n0=50, seed=4)
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=0, n0=50, seed=4)
         trace = run_chain(cfg)
         assert trace.states.shape == (0, 3)
         assert trace.accepts.shape == (50,)
@@ -151,7 +135,7 @@ class TestRunChain:
 
     def test_seeded_determinism(self):
         prior, phi, _, _, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
+        kernel = ProposalKernel("gpcn", prior, 0.4, gamma=gamma)
         cfg = ChainConfig(kernel, phi, n=500, n0=100, seed=9,
                           qoi={"first": lambda u, aux: float(u[0])})
         a, b = run_chain(cfg), run_chain(cfg)
@@ -161,7 +145,7 @@ class TestRunChain:
 
     def test_thinning_keeps_qoi_dense(self):
         prior, phi = flat_target(2)
-        cfg = ChainConfig(pcn(prior, 0.5), phi, n=100, n0=10, seed=5,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=100, n0=10, seed=5,
                           thin=7, qoi={"norm": lambda u, aux: float(np.linalg.norm(u))})
         trace = run_chain(cfg)
         assert trace.states.shape == (15, 2)      # ceil(100 / 7)
@@ -170,7 +154,7 @@ class TestRunChain:
 
     def test_thin_none_keeps_no_states_and_the_same_chain(self):
         prior, phi, _, _, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(prior, gamma, 0.4))
+        kernel = ProposalKernel("gpcn", prior, 0.4, gamma=gamma)
         qoi = {"first": lambda u, aux: float(u[0]),
                "norm": lambda u, aux: float(np.linalg.norm(u))}
         full, bare = (run_chain(ChainConfig(kernel, phi, n=300, n0=30, seed=9,
@@ -185,11 +169,11 @@ class TestRunChain:
     def test_thin_must_be_none_or_a_positive_integer(self, thin):
         prior, phi = flat_target(2)
         with pytest.raises(ValueError, match="thin"):
-            ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0, thin=thin)
+            ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=10, n0=0, seed=0, thin=thin)
 
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
         prior, phi = flat_target(2)
-        cfg = ChainConfig(random_walk(prior, 2.0), phi, n=100, n0=10,
+        cfg = ChainConfig(ProposalKernel("rw", prior, 2.0), phi, n=100, n0=10,
                           seed=5, thin=3, qoi={"norm": lambda u, aux: float(np.linalg.norm(u))})
         full = run_chain(cfg)
         for steps in (4, 10, 11, 47, 110):
@@ -211,7 +195,7 @@ class TestRunChain:
     def test_restricted_chain_stays_in_ball(self):
         prior, phi = flat_target(3)
         radius = 0.8
-        cfg = ChainConfig(pcn(prior, 0.6), phi, n=2000, n0=0, seed=6,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.6), phi, n=2000, n0=0, seed=6,
                           restriction_radius=radius)
         trace = run_chain(cfg)
         assert np.linalg.norm(trace.states, axis=1).max() < radius
@@ -220,7 +204,7 @@ class TestRunChain:
     def test_initial_state_must_respect_radius(self):
         prior, phi = flat_target(2)
         with pytest.raises(ValueError, match="radius"):
-            ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0,
+            ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=10, n0=0, seed=0,
                         initial_state=np.array([2.0, 0.0]), restriction_radius=1.0)
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
@@ -230,16 +214,18 @@ class TestRunChain:
             start = np.zeros(3)
             start[i] = bad
             with pytest.raises(ValueError, match=rf"initial_state\[{i}\] = {bad}"):
-                ChainConfig(pcn(prior, 0.5), phi, n=5, n0=0, seed=0, initial_state=start)
+                ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=5, n0=0, seed=0,
+                            initial_state=start)
         start = [0.0, bad, bad]           # the first non-finite entry is named
         with pytest.raises(ValueError, match=r"initial_state\[1\]"):
-            ChainConfig(pcn(prior, 0.5), phi, n=5, n0=0, seed=0, initial_state=start)
+            ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=5, n0=0, seed=0,
+                        initial_state=start)
 
     def test_nonfinite_radius_rejected(self):
         prior, phi = flat_target(2)
         for radius in (np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
-                ChainConfig(pcn(prior, 0.5), phi, n=10, n0=0, seed=0,
+                ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=10, n0=0, seed=0,
                             restriction_radius=radius)
 
     def test_qoi_evaluated_only_at_new_states(self):
@@ -251,7 +237,7 @@ class TestRunChain:
             return float(u[0])
 
         n0 = 50
-        cfg = ChainConfig(pcn(prior, 0.6), phi, n=400, n0=n0, seed=12,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.6), phi, n=400, n0=n0, seed=12,
                           qoi={"first": first})
         trace = run_chain(cfg)
         assert 0 < trace.accepts[n0 + 1:].sum() < 399        # some steps rejected
@@ -260,7 +246,7 @@ class TestRunChain:
 
     def test_recovers_linear_gaussian_posterior_mean(self):
         prior, phi, mean, cov, gamma = linear_gaussian_setup()
-        kernel = gpcn(build_operator_pack(prior, gamma, 0.5))
+        kernel = ProposalKernel("gpcn", prior, 0.5, gamma=gamma)
         cfg = ChainConfig(kernel, phi, n=40000, n0=2000, seed=21, initial_state=mean)
         trace = run_chain(cfg)
         err = np.abs(trace.states.mean(axis=0) - mean)
@@ -287,13 +273,13 @@ class TestStateRecords:
         qoi = {"exp_integral": lambda u, solve: qoi_exp_integral(u, model, solve)}
         return prior, phi, xi_map, gamma_map, calls, qoi
 
-    @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
-    def test_chain_matches_the_step_rule_without_records(self, factory):
+    @pytest.mark.parametrize("variant", LOCAL_VARIANTS, ids=("local_gpcn", "local_gpcn2"))
+    def test_chain_matches_the_step_rule_without_records(self, variant):
         prior, phi, xi_map, gamma_map, _, qoi = self.local_setup()
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
-            cfg = ChainConfig(factory(prior, gamma_map, 0.3), phi, n=50, n0=10,
-                              seed=31, initial_state=xi_map, restriction_radius=radius,
-                              qoi=qoi)
+            kernel = ProposalKernel(variant, prior, 0.3, gamma_map=gamma_map)
+            cfg = ChainConfig(kernel, phi, n=50, n0=10, seed=31, initial_state=xi_map,
+                              restriction_radius=radius, qoi=qoi)
             trace = run_chain(cfg)
             accepts, states, series, _ = reference_chain(cfg)
             assert 0 < trace.accepts.sum() < 60
@@ -301,13 +287,14 @@ class TestStateRecords:
             assert np.array_equal(trace.states, states)
             assert np.array_equal(trace.qoi_series["exp_integral"], series["exp_integral"])
 
-    @pytest.mark.parametrize("factory", (local_gpcn, local_gpcn2))
-    def test_one_curvature_evaluation_per_tested_candidate(self, factory):
+    @pytest.mark.parametrize("variant", LOCAL_VARIANTS, ids=("local_gpcn", "local_gpcn2"))
+    def test_one_curvature_evaluation_per_tested_candidate(self, variant):
         prior, phi, xi_map, gamma_map, calls, _ = self.local_setup()
         n0, n = 10, 50
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
-            cfg = ChainConfig(factory(prior, gamma_map, 0.3), phi, n=n, n0=n0,
-                              seed=31, initial_state=xi_map, restriction_radius=radius)
+            kernel = ProposalKernel(variant, prior, 0.3, gamma_map=gamma_map)
+            cfg = ChainConfig(kernel, phi, n=n, n0=n0, seed=31, initial_state=xi_map,
+                              restriction_radius=radius)
             calls.clear()
             run_chain(cfg)
             chain_calls = len(calls)
@@ -320,7 +307,7 @@ class TestStateRecords:
 
     def test_step_returns_the_candidate_record_on_accept(self):
         prior, phi, xi_map, gamma_map, calls, _ = self.local_setup()
-        kernel = local_gpcn(prior, gamma_map, 0.3)
+        kernel = ProposalKernel("local-gpcn", prior, 0.3, gamma_map=gamma_map)
         rng = np.random.default_rng(5)
         state = initial_record(kernel, phi, xi_map)
         moves = 0
@@ -340,17 +327,17 @@ class TestStateRecords:
 
     def test_non_local_records_carry_the_fixed_pack(self):
         prior, phi, _, _, gamma = linear_gaussian_setup()
-        pack = build_operator_pack(prior, gamma, 0.4)
-        for kernel, want in ((random_walk(prior, 0.4), None), (pcn(prior, 0.4), None),
-                             (gauss_newton_rw(pack), pack), (gpcn(pack), pack)):
+        for variant in ("rw", "pcn", "gn-rw", "gpcn"):
+            kernel = ProposalKernel(variant, prior, 0.4, gamma=gamma)
             rng = np.random.default_rng(3)
             state = initial_record(kernel, phi, np.zeros(prior.dim))
-            assert state.pack is want
+            assert state.pack is kernel.pack
+            assert (kernel.pack is None) == (variant in ("rw", "pcn"))
             moves = 0
             for _ in range(10):
                 state, accepted = mh_step(kernel, phi, state, rng)
                 moves += accepted
-                assert state.pack is want
+                assert state.pack is kernel.pack
             assert moves > 0
 
 
@@ -382,10 +369,9 @@ class TestSharedSolve:
         phi = counted("phi", lambda u: phi_calls.append(1) or potential(u))
         qoi = {"exp_integral": counted("qoi", lambda u, solve: qoi_exp_integral(u, model, solve))}
         if variant in LOCAL_VARIANTS:
-            factory = local_gpcn if variant == "local-gpcn" else local_gpcn2
             gamma_map = counted("gamma_map", lambda u, solve: elliptic.build_gamma_from_map(
                 u, obs, model, solve))
-            kernel = factory(prior, gamma_map, 0.2)
+            kernel = ProposalKernel(variant, prior, 0.2, gamma_map=gamma_map)
         else:
             kernel = kernel_of(variant, prior, gamma, 0.2)
 
@@ -420,7 +406,7 @@ class TestSharedSolve:
 class TestTuner:
     def test_flat_target_returns_upper_boundary_with_warning(self):
         prior, phi = flat_target(3)
-        result = tune_step_size(pcn(prior, 0.5), phi, 0.25, 1000,
+        result = tune_step_size(ProposalKernel("pcn", prior, 0.5), phi, 0.25, 1000,
                                 np.random.default_rng(7))
         assert result.s == pytest.approx(0.999)
         assert result.acceptance_rate == 1.0
@@ -433,7 +419,7 @@ class TestTuner:
                                      np.random.default_rng(8), seed=8)
         phi = elliptic.make_posterior(obs, model)
         start = elliptic.map_estimate(obs, model, prior).xi
-        result = tune_step_size(pcn(prior, 0.5), phi, 0.25, 2000,
+        result = tune_step_size(ProposalKernel("pcn", prior, 0.5), phi, 0.25, 2000,
                                 np.random.default_rng(9), initial_state=start)
         assert result.converged
         assert 0.20 <= result.acceptance_rate <= 0.30
@@ -449,7 +435,7 @@ class TestTuner:
         def median_rate(s):
             rates = []
             for seed in (1, 2, 3):
-                cfg = ChainConfig(pcn(prior, s), phi, n=2000, n0=0, seed=seed,
+                cfg = ChainConfig(ProposalKernel("pcn", prior, s), phi, n=2000, n0=0, seed=seed,
                                   initial_state=start)
                 rates.append(run_chain(cfg).acceptance_rate)
             return np.median(rates)
@@ -459,7 +445,7 @@ class TestTuner:
 
     def test_validates_inputs(self):
         prior, phi = flat_target(2)
-        kernel = pcn(prior, 0.5)
+        kernel = ProposalKernel("pcn", prior, 0.5)
         with pytest.raises(ValueError):
             tune_step_size(kernel, phi, 1.5, 1000, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -484,21 +470,20 @@ class TestTuner:
                                          np.random.default_rng(data_seed), seed=data_seed)
             phi = elliptic.make_posterior(obs, model)
             xi_map = elliptic.map_estimate(obs, model, prior).xi
-            pack = build_operator_pack(prior, elliptic.build_gamma_from_map(xi_map, obs, model),
-                                       0.5)
-            kernels = (random_walk(prior, 0.5), pcn(prior, 0.5), gauss_newton_rw(pack),
-                       gpcn(pack))
-            for kernel in kernels:
+            gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
+            for variant in ("rw", "pcn", "gn-rw", "gpcn"):
+                kernel = ProposalKernel(variant, prior, 0.5, gamma=gamma)
                 for tol in (0.05, 0.02):
                     cases.append((kernel, phi, 0.25, dict(initial_state=xi_map, tol=tol)))
             for max_iters in (1, 2, 3):
-                cases.append((pcn(prior, 0.5), phi, 0.25,
+                cases.append((ProposalKernel("pcn", prior, 0.5), phi, 0.25,
                               dict(initial_state=xi_map, tol=0.02, max_iters=max_iters)))
         flat_prior, flat = flat_target(3)
-        cases.append((pcn(flat_prior, 0.5), flat, 0.25, {}))
+        cases.append((ProposalKernel("pcn", flat_prior, 0.5), flat, 0.25, {}))
         # A potential so steep that even S_LO accepts only about half its
         # proposals, below the band around 0.9.
-        cases.append((random_walk(PriorSpec(3), 0.5), lambda u: (1e7 * u[0], None), 0.9, {}))
+        cases.append((ProposalKernel("rw", PriorSpec(3), 0.5), lambda u: (1e7 * u[0], None), 0.9,
+                      {}))
 
         returned = set()
         steps_full = steps_stopped = 0
@@ -529,7 +514,7 @@ class TestTuner:
         n, target = 1000, 0.25
         bound = math.ceil(math.log(2 * n / PILOT_DELTA) / (2 * target**2))
         assert bound == 117
-        result = tune_step_size(pcn(PriorSpec(3), 0.5), steep, target, n,
+        result = tune_step_size(ProposalKernel("pcn", PriorSpec(3), 0.5), steep, target, n,
                                 np.random.default_rng(3))
         assert result.pilots[0] == (S_HI, bound, 0)
         assert result.converged and result.pilots[-1][1] == n   # the returned pilot ran to its end
@@ -548,13 +533,13 @@ class TestTuner:
             return prior, phi, xi_map, gamma
 
         prior, phi, xi_map, gamma = cell(50)
-        tuned = tune_step_size(gpcn(build_operator_pack(prior, gamma, 0.5)), phi,
+        tuned = tune_step_size(ProposalKernel("gpcn", prior, 0.5, gamma=gamma), phi,
                                0.25, 2000, np.random.default_rng(21),
                                initial_state=xi_map)
         rates = {}
         for n_modes in (50, 200):
             prior, phi, xi_map, gamma = cell(n_modes)
-            kernel = gpcn(build_operator_pack(prior, gamma, tuned.s))
+            kernel = ProposalKernel("gpcn", prior, tuned.s, gamma=gamma)
             cfg = ChainConfig(kernel, phi, n=5000, n0=500, seed=22,
                               initial_state=xi_map, thin=None)
             rates[n_modes] = run_chain(cfg).acceptance_rate
@@ -565,7 +550,7 @@ class TestExports:
     def make_trace(self, tmp_path):
         prior, phi = flat_target(2)
         model = elliptic.ForwardModel(2)
-        cfg = ChainConfig(pcn(prior, 0.4), phi, n=200, n0=20, seed=12,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.4), phi, n=200, n0=20, seed=12,
                           qoi={"exp_integral": lambda u, aux: qoi_exp_integral(u, model)})
         return run_chain(cfg)
 
@@ -599,7 +584,7 @@ class TestExports:
     def test_csv_reader_matches_the_row_list_parser(self, tmp_path):
         prior, phi = flat_target(3)
         model = elliptic.ForwardModel(3)
-        cfg = ChainConfig(pcn(prior, 0.6), phi, n=500, n0=50, seed=13,
+        cfg = ChainConfig(ProposalKernel("pcn", prior, 0.6), phi, n=500, n0=50, seed=13,
                           thin=None,
                           qoi={"exp_integral": lambda u, aux: qoi_exp_integral(u, model),
                                "first": lambda u, aux: float(u[0])})

@@ -1,18 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack, log_rho_gamma
 from gpcn.proposals import (
+    LOCAL_VARIANTS,
+    PACK_VARIANTS,
     VARIANTS,
     ProposalKernel,
-    gauss_newton_rw,
-    gpcn,
-    local_gpcn,
-    local_gpcn2,
     log_acceptance_correction,
-    pcn,
     propose,
-    random_walk,
 )
 from helpers import dense_operators, gaussian_logpdf, random_factor, sampler_operators
 
@@ -75,20 +73,20 @@ class TestPropose:
         prior = PriorSpec(5)
         rng = np.random.default_rng(0)
         u = prior.sample(rng)
-        assert np.array_equal(draw(pcn(prior, 0.0), u, rng), u)
+        assert np.array_equal(draw(ProposalKernel("pcn", prior, 0.0), u, rng), u)
 
     def test_gpcn_with_zero_gamma_equals_pcn_pathwise(self):
         prior = PriorSpec(6)
-        pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 6))), 0.45)
+        kernel = ProposalKernel("gpcn", prior, 0.45, gamma=FactoredGamma(np.zeros((0, 6))))
         u = PriorSpec(6).sample(np.random.default_rng(3))
-        v_gpcn = draw(gpcn(pack), u, np.random.default_rng(99))
-        v_pcn = draw(pcn(prior, 0.45), u, np.random.default_rng(99))
+        v_gpcn = draw(kernel, u, np.random.default_rng(99))
+        v_pcn = draw(ProposalKernel("pcn", prior, 0.45), u, np.random.default_rng(99))
         assert np.array_equal(v_gpcn, v_pcn)
 
     def test_rw_replays_seeded_draw(self):
         prior = PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
         u = np.array([1.0, 1.0])
-        v = draw(random_walk(prior, 0.5), u, np.random.default_rng(123))
+        v = draw(ProposalKernel("rw", prior, 0.5), u, np.random.default_rng(123))
         z = np.random.default_rng(123).standard_normal(2)
         assert np.allclose(v, u + 0.5 * np.array([1.0, 0.5]) * z)
 
@@ -96,8 +94,7 @@ class TestPropose:
         rng = np.random.default_rng(8)
         prior = PriorSpec(2, eigenvalues=np.array([1.0, 0.25]))
         gamma = random_factor(2, rng, scale=2.0)
-        pack = build_operator_pack(prior, gamma, 0.5)
-        kernel = gpcn(pack)
+        kernel = ProposalKernel("gpcn", prior, 0.5, gamma=gamma)
         u = np.array([0.7, -0.4])
         draws = np.array([draw(kernel, u, rng) for _ in range(100000)])
         ops = dense_operators(prior, gamma, 0.5)
@@ -109,8 +106,8 @@ class TestPropose:
         prior = PriorSpec(4)
         base = random_factor(4, rng)
         u = prior.sample(rng)
-        for factory, uses_adapted_mean in ((local_gpcn, True), (local_gpcn2, False)):
-            kernel = factory(prior, make_gamma_map(base), 0.35)
+        for variant, uses_adapted_mean in (("local-gpcn", True), ("local-gpcn2", False)):
+            kernel = ProposalKernel(variant, prior, 0.35, gamma_map=make_gamma_map(base))
             pack = kernel.pack_at(u, None)
             draws = np.array([propose(kernel, u, rng.standard_normal(4), pack) for _ in range(50000)])
             mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
@@ -121,10 +118,10 @@ class TestCorrections:
     def test_prior_reversible_variants_need_none(self):
         prior = PriorSpec(3)
         rng = np.random.default_rng(1)
-        pack = build_operator_pack(prior, random_factor(3, rng), 0.4)
+        gamma = random_factor(3, rng)
         u, v = prior.sample(rng), prior.sample(rng)
-        assert correction(pcn(prior, 0.4), u, v) == 0.0
-        assert correction(gpcn(pack), u, v) == 0.0
+        assert correction(ProposalKernel("pcn", prior, 0.4), u, v) == 0.0
+        assert correction(ProposalKernel("gpcn", prior, 0.4, gamma=gamma), u, v) == 0.0
 
     def test_symmetric_walks_carry_prior_ratio(self):
         # rw / gn-rw are Lebesgue-symmetric, not prior-reversible; the prior
@@ -133,10 +130,10 @@ class TestCorrections:
         prior = PriorSpec(4)
         rng = np.random.default_rng(2)
         gamma = random_factor(4, rng)
-        pack = build_operator_pack(prior, gamma, 0.4)
         u, v = prior.sample(rng), prior.sample(rng)
         expected = prior_logpdf(prior, v) - prior_logpdf(prior, u)
-        for kernel in (random_walk(prior, 0.4), gauss_newton_rw(pack)):
+        for variant in ("rw", "gn-rw"):
+            kernel = ProposalKernel(variant, prior, 0.4, gamma=gamma)
             assert np.isclose(correction(kernel, u, v), expected, atol=1e-10)
             assert_hastings_identity(kernel, u, v, gamma=gamma)
 
@@ -144,14 +141,14 @@ class TestCorrections:
         rng = np.random.default_rng(5)
         prior = PriorSpec(5)
         gamma = random_factor(5, rng)
-        pack = build_operator_pack(prior, gamma, 0.6)
+        kernels = [ProposalKernel(variant, prior, 0.6, gamma=gamma) for variant in ("pcn", "gpcn")]
         for _ in range(10):
             u, v = prior.sample(rng), prior.sample(rng)
-            for kernel in (pcn(prior, 0.6), gpcn(pack)):
+            for kernel in kernels:
                 lhs = proposal_log_density(kernel, u, v, gamma) + prior_logpdf(prior, u)
                 rhs = proposal_log_density(kernel, v, u, gamma) + prior_logpdf(prior, v)
                 assert abs(lhs - rhs) < 1e-8
-            kernel = random_walk(prior, 0.6)
+            kernel = ProposalKernel("rw", prior, 0.6)
             lhs = proposal_log_density(kernel, u, v) + prior_logpdf(prior, u)
             rhs = proposal_log_density(kernel, v, u) + prior_logpdf(prior, v)
             assert abs(lhs - rhs) > 1e-3
@@ -160,7 +157,7 @@ class TestCorrections:
         rng = np.random.default_rng(7)
         prior = PriorSpec(4)
         gamma = random_factor(4, rng)
-        kernel = local_gpcn(prior, lambda u, aux: gamma, 0.5)
+        kernel = ProposalKernel("local-gpcn", prior, 0.5, gamma_map=lambda u, aux: gamma)
         u, v = prior.sample(rng), prior.sample(rng)
         assert correction(kernel, u, v) == 0.0
         # and the defining difference of density factors is itself ~0
@@ -171,8 +168,8 @@ class TestCorrections:
         rng = np.random.default_rng(9)
         prior = PriorSpec(5)
         gamma_map = make_gamma_map(random_factor(5, rng))
-        for factory in (local_gpcn, local_gpcn2):
-            kernel = factory(prior, gamma_map, 0.4)
+        for variant in LOCAL_VARIANTS:
+            kernel = ProposalKernel(variant, prior, 0.4, gamma_map=gamma_map)
             u, v = prior.sample(rng), prior.sample(rng)
             fwd = correction(kernel, u, v)
             bwd = correction(kernel, v, u)
@@ -185,17 +182,18 @@ class TestCorrections:
         rng = np.random.default_rng(13)
         prior = PriorSpec(4)
         gamma_map = make_gamma_map(random_factor(4, rng))
-        for factory in (local_gpcn, local_gpcn2):
-            kernel = factory(prior, gamma_map, 0.45)
+        for variant in LOCAL_VARIANTS:
+            kernel = ProposalKernel(variant, prior, 0.45, gamma_map=gamma_map)
             for _ in range(10):
                 u, v = prior.sample(rng), prior.sample(rng)
                 assert_hastings_identity(kernel, u, v)
 
     def test_local_requires_positive_step(self):
         prior = PriorSpec(3)
-        for factory in (local_gpcn, local_gpcn2):
+        for variant in LOCAL_VARIANTS:
             with pytest.raises(ValueError, match=r"\(0, 1\)"):
-                factory(prior, lambda u, aux: FactoredGamma(np.zeros((0, 3))), 0.0)
+                ProposalKernel(variant, prior, 0.0,
+                               gamma_map=lambda u, aux: FactoredGamma(np.zeros((0, 3))))
 
 
 class TestKernelPlumbing:
@@ -204,52 +202,52 @@ class TestKernelPlumbing:
             ProposalKernel("mala", PriorSpec(2), 0.5)
 
     def test_pack_required_for_adapted_variants(self):
-        with pytest.raises(ValueError):
-            ProposalKernel("gpcn", PriorSpec(2), 0.5)
+        for variant in PACK_VARIANTS:
+            with pytest.raises(ValueError, match="requires a gamma$"):
+                ProposalKernel(variant, PriorSpec(2), 0.5)
+        for variant in LOCAL_VARIANTS:
+            with pytest.raises(ValueError, match="requires a gamma_map"):
+                ProposalKernel(variant, PriorSpec(2), 0.5)
 
-    @pytest.mark.parametrize("variant", ("gn-rw", "gpcn"))
+    @pytest.mark.parametrize("variant", PACK_VARIANTS)
     def test_pack_must_share_the_kernel_prior(self, variant):
+        # The kernel builds its pack on its own prior, so a factor whose
+        # column count is not the prior's dimension fails to build one.
         prior = PriorSpec(3)
-        for other in (PriorSpec(3, eigenvalues=[4.0, 4.0, 4.0]), PriorSpec(4)):
-            pack = build_operator_pack(other, FactoredGamma(np.eye(other.dim)), 0.5)
-            with pytest.raises(ValueError, match="prior spectrum"):
-                ProposalKernel(variant, prior, 0.5, pack=pack)
-        # an equal spectrum in another PriorSpec object is the same prior
-        same = build_operator_pack(PriorSpec(3), FactoredGamma(np.eye(3)), 0.5)
-        assert ProposalKernel(variant, prior, 0.5, pack=same).pack is same
+        for cols in (2, 4):
+            with pytest.raises(ValueError, match=r"shape \(r, 3\)"):
+                ProposalKernel(variant, prior, 0.5, gamma=FactoredGamma(np.eye(cols)))
+        kernel = ProposalKernel(variant, prior, 0.5, gamma=FactoredGamma(np.eye(3)))
+        assert kernel.pack.prior is prior and kernel.pack.s == 0.5
 
-    def test_with_step_size_rebuilds_pack(self):
+    def test_replace_rebuilds_pack(self):
         rng = np.random.default_rng(3)
         prior = PriorSpec(4)
         gamma = random_factor(4, rng)
-        kernel = gpcn(build_operator_pack(prior, gamma, 0.3))
-        rescaled = kernel.with_step_size(0.7)
-        assert rescaled.s == 0.7 and rescaled.pack.s == 0.7
-        a, root = sampler_operators(rescaled.pack)
-        assert not np.allclose(a, sampler_operators(kernel.pack)[0])
-        c = np.diag(prior.eigenvalues)
-        resid = a @ c @ a.T + 0.49 * root @ root.T - c
-        assert np.linalg.norm(resid) < 1e-10
-        # matches a fresh build at the new step size, for both pack variants
-        fresh = build_operator_pack(prior, gamma, 0.7)
-        for got, want in zip((a, root), sampler_operators(fresh)):
-            assert np.abs(got - want).max() < 1e-12
-        for name in ("logdet_ih", "h_norm", "cm_norm"):
-            assert abs(getattr(rescaled.pack, name) - getattr(fresh, name)) < 1e-12
         u = prior.sample(rng)
-        for factory in (gpcn, gauss_newton_rw):
-            v = draw(factory(kernel.pack).with_step_size(0.7), u, np.random.default_rng(5))
-            v_fresh = draw(factory(fresh), u, np.random.default_rng(5))
-            assert np.abs(v - v_fresh).max() < 1e-12
+        for variant in PACK_VARIANTS:
+            kernel = ProposalKernel(variant, prior, 0.3, gamma=gamma)
+            rescaled = replace(kernel, s=0.7)
+            fresh = ProposalKernel(variant, prior, 0.7, gamma=gamma)
+            assert rescaled.s == rescaled.pack.s == 0.7 and rescaled.gamma is gamma
+            assert np.array_equal(rescaled.pack.v, fresh.pack.v)
+            assert np.array_equal(rescaled.pack.w, fresh.pack.w)
+            v = draw(rescaled, u, np.random.default_rng(5))
+            assert np.array_equal(v, draw(fresh, u, np.random.default_rng(5)))
+            assert not np.allclose(v, draw(kernel, u, np.random.default_rng(5)))
+        # the rebuilt gpcn pack is prior-reversible at the new s: A C A^T + s^2 R R^T = C
+        a, root = sampler_operators(replace(ProposalKernel("gpcn", prior, 0.3, gamma=gamma),
+                                            s=0.7).pack)
+        c = np.diag(prior.eigenvalues)
+        assert np.linalg.norm(a @ c @ a.T + 0.49 * root @ root.T - c) < 1e-10
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_nonfinite_step_rejected(self, variant):
         prior = PriorSpec(3)
         eye = FactoredGamma(np.eye(3))
-        pack = build_operator_pack(prior, eye, 0.5)
         for s in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                ProposalKernel(variant, prior, s, pack=pack, gamma_map=lambda u, aux: eye)
+                ProposalKernel(variant, prior, s, gamma=eye, gamma_map=lambda u, aux: eye)
 
     def test_dense_gamma_is_a_type_error(self):
         # An N x N array is also the (N, N) factor of another Gamma, so only a
@@ -257,11 +255,14 @@ class TestKernelPlumbing:
         prior = PriorSpec(3)
         with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
             build_operator_pack(prior, np.eye(3), 0.5)
-        for factory in (local_gpcn, local_gpcn2):
-            kernel = factory(prior, lambda u, aux: np.eye(3), 0.5)
+        for variant in PACK_VARIANTS:
+            with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
+                ProposalKernel(variant, prior, 0.5, gamma=np.eye(3))
+        for variant in LOCAL_VARIANTS:
+            kernel = ProposalKernel(variant, prior, 0.5, gamma_map=lambda u, aux: np.eye(3))
             with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
                 kernel.pack_at(np.zeros(3), None)
 
     def test_rw_allows_step_above_one(self):
-        kernel = random_walk(PriorSpec(2), 1.7)
+        kernel = ProposalKernel("rw", PriorSpec(2), 1.7)
         assert kernel.s == 1.7

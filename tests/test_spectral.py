@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gpcn import elliptic
-from gpcn.gaussian_ops import FactoredGamma, PriorSpec, build_operator_pack
-from gpcn.proposals import PRIOR_REVERSIBLE, VARIANTS, ProposalKernel, pcn
+from gpcn.gaussian_ops import FactoredGamma, PriorSpec
+from gpcn.proposals import PRIOR_REVERSIBLE, VARIANTS, ProposalKernel
 from gpcn.spectral import (
     FiniteChain,
     _proposal_law,
@@ -122,9 +122,7 @@ def make_kernel(variant, prior, gamma, s, gamma_map=None):
     """A kernel of any variant; the local ones take ``gamma_map``, else the constant ``gamma``."""
     if variant.startswith("local"):
         return ProposalKernel(variant, prior, s, gamma_map=gamma_map or (lambda u, aux: gamma))
-    if variant in ("rw", "pcn"):
-        return ProposalKernel(variant, prior, s)
-    return ProposalKernel(variant, prior, s, pack=build_operator_pack(prior, gamma, s))
+    return ProposalKernel(variant, prior, s, gamma=gamma)
 
 
 def oracle_law(kernel, gamma, x):
@@ -199,7 +197,7 @@ class TestDiscretizeKernel:
         # pcn at s = 0.15: log q straddles exp's range between x = -0.15 and x = -6, so
         # q underflows one way only; the pair is zeroed both ways and the chain builds
         points, cell = np.linspace(-6.0, 6.0, 81)[:, None], 0.15
-        kernel = pcn(PriorSpec(1, np.ones(1)), 0.15)
+        kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.15)
         forth, back = (gaussian_logpdf(points[j], *oracle_law(kernel, None, points[i]))
                        + np.log(cell) for i, j in ((39, 0), (0, 39)))
         assert forth < -746.0 and back > -744.0
@@ -209,7 +207,8 @@ class TestDiscretizeKernel:
 
     def test_unresolved_step_is_rejected_by_name(self):
         # too narrow for the cell: no state reaches another, so the chain is reducible
-        points, kernel = np.linspace(-4.0, 4.0, 15)[:, None], pcn(PriorSpec(1, np.ones(1)), 0.05)
+        points = np.linspace(-4.0, 4.0, 15)[:, None]
+        kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.05)
         with pytest.raises(ValueError, match=r"pcn at step size s = 0\.05 is reducible"):
             discretize_kernel(kernel, lambda u: (0.0, None), points, 8.0 / 14.0)
 
@@ -228,7 +227,7 @@ class TestDiscretizeKernel:
         # its off-diagonal grid mass passes 1; q is divided by the largest such mass c, so
         # every move is still accepted, at probability q_ij / c
         points = np.arange(-12.0, 13.0)[:, None]
-        kernel = pcn(PriorSpec(1, np.ones(1)), 0.4)
+        kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.4)
         q = np.array([[np.exp(gaussian_logpdf(y, mean, cov)) for y in points]
                       for mean, cov in (oracle_law(kernel, None, x) for x in points)])
         off = ~np.eye(len(points), dtype=bool)
