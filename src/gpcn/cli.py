@@ -1,4 +1,4 @@
-"""Command line interface: run / map / diagnose / lab subcommands."""
+"""Command line interface: run / diagnose / lab subcommands."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .experiment import ConfigError, diagnose_trace, load_config, run_experiment, run_map_command
+from .experiment import ConfigError, diagnose_trace, load_config, run_experiment
 from .spectral import run_lab
 
 
@@ -27,12 +27,8 @@ def _build_parser():
     run.add_argument("--config", required=True, help="flat key = value config file")
     run.add_argument("--seed", type=_at_least(0), default=None, help="override the master seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--threads", type=_at_least(1), default=1, help="concurrent sweep cells")
-
-    map_cmd = sub.add_parser("map", help="compute and store the MAP point and curvature")
-    map_cmd.add_argument("--config", required=True)
-    map_cmd.add_argument("--seed", type=_at_least(0), default=None)
-    map_cmd.add_argument("--out", default=None)
+    run.add_argument("--threads", type=_at_least(1), default=1,
+                     help="concurrent (variant, N, sigma) groups")
 
     diag = sub.add_parser("diagnose", help="recompute ESS diagnostics from a trace CSV")
     diag.add_argument("trace")
@@ -44,15 +40,6 @@ def _build_parser():
     lab.add_argument("--states", type=int, default=10)
     lab.add_argument("--out", default=None)
     return parser
-
-
-def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    return cfg
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -68,18 +55,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _load(args)
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg.seed = args.seed
+            if args.out:
+                cfg.out_dir = args.out
             rows = run_experiment(cfg, threads=args.threads)
             for row in rows:
                 print(f"{row['variant']:>12s}  N={row['N']:<4d} sigma={row['sigma_eps']:<8g} "
                       f"rep={row['replicate']} acc={row['acceptance_rate']:.3f} "
                       f"ess_ims={row['ess_ims']:.1f}")
             print(f"wrote {len(rows)} summary rows to {cfg.out_dir}/summary.csv")
-        elif args.command == "map":
-            cfg = _load(args)
-            summary = run_map_command(cfg, cfg.out_dir)
-            print(f"phi at MAP: {summary['phi_at_map']:.6g} "
-                  f"(converged={summary['converged']}, iterations={summary['iterations']})")
         elif args.command == "diagnose":
             _emit(diagnose_trace(args.trace), args.out)
         elif args.command == "lab":

@@ -266,17 +266,18 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
     inv_std = 1.0 / prior.std
 
     def residual(x):
-        return np.concatenate([inv_sigma * (obs.y - forward(x, model)), inv_std * x])
+        solve = forward_solve(x, model)            # an accepted x's Jacobian reads it
+        return np.concatenate([inv_sigma * (obs.y - forward(x, model, solve)), inv_std * x]), solve
 
-    def linearize(x, r):
+    def linearize(x, r, solve):
         # L = sigma^-1 J(x) and the gradient J_r^T r = -L^T r_data + C^{-1/2} r_prior
-        l = inv_sigma * jacobian(x, model)
+        l = inv_sigma * jacobian(x, model, solve)
         return l, inv_std * r[l.shape[0]:] - l.T @ r[:l.shape[0]]
 
     xi = np.zeros(prior.dim)
-    r = residual(xi)
+    r, solve = residual(xi)
     cost = 0.5 * (r @ r)
-    l, grad = linearize(xi, r)
+    l, grad = linearize(xi, r, solve)
     damping = 1e-3
     for it in range(1, max_iter + 1):
         grad_norm = float(np.linalg.norm(grad))
@@ -286,11 +287,11 @@ def map_estimate(obs: Observation, model: ForwardModel, prior: PriorSpec,
         ld = l * d_inv                                 # L D^{-1}; solve with I + L D^{-1} L^T
         step = ld.T @ np.linalg.solve(np.eye(len(l)) + ld @ l.T, ld @ grad) - d_inv * grad
         candidate = xi + step
-        r_new = residual(candidate)
+        r_new, solve = residual(candidate)
         cost_new = 0.5 * (r_new @ r_new)
         if cost_new < cost:
             xi, r, cost = candidate, r_new, cost_new
-            l, grad = linearize(xi, r)
+            l, grad = linearize(xi, r, solve)
             damping = max(damping / 10.0, 1e-12)
         else:
             damping *= 10.0

@@ -10,12 +10,10 @@ seeds and reruns are bit-reproducible.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -138,7 +136,7 @@ def resolve_config(text: str) -> ExperimentConfig:
         elif key in _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
     # A cell's artifacts are named by its variant, N and sigma_eps as printed
-    # (``run_cell``'s stem), so entries that print alike would overwrite
+    # (``run_group``'s stem), so entries that print alike would overwrite
     # each other's files.
     for key, name, show in (("problem.N", "n_modes", str),
                             ("problem.sigma_eps", "sigma_eps", "{:g}".format),
@@ -236,38 +234,56 @@ def truth_object(cfg: ExperimentConfig):
     raise ValueError(f"unknown truth spec {cfg.truth!r}; use 'default' or 'coeffs:v1,v2,...'")
 
 
-def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> tuple:
-    """Data and MAP point of cell (i_n, i_sig): (model, prior, data_seed, obs,
-    phi, map_result), phi the potential of the target exp(-phi) d(prior)."""
+class Problem(NamedTuple):
+    """Problem (i_n, i_sig) of the sweep: grid, prior, data (``obs.seed`` is its
+    data seed), MAP solve and the curvature that ``sampler.gamma`` selects.  It
+    holds no closure, so it pickles to a worker, which makes its own potential."""
+
+    i_n: int
+    i_sig: int
+    model: elliptic.ForwardModel
+    prior: PriorSpec
+    obs: elliptic.Observation
+    map_result: elliptic.MapResult
+    gamma: FactoredGamma
+
+
+def build_problem(cfg: ExperimentConfig, i_n: int, i_sig: int) -> Problem:
+    """Data, MAP point and curvature of problem (i_n, i_sig); Gamma is taken at
+    the MAP point, or averaged over prior draws from the points stream."""
     n_modes = cfg.n_modes[i_n]
     model = elliptic.ForwardModel(n_modes, dx=cfg.dx)
     prior = PriorSpec(n_modes)
     data_seed = derive_seed(cfg.seed, _SEED_DATA, i_n, i_sig)
     obs = elliptic.generate_data(truth_object(cfg), cfg.sigma_eps[i_sig], model,
                                  np.random.default_rng(data_seed), seed=data_seed)
-    phi = elliptic.make_posterior(obs, model)
     map_result = elliptic.map_estimate(obs, model, prior)
-    return model, prior, data_seed, obs, phi, map_result
-
-
-def build_curvature(cfg: ExperimentConfig, prior, model, obs, xi_map) -> FactoredGamma:
-    """The fixed curvature Gamma that ``sampler.gamma`` selects: at the MAP
-    point, or averaged over prior draws from the points stream."""
     if cfg.gamma_source == "averaged":
         rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_POINTS, prior.dim))
         points = [prior.sample(rng) for _ in range(cfg.gamma_points)]
-        return elliptic.build_gamma_averaged(points, obs.sigma_eps, model)
-    return elliptic.build_gamma_from_map(xi_map, obs, model)
+        gamma = elliptic.build_gamma_averaged(points, obs.sigma_eps, model)
+    else:
+        gamma = elliptic.build_gamma_from_map(map_result.xi, obs, model)
+    return Problem(i_n, i_sig, model, prior, obs, map_result, gamma)
 
 
-def _build_kernel(cfg, variant, prior, model, obs, xi_map, s):
-    if variant in PACK_VARIANTS:
-        gamma = build_curvature(cfg, prior, model, obs, xi_map)
-        return ProposalKernel(variant, prior, s, gamma=gamma)
-    if variant in LOCAL_VARIANTS:
-        gamma_map = lambda u, solve: elliptic.build_gamma_from_map(u, obs, model, solve)
-        return ProposalKernel(variant, prior, s, gamma_map=gamma_map)
-    return ProposalKernel(variant, prior, s)
+def write_problem(cfg: ExperimentConfig, problem: Problem) -> None:
+    """Write the problem's MAP point, its curvature as the r x N factor F
+    (Gamma = F^T F) and the MAP report: ``xi_map_<stem>.npy``,
+    ``gamma_factor_<stem>.npy`` and ``map_<stem>.json``, stem N{N}_sig{sigma:g}."""
+    model, obs, result = problem.model, problem.obs, problem.map_result
+    stem = f"N{model.n_modes}_sig{obs.sigma_eps:g}"
+    np.save(os.path.join(cfg.out_dir, f"xi_map_{stem}.npy"), result.xi)
+    np.save(os.path.join(cfg.out_dir, f"gamma_factor_{stem}.npy"), problem.gamma.factor)
+    summary = {
+        "config": dict(cfg.items()), "N": model.n_modes, "sigma_eps": obs.sigma_eps,
+        "data_seed": obs.seed, "phi_at_map": elliptic.phi(result.xi, obs, model)[0],
+        "converged": result.converged, "iterations": result.iterations,
+        "gradient_norm": result.gradient_norm, "stop": result.stop,
+        "observation": json.loads(obs.to_json()),
+    }
+    with open(os.path.join(cfg.out_dir, f"map_{stem}.json"), "w") as fh:
+        json.dump(summary, fh, indent=2)
 
 
 def ess_summary(series) -> dict:
@@ -283,75 +299,87 @@ def ess_summary(series) -> dict:
     return summary
 
 
-def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> dict:
-    """Run one (variant, N, sigma_eps, replicate) cell and write its artifacts."""
-    variant = cfg.variants[iv]
-    n_modes = cfg.n_modes[i_n]
-    sigma = cfg.sigma_eps[i_sig]
-    model, prior, data_seed, obs, phi, map_result = build_problem(cfg, i_n, i_sig)
-    xi_map = map_result.xi
+def run_group(cfg: ExperimentConfig, problem: Problem, iv: int, reps) -> list:
+    """Run variant ``iv`` on ``problem``: build its kernel and tune s once (the
+    tune seed has no replicate index), then run each replicate in ``reps`` and
+    write its artifacts; returns the replicates' summary rows."""
+    variant, model, obs = cfg.variants[iv], problem.model, problem.obs
+    map_result, xi_map = problem.map_result, problem.map_result.xi
+    n_modes, sigma = model.n_modes, obs.sigma_eps
+    phi = elliptic.make_posterior(obs, model)
+    qoi = {QOI_NAME: lambda xi, solve: qoi_exp_integral(xi, model, solve)}
 
     tuned = cfg.s is None
-    kernel = _build_kernel(cfg, variant, prior, model, obs, xi_map, 0.5 if tuned else cfg.s)
+    gamma_map = lambda u, solve: elliptic.build_gamma_from_map(u, obs, model, solve)
+    kernel = ProposalKernel(variant, problem.prior, 0.5 if tuned else cfg.s,
+                            gamma=problem.gamma if variant in PACK_VARIANTS else None,
+                            gamma_map=gamma_map if variant in LOCAL_VARIANTS else None)
     if tuned:
-        tune_seed = derive_seed(cfg.seed, _SEED_TUNE, iv, i_n, i_sig)
+        tune_seed = derive_seed(cfg.seed, _SEED_TUNE, iv, problem.i_n, problem.i_sig)
         result = tune_step_size(kernel, phi, cfg.target_acceptance, cfg.pilot_n,
                                 np.random.default_rng(tune_seed), initial_state=xi_map)
         kernel = replace(kernel, s=result.s)
     s = kernel.s
 
-    chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, i_n, i_sig, rep)
-    # Only the npy dump reads the states, so without it the chain keeps none.
-    chain_cfg = ChainConfig(kernel, phi, n=cfg.n, n0=cfg.n0, seed=chain_seed,
-                            initial_state=xi_map,
-                            thin=cfg.thin if "npy" in cfg.formats else None,
-                            qoi={QOI_NAME: lambda xi, solve: qoi_exp_integral(xi, model, solve)})
-    trace = run_chain(chain_cfg)
+    rows = []
+    for rep in reps:
+        chain_seed = derive_seed(cfg.seed, _SEED_CHAIN, iv, problem.i_n, problem.i_sig, rep)
+        # Only the npy dump reads the states, so without it the chain keeps none.
+        chain_cfg = ChainConfig(kernel, phi, n=cfg.n, n0=cfg.n0, seed=chain_seed,
+                                initial_state=xi_map,
+                                thin=cfg.thin if "npy" in cfg.formats else None, qoi=qoi)
+        trace = run_chain(chain_cfg)
 
-    series = trace.qoi_series[QOI_NAME]
-    ess = ess_summary(series)
-    nan = float("nan")
-    ess_ims_value, iact_ims = ess["ims"].get("ess", nan), ess["ims"].get("iact", nan)
-    ess_bm = ess["batch_means"].get("ess", nan)
+        series = trace.qoi_series[QOI_NAME]
+        ess = ess_summary(series)
+        nan = float("nan")
+        ess_ims_value, iact_ims = ess["ims"].get("ess", nan), ess["ims"].get("iact", nan)
+        ess_bm = ess["batch_means"].get("ess", nan)
 
-    stem = f"{variant}_N{n_modes}_sig{sigma:g}_r{rep}"
-    cell_seeds = {"data_seed": data_seed, "chain_seed": chain_seed}
-    header = dict(cfg.items())
-    header.update({"cell": stem, "cell.s": format(s, ".17g"), **cell_seeds})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    if "csv" in cfg.formats:
-        write_trace_csv(trace, os.path.join(cfg.out_dir, f"trace_{stem}.csv"), header=header)
-    if "npy" in cfg.formats:
-        write_state_dump(trace, os.path.join(cfg.out_dir, f"states_{stem}.npy"))
-    if "json" in cfg.formats:
-        report = {
-            "config": dict((k, v) for k, v in cfg.items()), "cell": stem,
+        stem = f"{variant}_N{n_modes}_sig{sigma:g}_r{rep}"
+        cell_seeds = {"data_seed": obs.seed, "chain_seed": chain_seed}
+        header = dict(cfg.items())
+        header.update({"cell": stem, "cell.s": format(s, ".17g"), **cell_seeds})
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        if "csv" in cfg.formats:
+            write_trace_csv(trace, os.path.join(cfg.out_dir, f"trace_{stem}.csv"), header=header)
+        if "npy" in cfg.formats:
+            write_state_dump(trace, os.path.join(cfg.out_dir, f"states_{stem}.npy"))
+        if "json" in cfg.formats:
+            report = {
+                "config": dict(cfg.items()), "cell": stem,
+                "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
+                **cell_seeds, "s": s, "tuned": tuned,
+                "acceptance_rate": trace.acceptance_rate,
+                "phi_at_map": phi(xi_map)[0],
+                "map": {"iterations": map_result.iterations,
+                        "gradient_norm": map_result.gradient_norm,
+                        "converged": map_result.converged,
+                        "stop": map_result.stop},
+                "observation": json.loads(obs.to_json()),
+                "ess": {"ims": ess["ims"], "batch_means": ess_bm},
+            }
+            if tuned:
+                report["tune"] = {"converged": result.converged,
+                                  "acceptance_rate": result.acceptance_rate,
+                                  "pilots": [list(p) for p in result.pilots]}
+            with open(os.path.join(cfg.out_dir, f"diagnostics_{stem}.json"), "w") as fh:
+                json.dump(report, fh, indent=2)
+
+        rows.append({
             "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
-            **cell_seeds, "s": s, "tuned": tuned,
+            "chain_seed": chain_seed, "s": s, "tuned": int(tuned),
             "acceptance_rate": trace.acceptance_rate,
-            "phi_at_map": phi(xi_map)[0],
-            "map": {"iterations": map_result.iterations,
-                    "gradient_norm": map_result.gradient_norm,
-                    "converged": map_result.converged,
-                    "stop": map_result.stop},
-            "observation": json.loads(obs.to_json()),
-            "ess": {"ims": ess["ims"], "batch_means": ess_bm},
-        }
-        if tuned:
-            report["tune"] = {"converged": result.converged,
-                              "acceptance_rate": result.acceptance_rate,
-                              "pilots": [list(p) for p in result.pilots]}
-        with open(os.path.join(cfg.out_dir, f"diagnostics_{stem}.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+            "ess_ims": ess_ims_value, "iact_ims": iact_ims, "ess_batch_means": ess_bm,
+            "qoi_mean": float(series.mean()) if series.size else float("nan"),
+            "wall_time_s": trace.wall_time,
+        })
+    return rows
 
-    return {
-        "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
-        "chain_seed": chain_seed, "s": s, "tuned": int(tuned),
-        "acceptance_rate": trace.acceptance_rate,
-        "ess_ims": ess_ims_value, "iact_ims": iact_ims, "ess_batch_means": ess_bm,
-        "qoi_mean": float(series.mean()) if series.size else float("nan"),
-        "wall_time_s": trace.wall_time,
-    }
+
+def run_cell(cfg: ExperimentConfig, iv: int, i_n: int, i_sig: int, rep: int) -> dict:
+    """Run one (variant, N, sigma_eps, replicate) cell and write its artifacts."""
+    return run_group(cfg, build_problem(cfg, i_n, i_sig), iv, (rep,))[0]
 
 
 _SUMMARY_COLUMNS = ("variant", "N", "sigma_eps", "replicate", "chain_seed", "s", "tuned",
@@ -372,14 +400,6 @@ def write_summary_csv(rows, path, header_items) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _cell_args(cfg):
-    for iv in range(len(cfg.variants)):
-        for i_n in range(len(cfg.n_modes)):
-            for i_sig in range(len(cfg.sigma_eps)):
-                for rep in range(cfg.replicates):
-                    yield (cfg, iv, i_n, i_sig, rep)
-
-
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -393,6 +413,11 @@ def worker_pool(workers: int):
     as the pool lives (the pool starts its workers on demand) and restored
     afterwards.
     """
+    # Imported on first use, not with the module: they take about 15 ms to
+    # import (2-core VM), and only a pool needs them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
@@ -408,47 +433,31 @@ def worker_pool(workers: int):
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Run every sweep cell, write per-cell artifacts and the summary table;
-    ``threads > 1`` runs cells in that many worker processes."""
+    """Run the sweep: build and write each (N, sigma_eps) problem once, run each
+    (variant, N, sigma_eps) group on it, then write the summary table;
+    ``threads > 1`` runs the groups in that many worker processes."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    args = list(_cell_args(cfg))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    problems = [build_problem(cfg, i_n, i_sig)
+                for i_n in range(len(cfg.n_modes)) for i_sig in range(len(cfg.sigma_eps))]
+    for problem in problems:
+        write_problem(cfg, problem)
+    groups = [(cfg, problem, iv, range(cfg.replicates))
+              for iv in range(len(cfg.variants)) for problem in problems]
     if threads > 1:
         with worker_pool(threads) as pool:
-            rows = list(pool.map(run_cell, *zip(*args)))
+            groups = list(pool.map(run_group, *zip(*groups)))
     else:
-        rows = [run_cell(*a) for a in args]
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        groups = [run_group(*group) for group in groups]
+    rows = [row for group in groups for row in group]
     write_summary_csv(rows, os.path.join(cfg.out_dir, "summary.csv"), cfg.items())
     return rows
 
 
-def run_map_command(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
-    """Compute and persist the MAP point and the curvature ``sampler.gamma``
-    selects for the first sweep cell, the latter as its r x N factor F
-    (Gamma = F^T F) in ``gamma_factor.npy``."""
-    out = out_dir or cfg.out_dir
-    model, prior, data_seed, obs, phi, result = build_problem(cfg, 0, 0)
-    os.makedirs(out, exist_ok=True)
-    np.save(os.path.join(out, "xi_map.npy"), result.xi)
-    gamma = build_curvature(cfg, prior, model, obs, result.xi)
-    np.save(os.path.join(out, "gamma_factor.npy"), gamma.factor)
-    summary = {
-        "config": dict((k, v) for k, v in cfg.items()),
-        "N": cfg.n_modes[0], "sigma_eps": cfg.sigma_eps[0], "data_seed": data_seed,
-        "phi_at_map": phi(result.xi)[0],
-        "converged": result.converged, "iterations": result.iterations,
-        "gradient_norm": result.gradient_norm, "stop": result.stop,
-        "observation": json.loads(obs.to_json()),
-    }
-    with open(os.path.join(out, "map.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return summary
-
-
 def diagnose_trace(path) -> dict:
     """Recompute both ESS estimators from a trace CSV's QoI columns, as
-    ``ess_summary`` reports them for ``run_cell``."""
+    ``ess_summary`` reports them for ``run_group``."""
     from .metropolis import read_trace_csv
 
     header, _, accepts, qoi = read_trace_csv(path)

@@ -65,7 +65,8 @@ class ProposalKernel:
     ``gamma`` (a ``FactoredGamma``) and build their operator pack from it on
     construction, so ``dataclasses.replace(kernel, s=...)`` rebuilds the pack
     at the new s.  The local variants take a ``gamma_map`` (u, aux) -> Gamma(u)
-    that returns a ``FactoredGamma``, aux being what the potential returned at u."""
+    that returns a ``FactoredGamma``, aux being what the potential returned at u.
+    Either argument given to a variant that does not read it is a ValueError."""
 
     variant: str
     prior: PriorSpec
@@ -78,10 +79,10 @@ class ProposalKernel:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown proposal variant {self.variant!r}; expected one of {VARIANTS}")
         check_step_size(self.variant, self.s)
-        if self.variant in PACK_VARIANTS and self.gamma is None:
-            raise ValueError(f"{self.variant} requires a gamma")
-        if self.variant in LOCAL_VARIANTS and self.gamma_map is None:
-            raise ValueError(f"{self.variant} requires a gamma_map")
+        for name, readers in (("gamma", PACK_VARIANTS), ("gamma_map", LOCAL_VARIANTS)):
+            given = getattr(self, name) is not None
+            if given != (self.variant in readers):
+                raise ValueError(f"{self.variant} {'takes no' if given else 'requires a'} {name}")
         object.__setattr__(self, "pack", build_operator_pack(self.prior, self.gamma, self.s)
                            if self.variant in PACK_VARIANTS else None)
 

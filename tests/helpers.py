@@ -81,6 +81,16 @@ def sampler_operators(pack):
     return a, root
 
 
+def kernel_for(variant, prior, s, gamma=None, gamma_map=None):
+    """A kernel of ``variant`` given only the curvature argument it reads:
+    ``gamma`` for gn-rw and gpcn, ``gamma_map`` for the local variants."""
+    from gpcn.proposals import LOCAL_VARIANTS, PACK_VARIANTS, ProposalKernel
+
+    return ProposalKernel(variant, prior, s,
+                          gamma=gamma if variant in PACK_VARIANTS else None,
+                          gamma_map=gamma_map if variant in LOCAL_VARIANTS else None)
+
+
 def lab_grid_chain():
     """The grid gpCN chain whose positivity ``run_lab`` certifies: prior N(0, 1),
     Gamma = 2, s = 0.5 and phi = 0.75 x^2 on 15 points of [-4, 4]."""

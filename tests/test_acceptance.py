@@ -3,7 +3,7 @@
 The trend criteria (1-3) rerun the benchmark at reduced scale
 (n = 5e4, n0 = 5e3, medians over 3 chain seeds) with step sizes tuned to a
 0.25 acceptance target; all seeds derive from one pinned master seed.
-Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to stream the
+Their cells run two at a time in worker processes.  Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to stream the
 per-criterion lines).
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from gpcn import elliptic
 from gpcn.diagnostics import ess_batch_means, ess_ims, qoi_exp_integral
-from gpcn.experiment import derive_seed
+from gpcn.experiment import derive_seed, worker_pool
 from gpcn.gaussian_ops import (
     FactoredGamma,
     PriorSpec,
@@ -36,6 +36,7 @@ from helpers import (
     ar1_series,
     dense_operators,
     gaussian_logpdf,
+    kernel_for,
     lab_grid_chain,
     linear_posterior,
     random_factor,
@@ -71,10 +72,10 @@ def median_ess(variant, n_modes, sigma):
     """Median IMS effective sample size over three tuned chains for one cell."""
     model, prior, phi, xi_map, gamma = _elliptic_problem(n_modes, sigma)
     tune_seed = derive_seed(MASTER, 1, VARIANT_ID[variant], n_modes, int(sigma * 1000))
-    tuned = tune_step_size(ProposalKernel(variant, prior, 0.5, gamma=gamma), phi, 0.25, 2000,
+    tuned = tune_step_size(kernel_for(variant, prior, 0.5, gamma=gamma), phi, 0.25, 2000,
                            np.random.default_rng(tune_seed), initial_state=xi_map,
                            tol=0.02)
-    kernel = ProposalKernel(variant, prior, tuned.s, gamma=gamma)
+    kernel = kernel_for(variant, prior, tuned.s, gamma=gamma)
     esses = []
     for rep in CHAIN_SEEDS:
         seed = derive_seed(MASTER, 2, VARIANT_ID[variant], n_modes, int(sigma * 1000), rep)
@@ -85,10 +86,17 @@ def median_ess(variant, n_modes, sigma):
     return float(np.median(esses))
 
 
+def median_esses(cells):
+    """``median_ess(variant, N, sigma)`` of each cell, in order; the cells are
+    independent, so two worker processes share them."""
+    with worker_pool(2) as pool:
+        return list(pool.map(median_ess, *zip(*cells)))
+
+
 def test_criterion_01_dimension_robustness():
     sigma = 0.1
-    ess = {(v, n): median_ess(v, n, sigma)
-           for v in ("rw", "pcn", "gpcn") for n in (50, 200)}
+    keys = [(v, n) for v in ("rw", "pcn", "gpcn") for n in (50, 200)]
+    ess = dict(zip(keys, median_esses([(v, n, sigma) for v, n in keys])))
     pcn_ratio = ess[("pcn", 200)] / ess[("pcn", 50)]
     gpcn_ratio = ess[("gpcn", 200)] / ess[("gpcn", 50)]
     rw_ratio = ess[("rw", 200)] / ess[("rw", 50)]
@@ -100,8 +108,8 @@ def test_criterion_01_dimension_robustness():
 
 def test_criterion_02_noise_robustness():
     n_modes = 100
-    ess = {(v, s): median_ess(v, n_modes, s)
-           for v in ("rw", "pcn", "gn-rw", "gpcn") for s in (0.1, 0.01)}
+    keys = [(v, s) for v in ("rw", "pcn", "gn-rw", "gpcn") for s in (0.1, 0.01)]
+    ess = dict(zip(keys, median_esses([(v, n_modes, s) for v, s in keys])))
     ratio = {v: ess[(v, 0.01)] / ess[(v, 0.1)] for v in ("rw", "pcn", "gn-rw", "gpcn")}
     ok = (0.5 <= ratio["gpcn"] <= 2.0 and 0.5 <= ratio["gn-rw"] <= 2.0
           and ratio["pcn"] < 0.5 and ratio["rw"] < 0.5)
@@ -113,7 +121,8 @@ def test_criterion_02_noise_robustness():
 
 def test_criterion_03_gpcn_dominance():
     n_modes, sigma = 400, 0.01
-    ess = {v: median_ess(v, n_modes, sigma) for v in ("rw", "pcn", "gn-rw", "gpcn")}
+    keys = ["rw", "pcn", "gn-rw", "gpcn"]
+    ess = dict(zip(keys, median_esses([(v, n_modes, sigma) for v in keys])))
     ok = all(ess["gpcn"] >= ess[v] for v in ("rw", "pcn", "gn-rw"))
     report("criterion-03 gpcn-dominance",
            ok, f"median ESS at N=400, sigma=0.01: {ess}")
@@ -139,7 +148,7 @@ def test_criterion_04_linear_posterior_oracle():
 
     details, ok = [], True
     for variant, s in (("pcn", 0.25), ("gpcn", 0.7)):
-        kernel = ProposalKernel(variant, prior, s, gamma=gamma)
+        kernel = kernel_for(variant, prior, s, gamma=gamma)
         cfg = ChainConfig(kernel, potential, n=200000, n0=10000, seed=17,
                           initial_state=post_mean)
         states = run_chain(cfg).states

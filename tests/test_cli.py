@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpcn import elliptic
+from gpcn import elliptic, experiment
 from gpcn.cli import main
 from gpcn.experiment import (
     BLAS_THREAD_VARS,
@@ -16,7 +16,6 @@ from gpcn.experiment import (
     resolve_config,
     run_cell,
     run_experiment,
-    run_map_command,
     worker_pool,
 )
 from gpcn.metropolis import ChainConfig, ChainTrace, run_chain, write_trace_csv
@@ -273,12 +272,13 @@ class TestRunCommand:
             assert [path.read_bytes() for path in paths] == first
             assert summary_without_wall_time(out / "summary.csv") == first_summary
         chain_cfg = resolve_config(text)
-        model, prior, _, obs, phi, map_result = build_problem(chain_cfg, 0, 0)
-        kernel = ProposalKernel("gpcn", prior, chain_cfg.s,
-                                gamma=elliptic.build_gamma_from_map(map_result.xi, obs, model))
-        chain = run_chain(ChainConfig(kernel, phi, n=1000, n0=100,
+        problem = build_problem(chain_cfg, 0, 0)
+        xi_map, obs, model = problem.map_result.xi, problem.obs, problem.model
+        kernel = ProposalKernel("gpcn", problem.prior, chain_cfg.s,
+                                gamma=elliptic.build_gamma_from_map(xi_map, obs, model))
+        chain = run_chain(ChainConfig(kernel, elliptic.make_posterior(obs, model), n=1000, n0=100,
                                       seed=json.loads(first[1])["chain_seed"],
-                                      initial_state=map_result.xi, thin=3))
+                                      initial_state=xi_map, thin=3))
         assert chain.states.shape == (334, 10)
         assert np.array_equal(np.load(paths[2]), chain.states)
 
@@ -322,7 +322,7 @@ class TestRunCommand:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("run", "--seed", "-1"), ("map", "--seed", "-2"), ("lab", "--seed", "-1"),
+        ("run", "--seed", "-1"), ("lab", "--seed", "-1"),
         ("run", "--threads", "0"), ("run", "--threads", "-2")])
     def test_negative_seed_and_threads_below_one_exit_2(self, tmp_path, capsys, command, flag,
                                                         value):
@@ -334,6 +334,15 @@ class TestRunCommand:
         assert exit_info.value.code == 2
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
         assert not out.exists()                   # no summary.csv, no cell artifacts
+
+    def test_map_is_an_unknown_command(self, tmp_path, capsys):
+        # run writes each problem's MAP artifacts, so the map command is gone
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["map", "--config", str(write_config(tmp_path, MINIMAL.format(out=out)))])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'map'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_experiment_needs_a_thread(self, tmp_path):
         out = tmp_path / "out"
@@ -373,16 +382,86 @@ class TestRunCommand:
         assert {"seed", "problem.N", "run.thin", "cell.s", "chain_seed"} <= keys
 
 
-class TestMapCommand:
+GROUPS = """
+seed = 13
+problem.N = 10, 20
+problem.sigma_eps = 0.1
+sampler.variant = pcn, gpcn
+run.n = 2000
+run.n0 = 200
+run.pilot_n = 1000
+run.replicates = 3
+output.dir = {out}
+"""
+
+
+def artifacts(out):
+    """Every file of a run by name: bytes, and summary.csv less its wall-time column."""
+    files = {path.name: path.read_bytes() for path in out.iterdir() if path.name != "summary.csv"}
+    files["summary.csv"] = summary_without_wall_time(out / "summary.csv")
+    return files
+
+
+class TestGroups:
+    """A sweep builds each (N, sigma) problem once, tunes each (variant, N,
+    sigma) group once and runs the group's replicates on that tuning."""
+
+    def test_each_problem_and_group_is_built_once(self, tmp_path, monkeypatch):
+        calls = {"map_estimate": 0, "tune_step_size": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(elliptic, "map_estimate")
+        counted(experiment, "tune_step_size")
+        rows = run_experiment(resolve_config(GROUPS.format(out=tmp_path / "out")))
+        assert len(rows) == 2 * 2 * 3
+        assert calls == {"map_estimate": 2, "tune_step_size": 4}
+        # the three replicates of a group run at its one tuned s
+        assert len({(row["variant"], row["N"], row["s"]) for row in rows}) == \
+            len({(row["variant"], row["N"]) for row in rows}) == 4
+
+    def test_two_threads_write_the_artifacts_of_one(self, tmp_path):
+        out, outputs = tmp_path / "out", {}
+        for threads in (1, 2):      # one output dir: the trace headers record it
+            run_experiment(resolve_config(GROUPS.format(out=out)), threads=threads)
+            outputs[threads] = artifacts(out)
+        # 12 traces, 12 diagnostics and 3 files for each of the 2 problems
+        assert len(outputs[1]) == 12 + 12 + 6 + 1 and outputs[2] == outputs[1]
+
+    def test_each_replicate_matches_its_cell(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = resolve_config(GROUPS.format(out=out))
+        rows = run_experiment(cfg)
+        swept = artifacts(out)
+        cells = [(iv, i_n, 0, rep) for iv in range(2) for i_n in range(2) for rep in range(3)]
+        for row, (iv, i_n, i_sig, rep) in zip(rows, cells):
+            cell_row = run_cell(cfg, iv, i_n, i_sig, rep)
+            assert cell_row.pop("wall_time_s") > 0 and np.isfinite(cell_row["ess_batch_means"])
+            assert cell_row == {k: v for k, v in row.items() if k != "wall_time_s"}
+            stem = f"{cfg.variants[iv]}_N{cfg.n_modes[i_n]}_sig0.1_r{rep}"
+            for name in (f"trace_{stem}.csv", f"diagnostics_{stem}.json"):
+                assert (out / name).read_bytes() == swept[name]
+
+
+class TestProblemArtifacts:
+    """``run`` writes each (N, sigma) problem's MAP point, curvature factor and
+    MAP report, named by the problem's N and sigma."""
+
     def test_outputs_round_trip_and_phi_consistency(self, tmp_path):
         out = tmp_path / "map"
         text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
                 f"sampler.variant = gpcn\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
         cfg = resolve_config(text)
-        summary = run_map_command(cfg)
-        xi = np.load(out / "xi_map.npy")
-        factor = np.load(out / "gamma_factor.npy")
-        from gpcn import elliptic
+        run_experiment(cfg)
+        summary = json.loads((out / "map_N12_sig0.1.json").read_text())
+        xi = np.load(out / "xi_map_N12_sig0.1.npy")
+        factor = np.load(out / "gamma_factor_N12_sig0.1.npy")
         from gpcn.gaussian_ops import PriorSpec
 
         model = elliptic.ForwardModel(12)
@@ -392,20 +471,24 @@ class TestMapCommand:
         assert factor.shape == (4, 12) and np.array_equal(factor, rebuilt.factor)
         assert not (out / "gamma.npy").exists()
         assert np.array_equal(factor.T @ factor, dense_gamma(rebuilt))
-        assert json.loads((out / "map.json").read_text())["converged"] is True
+        assert json.loads((out / "map_N12_sig0.1.json").read_text())["converged"] is True
         assert summary["stop"] in ("gradient", "step")
         assert PriorSpec(12).dim == xi.shape[0]
+        # the cells on the problem report the same MAP solve and data
+        cell = json.loads((out / "diagnostics_gpcn_N12_sig0.1_r0.json").read_text())
+        assert cell["phi_at_map"] == summary["phi_at_map"]
+        assert cell["observation"] == summary["observation"]
+        assert cell["data_seed"] == summary["data_seed"]
 
     def test_curvature_follows_sampler_gamma(self, tmp_path):
-        from gpcn import elliptic
         from gpcn.gaussian_ops import PriorSpec
 
         out = tmp_path / "averaged"
         text = (f"seed = 11\nproblem.N = 12\nproblem.sigma_eps = 0.1\n"
                 f"sampler.variant = gpcn\nsampler.gamma = averaged\n"
                 f"sampler.gamma_points = 3\nrun.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
-        run_map_command(resolve_config(text))
-        averaged = np.load(out / "gamma_factor.npy")
+        run_experiment(resolve_config(text))
+        averaged = np.load(out / "gamma_factor_N12_sig0.1.npy")
         prior = PriorSpec(12)
         rng = np.random.default_rng(derive_seed(11, 3, 12))
         points = [prior.sample(rng) for _ in range(3)]
@@ -418,8 +501,8 @@ class TestMapCommand:
         text = (f"seed = 4\nproblem.N = 8\nproblem.sigma_eps = 1e-12\n"
                 f"problem.truth = coeffs:0\nsampler.variant = pcn\n"
                 f"run.n = 10\nrun.n0 = 0\noutput.dir = {out}\n")
-        run_map_command(resolve_config(text))
-        xi = np.load(out / "xi_map.npy")
+        run_experiment(resolve_config(text))
+        xi = np.load(out / "xi_map_N8_sig1e-12.npy")
         assert np.linalg.norm(xi) < 1e-6
 
 

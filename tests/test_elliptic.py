@@ -242,8 +242,8 @@ class TestMapEstimate:
         y = rng.standard_normal(4) + b
         sigma = 0.3
         obs = make_obs(y, sigma=sigma)
-        monkeypatch.setattr(elliptic, "forward", lambda x, model: L @ x + b)
-        monkeypatch.setattr(elliptic, "jacobian", lambda x, model: L)
+        monkeypatch.setattr(elliptic, "forward", lambda x, model, solve: L @ x + b)
+        monkeypatch.setattr(elliptic, "jacobian", lambda x, model, solve: L)
         result = map_estimate(obs, ForwardModel(n), prior)
         ridge = np.linalg.solve(L.T @ L / sigma**2 + np.diag(1.0 / prior.eigenvalues),
                                 L.T @ (y - b) / sigma**2)
@@ -277,11 +277,30 @@ class TestMapEstimate:
         # every candidate but the start is worse, so the damping grows until it is capped
         lin = np.random.default_rng(1).standard_normal((4, 12))
         monkeypatch.setattr(elliptic, "forward",
-                            lambda x, model: np.full(4, 1e6) if x.any() else np.zeros(4))
-        monkeypatch.setattr(elliptic, "jacobian", lambda x, model: lin)
+                            lambda x, model, solve: np.full(4, 1e6) if x.any() else np.zeros(4))
+        monkeypatch.setattr(elliptic, "jacobian", lambda x, model, solve: lin)
         result = map_estimate(obs, model, prior)
         assert result.stop == "damping" and not result.converged
         assert result.iterations < 500 and not result.xi.any()
+
+    @pytest.mark.parametrize("n_modes", [12, 300])
+    def test_one_field_per_evaluated_point(self, monkeypatch, n_modes):
+        # The Jacobian at an accepted point reads that point's residual solve,
+        # so the solve synthesizes one field per point and keeps its bits.
+        model, prior = ForwardModel(n_modes), PriorSpec(n_modes)
+        obs = generate_data(default_truth, 0.01, model, np.random.default_rng(3), seed=3)
+        jacobian = elliptic.jacobian
+        monkeypatch.setattr(elliptic, "jacobian", lambda x, model, solve: jacobian(x, model))
+        resolved = map_estimate(obs, model, prior)
+        monkeypatch.setattr(elliptic, "jacobian", jacobian)
+        fields = []
+        synthesize = elliptic.kl_to_field
+        monkeypatch.setattr(elliptic, "kl_to_field", lambda xi, model: fields.append(1)
+                            or synthesize(xi, model))
+        result = map_estimate(obs, model, prior)
+        assert result.iterations > 2 and len(fields) == 1 + result.iterations
+        assert np.array_equal(result.xi, resolved.xi)
+        assert (result.iterations, result.stop) == (resolved.iterations, resolved.stop)
 
 
 class TestGamma:

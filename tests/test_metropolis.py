@@ -20,7 +20,13 @@ from gpcn.metropolis import (
     write_trace_csv,
 )
 from gpcn.proposals import LOCAL_VARIANTS, VARIANTS, ProposalKernel, propose
-from helpers import linear_posterior, reference_chain, reference_read_trace_csv, reference_tune
+from helpers import (
+    kernel_for,
+    linear_posterior,
+    reference_chain,
+    reference_read_trace_csv,
+    reference_tune,
+)
 
 
 def flat_target(n):
@@ -56,7 +62,7 @@ def kernel_of(variant, prior, gamma, s):
     varied with the state for the local variants."""
     def gamma_map(u, aux):            # Gamma + u u^T / (1 + |u|^2)
         return FactoredGamma(np.vstack([gamma.factor, u / np.sqrt(1.0 + u @ u)]))
-    return ProposalKernel(variant, prior, s, gamma=gamma, gamma_map=gamma_map)
+    return kernel_for(variant, prior, s, gamma=gamma, gamma_map=gamma_map)
 
 
 class TestMhStep:
@@ -113,7 +119,7 @@ class TestMhStep:
         s = 0.5
         counts = {}
         for name in ("pcn", "gpcn"):
-            kernel = ProposalKernel(name, prior, s, gamma=gamma)
+            kernel = kernel_for(name, prior, s, gamma=gamma)
             rng = np.random.default_rng(33)
             state = initial_record(kernel, phi, np.zeros(2))
             hits = 0
@@ -328,7 +334,7 @@ class TestStateRecords:
     def test_non_local_records_carry_the_fixed_pack(self):
         prior, phi, _, _, gamma = linear_gaussian_setup()
         for variant in ("rw", "pcn", "gn-rw", "gpcn"):
-            kernel = ProposalKernel(variant, prior, 0.4, gamma=gamma)
+            kernel = kernel_for(variant, prior, 0.4, gamma=gamma)
             rng = np.random.default_rng(3)
             state = initial_record(kernel, phi, np.zeros(prior.dim))
             assert state.pack is kernel.pack
@@ -472,7 +478,7 @@ class TestTuner:
             xi_map = elliptic.map_estimate(obs, model, prior).xi
             gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
             for variant in ("rw", "pcn", "gn-rw", "gpcn"):
-                kernel = ProposalKernel(variant, prior, 0.5, gamma=gamma)
+                kernel = kernel_for(variant, prior, 0.5, gamma=gamma)
                 for tol in (0.05, 0.02):
                     cases.append((kernel, phi, 0.25, dict(initial_state=xi_map, tol=tol)))
             for max_iters in (1, 2, 3):

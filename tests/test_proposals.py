@@ -12,7 +12,13 @@ from gpcn.proposals import (
     log_acceptance_correction,
     propose,
 )
-from helpers import dense_operators, gaussian_logpdf, random_factor, sampler_operators
+from helpers import (
+    dense_operators,
+    gaussian_logpdf,
+    kernel_for,
+    random_factor,
+    sampler_operators,
+)
 
 
 def draw(kernel, u, rng):
@@ -133,7 +139,7 @@ class TestCorrections:
         u, v = prior.sample(rng), prior.sample(rng)
         expected = prior_logpdf(prior, v) - prior_logpdf(prior, u)
         for variant in ("rw", "gn-rw"):
-            kernel = ProposalKernel(variant, prior, 0.4, gamma=gamma)
+            kernel = kernel_for(variant, prior, 0.4, gamma=gamma)
             assert np.isclose(correction(kernel, u, v), expected, atol=1e-10)
             assert_hastings_identity(kernel, u, v, gamma=gamma)
 
@@ -141,7 +147,7 @@ class TestCorrections:
         rng = np.random.default_rng(5)
         prior = PriorSpec(5)
         gamma = random_factor(5, rng)
-        kernels = [ProposalKernel(variant, prior, 0.6, gamma=gamma) for variant in ("pcn", "gpcn")]
+        kernels = [kernel_for(variant, prior, 0.6, gamma=gamma) for variant in ("pcn", "gpcn")]
         for _ in range(10):
             u, v = prior.sample(rng), prior.sample(rng)
             for kernel in kernels:
@@ -209,6 +215,20 @@ class TestKernelPlumbing:
             with pytest.raises(ValueError, match="requires a gamma_map"):
                 ProposalKernel(variant, PriorSpec(2), 0.5)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_curvature_the_variant_does_not_read_is_rejected(self, variant):
+        # pcn given a gamma would otherwise run as plain pcn, and gpcn given a
+        # gamma_map would never call it: the caller meant another sampler.
+        prior = PriorSpec(2)
+        eye = FactoredGamma(np.eye(2))
+        read = {"gamma": eye if variant in PACK_VARIANTS else None,
+                "gamma_map": (lambda u, aux: eye) if variant in LOCAL_VARIANTS else None}
+        for name, value in (("gamma", eye), ("gamma_map", lambda u, aux: eye)):
+            if read[name] is None:
+                with pytest.raises(ValueError, match=f"^{variant} takes no {name}$"):
+                    ProposalKernel(variant, prior, 0.5, **{**read, name: value})
+        assert ProposalKernel(variant, prior, 0.5, **read).variant == variant
+
     @pytest.mark.parametrize("variant", PACK_VARIANTS)
     def test_pack_must_share_the_kernel_prior(self, variant):
         # The kernel builds its pack on its own prior, so a factor whose
@@ -247,7 +267,7 @@ class TestKernelPlumbing:
         eye = FactoredGamma(np.eye(3))
         for s in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                ProposalKernel(variant, prior, s, gamma=eye, gamma_map=lambda u, aux: eye)
+                kernel_for(variant, prior, s, gamma=eye, gamma_map=lambda u, aux: eye)
 
     def test_dense_gamma_is_a_type_error(self):
         # An N x N array is also the (N, N) factor of another Gamma, so only a

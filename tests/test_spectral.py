@@ -27,6 +27,7 @@ from helpers import (
     dense_operators,
     full_grid_conductance,
     gaussian_logpdf,
+    kernel_for,
     lab_grid_chain,
     lazy,
     stationary_distribution,
@@ -119,10 +120,10 @@ def grid_points(prior, n_axis, width=3.0):
 
 
 def make_kernel(variant, prior, gamma, s, gamma_map=None):
-    """A kernel of any variant; the local ones take ``gamma_map``, else the constant ``gamma``."""
-    if variant.startswith("local"):
-        return ProposalKernel(variant, prior, s, gamma_map=gamma_map or (lambda u, aux: gamma))
-    return ProposalKernel(variant, prior, s, gamma=gamma)
+    """A kernel of any variant: gn-rw and gpcn on ``gamma``, the local ones on
+    ``gamma_map``, the constant ``gamma`` unless given."""
+    return kernel_for(variant, prior, s, gamma=gamma,
+                      gamma_map=gamma_map or (lambda u, aux: gamma))
 
 
 def oracle_law(kernel, gamma, x):
