@@ -204,7 +204,8 @@ def phi(xi: np.ndarray, obs: Observation, model: ForwardModel) -> tuple:
     """Data misfit potential 1/2 sigma^-2 |y - G(xi)|^2, returned with the
     ``forward_solve`` at xi that it was computed from: ``(value, solve)``."""
     solve = forward_solve(xi, model)
-    r = obs.y - forward(xi, model, solve)
+    flux = solve[2]
+    r = obs.y - 2.0 * flux[:-1] / flux[-1]          # the pressure, as ``forward`` forms it
     return float(0.5 * (r @ r) / obs.sigma_eps**2), solve
 
 

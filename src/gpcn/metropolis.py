@@ -1,11 +1,14 @@
 """Metropolis transition, ball-restricted variant, chain runner, step tuner.
 
 ``mh_step`` is the one step for every proposal variant; a chain's state is
-the record ``State(u, phi, aux, pack)``.  A target is named by its potential
-alone: it is exp(-phi) times ``kernel.prior``, the chain's one prior.  The
-potential returns ``(phi(u), aux)``, where aux is whatever it computed at u
-that the pack and the QoI also read (the elliptic potential's forward solve),
-or None; the record carries aux to ``kernel.pack_at(u, aux)`` and the QoI.
+the record ``State(u, phi, aux, pack, mean, quad)``.  A target is named by
+its potential alone: it is exp(-phi) times ``kernel.prior``, the chain's one
+prior.  The potential returns ``(phi(u), aux)``, where aux is whatever it
+computed at u that the pack and the QoI also read (the elliptic potential's
+forward solve), or None; the record carries aux to ``kernel.pack_at(u, aux)``
+and the QoI.  It also carries what the next proposal reads from u, the
+proposal mean and, for rw and gn-rw, the prior quadratic, computed by
+``proposals`` once per state, so a rejected step does not recompute them.
 
 Determinism contract: every step consumes exactly one standard normal vector
 (the proposal draw) followed by one uniform (the accept test), both drawn by
@@ -26,7 +29,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .gaussian_ops import OperatorPack
-from .proposals import ProposalKernel, log_acceptance_correction, propose
+from .proposals import (
+    ProposalKernel,
+    log_acceptance_correction,
+    prior_quadratic,
+    proposal_mean,
+    proposal_noise,
+)
 
 S_LO = 1e-4
 S_HI = 0.999
@@ -40,11 +49,15 @@ PILOT_DELTA = 1e-3
 
 
 class State(NamedTuple):
-    """A chain's state u with ``(phi, aux) = phi(u)`` and ``kernel.pack_at(u, aux)``."""
+    """A chain's state u with ``(phi, aux) = phi(u)``, ``pack =
+    kernel.pack_at(u, aux)``, ``mean = proposal_mean(kernel, u, pack)`` and
+    ``quad = prior_quadratic(kernel, u)`` (None but for rw and gn-rw)."""
     u: np.ndarray
     phi: float
     aux: object
     pack: Optional[OperatorPack]
+    mean: np.ndarray
+    quad: Optional[float]
 
 
 def mh_step(kernel, phi, state, rng, radius=None):
@@ -53,24 +66,29 @@ def mh_step(kernel, phi, state, rng, radius=None):
 
     Draws z, then the accept test's uniform, and accepts v = propose(kernel,
     u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
-    times the indicator ||v|| < radius when a radius is given.  Non-finite
-    phi(v) counts as a rejection.  ``kernel.pack_at(v, aux)`` runs once, only
-    for a v that passed both checks.  Returns ``(state, accepted)``: the
-    candidate's record on accept, the given one otherwise.
+    times the indicator ||v|| < radius when a radius is given.  A non-finite
+    phi(v) or correction counts as a rejection.  The record's mean plus
+    ``proposal_noise`` is ``propose``'s candidate bit for bit.
+    ``kernel.pack_at(v, aux)`` runs once, only for a v that passed the ball
+    and phi checks.  Returns ``(state, accepted)``: the candidate's record on
+    accept, the given one otherwise.
     """
-    u, phi_u, _, pack_u = state
+    u, phi_u, _, pack_u, mean_u, quad_u = state
     z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
-    v = propose(kernel, u, z, pack_u)
+    v = mean_u + proposal_noise(kernel, z, pack_u)
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
     phi_v, aux_v = phi(v)
     if not math.isfinite(phi_v):
         return state, False
     pack_v = kernel.pack_at(v, aux_v)
-    log_alpha = phi_u - phi_v + log_acceptance_correction(kernel, u, v, pack_u, pack_v)
-    if np.log(accept_u) < log_alpha:
-        return State(v, phi_v, aux_v, pack_v), True
+    quad_v = prior_quadratic(kernel, v)
+    correction = log_acceptance_correction(kernel, u, v, pack_u, pack_v, quad_u, quad_v)
+    if not math.isfinite(correction):
+        return state, False
+    if np.log(accept_u) < phi_u - phi_v + correction:
+        return State(v, phi_v, aux_v, pack_v, proposal_mean(kernel, v, pack_v), quad_v), True
     return state, False
 
 
@@ -97,8 +115,10 @@ class ChainConfig:
     qoi: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 0 or self.n0 < 0:
-            raise ValueError("sample and burn-in counts must be nonnegative")
+        for name in ("n", "n0"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
         thin = self.thin
         if thin is not None and (isinstance(thin, bool) or not isinstance(thin, numbers.Integral)
                                  or thin < 1):
@@ -150,9 +170,9 @@ def run_chain(config: ChainConfig,
     previous step.
 
     The chain state is the ``State`` record that ``mh_step`` takes and
-    returns: the initial state's record is built once here, and a
-    local-variant step then costs one pack build (one curvature evaluation),
-    for its candidate.
+    returns: the initial state's record is built once here.  A step looks
+    up one pack (for a local variant, one curvature evaluation) for its
+    candidate, and computes the candidate's proposal mean only on accept.
 
     ``stop(steps, accepted)``, when given, is called after each step with
     the steps run so far and how many of them were accepted; once it returns
@@ -167,7 +187,8 @@ def run_chain(config: ChainConfig,
     phi_u, aux_u = phi(u)
     if not math.isfinite(phi_u):
         raise ValueError("phi is not finite at the initial state")
-    state = State(u, phi_u, aux_u, kernel.pack_at(u, aux_u))
+    pack = kernel.pack_at(u, aux_u)
+    state = State(u, phi_u, aux_u, pack, proposal_mean(kernel, u, pack), prior_quadratic(kernel, u))
 
     total = n0 + n
     accepts = np.zeros(total, dtype=bool)
@@ -313,18 +334,21 @@ def write_trace_csv(trace: ChainTrace, path, header: Optional[dict] = None) -> N
 
     QoI values are written at 17 significant digits so float64 round-trips
     exactly; ``header`` entries are emitted as leading ``# key = value``
-    comment lines.
+    comment lines.  The column row goes through ``csv.writer``; the rows,
+    which need no quoting, are formatted in one pass with its ``\r\n``
+    line ending.  A QoI series or accept record that does not cover the n
+    post burn-in steps is a ValueError, raised before the file is opened.
     """
     names = list(trace.qoi_series)
+    row = "%d,%d" + ",%.17g" * len(names) + "\r\n"
+    columns = [trace.accepts[trace.n0:trace.n0 + trace.n].tolist()]
+    columns += [trace.qoi_series[name].tolist() for name in names]
+    body = "".join(row % values for values in zip(range(trace.n), *columns, strict=True))
     with open(path, "w", newline="") as fh:
         for key, value in (header or {}).items():
             fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "accept"] + [f"qoi_{name}" for name in names])
-        for j in range(trace.n):
-            row = [j, int(trace.accepts[trace.n0 + j])]
-            row += [format(trace.qoi_series[name][j], ".17g") for name in names]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["step", "accept"] + [f"qoi_{name}" for name in names])
+        fh.write(body)
 
 
 def write_state_dump(trace: ChainTrace, path) -> None:

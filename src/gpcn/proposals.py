@@ -12,8 +12,12 @@ local-gpcn2  v = sqrt(1-s^2) u + s C_{Gamma(u)}^{1/2} z
 ``ProposalKernel.pack_at(u, aux)`` is the one source of a state's operator
 pack; aux is what the chain's potential returned at u with phi(u).
 ``propose`` is pure: it maps u, a standard normal draw z and the pack at u
-to the candidate v.  ``log_acceptance_correction`` reads the packs at u and v
-and gives the additive log term completing phi(u) - phi(v) + correction(u, v).
+to the candidate v = ``proposal_mean`` + ``proposal_noise``, the law's mean
+at u plus its centred draw.  ``log_acceptance_correction`` reads the packs at
+u and v and gives the additive log term completing
+phi(u) - phi(v) + correction(u, v); for rw and gn-rw it reads the states'
+``prior_quadratic`` terms.  A chain computes the mean and the quadratic once
+per state, so a step computes them only for its candidate.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ VARIANTS = ("rw", "pcn", "gn-rw", "gpcn", "local-gpcn", "local-gpcn2")
 PACK_VARIANTS = ("gn-rw", "gpcn")
 LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 PRIOR_REVERSIBLE = ("pcn", "gpcn")     # reversible for the prior: zero acceptance correction
+WALK_VARIANTS = ("rw", "gn-rw")        # mean u; the correction is the prior density ratio
 
 
 def check_step_size(variant: str, s: float) -> None:
@@ -95,40 +100,68 @@ class ProposalKernel:
         return self.pack
 
 
+def proposal_mean(kernel: ProposalKernel, u: np.ndarray,
+                  pack: Optional[OperatorPack]) -> np.ndarray:
+    """The mean of the kernel's law at u; ``pack`` is ``kernel.pack_at(u, aux)``.
+    rw and gn-rw return u itself."""
+    variant = kernel.variant
+    if variant in WALK_VARIANTS:
+        return u
+    if variant == "pcn":
+        return np.sqrt(1.0 - kernel.s * kernel.s) * u
+    if variant == "local-gpcn2":
+        return pack.a0 * u
+    return pack.apply_a(u)
+
+
+def proposal_noise(kernel: ProposalKernel, z: np.ndarray,
+                   pack: Optional[OperatorPack]) -> np.ndarray:
+    """The centred part of the draw that the standard normal z gives under the
+    kernel's law at the state whose pack is ``pack``."""
+    if kernel.variant in ("rw", "pcn"):
+        return kernel.s * (kernel.prior.std * z)
+    return pack.scaled_noise(z)
+
+
 def propose(kernel: ProposalKernel, u: np.ndarray, z: np.ndarray,
             pack: Optional[OperatorPack]) -> np.ndarray:
     """The candidate that the standard normal draw z gives from u under the
     kernel's law at u; ``pack`` is ``kernel.pack_at(u, aux)``."""
-    s = kernel.s
-    v = kernel.variant
-    if v == "rw":
-        return u + s * (kernel.prior.std * z)
-    if v == "pcn":
-        return np.sqrt(1.0 - s * s) * u + s * (kernel.prior.std * z)
-    if v == "gn-rw":
-        return u + pack.scaled_noise(z)
-    if v == "local-gpcn2":
-        return pack.a0 * u + pack.scaled_noise(z)
-    return pack.apply_a(u) + pack.scaled_noise(z)
+    return proposal_mean(kernel, u, pack) + proposal_noise(kernel, z, pack)
+
+
+def prior_quadratic(kernel: ProposalKernel, u: np.ndarray) -> Optional[float]:
+    """sum(u^2 / lambda), the prior term of the rw and gn-rw correction at u;
+    None for the variants whose correction does not read it."""
+    if kernel.variant not in WALK_VARIANTS:
+        return None
+    return (u * u / kernel.prior.eigenvalues).sum()
 
 
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
                               pack_u: Optional[OperatorPack],
-                              pack_v: Optional[OperatorPack]) -> float:
+                              pack_v: Optional[OperatorPack],
+                              quad_u: Optional[float] = None,
+                              quad_v: Optional[float] = None) -> float:
     """Additive log term completing the acceptance ratio phi(u) - phi(v) + correction.
 
     pcn and gpcn are prior-reversible, so their correction vanishes.  rw and
     gn-rw are symmetric Lebesgue proposals; keeping the chain reversible for
-    the posterior requires the prior log-density ratio.  The local variants
-    carry the density ratio of their state-dependent laws, from their packs
-    at u and v, ``kernel.pack_at(u, aux_u)`` and ``kernel.pack_at(v, aux_v)``.
+    the posterior requires the prior log-density ratio, read from
+    ``quad_u`` and ``quad_v`` (``prior_quadratic`` at u and v) when given.
+    The local variants carry the density ratio of their state-dependent
+    laws, from their packs at u and v, ``kernel.pack_at(u, aux_u)`` and
+    ``kernel.pack_at(v, aux_v)``.
     """
     variant = kernel.variant
     if variant in PRIOR_REVERSIBLE:
         return 0.0
-    lam = kernel.prior.eigenvalues
-    if variant in ("rw", "gn-rw"):
-        return float(0.5 * ((u * u / lam).sum() - (v * v / lam).sum()))
+    if variant in WALK_VARIANTS:
+        if quad_u is None:
+            quad_u = prior_quadratic(kernel, u)
+        if quad_v is None:
+            quad_v = prior_quadratic(kernel, v)
+        return float(0.5 * (quad_u - quad_v))
     if variant == "local-gpcn" and np.array_equal(pack_u.w, pack_v.w) and np.array_equal(
             pack_u.v, pack_v.v):
         # Constant curvature map: one Gamma gives bit-identical packs, the two

@@ -258,6 +258,22 @@ def reference_chain(config):
     return np.array(accepts), states, {k: np.array(s) for k, s in qoi.items()}, tested
 
 
+def reference_write_trace_csv(trace, path, header=None):
+    """``write_trace_csv`` row by row through ``csv.writer``: the header
+    comments, the column row, then per post burn-in step j the row
+    [j, accept flag, each QoI formatted at 17 significant digits]."""
+    names = list(trace.qoi_series)
+    with open(path, "w", newline="") as fh:
+        for key, value in (header or {}).items():
+            fh.write(f"# {key} = {value}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["step", "accept"] + [f"qoi_{name}" for name in names])
+        for j in range(trace.n):
+            row = [j, int(trace.accepts[trace.n0 + j])]
+            row += [format(trace.qoi_series[name][j], ".17g") for name in names]
+            writer.writerow(row)
+
+
 def reference_read_trace_csv(path):
     """``read_trace_csv`` as a list parser: every line, then every row as a
     list of strings, converted by one ``np.asarray(..., dtype=float)``."""

@@ -93,6 +93,7 @@ def median_esses(cells):
         return list(pool.map(median_ess, *zip(*cells)))
 
 
+@pytest.mark.slow
 def test_criterion_01_dimension_robustness():
     sigma = 0.1
     keys = [(v, n) for v in ("rw", "pcn", "gpcn") for n in (50, 200)]
@@ -106,6 +107,7 @@ def test_criterion_01_dimension_robustness():
                f"(need within factor 2), rw={rw_ratio:.2f} (need < 0.5); medians={ess}")
 
 
+@pytest.mark.slow
 def test_criterion_02_noise_robustness():
     n_modes = 100
     keys = [(v, s) for v in ("rw", "pcn", "gn-rw", "gpcn") for s in (0.1, 0.01)]
@@ -119,6 +121,7 @@ def test_criterion_02_noise_robustness():
                f"(need < 0.5); medians={ess}")
 
 
+@pytest.mark.slow
 def test_criterion_03_gpcn_dominance():
     n_modes, sigma = 400, 0.01
     keys = ["rw", "pcn", "gn-rw", "gpcn"]

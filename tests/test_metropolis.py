@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpcn import diagnostics, elliptic
+from gpcn import diagnostics, elliptic, metropolis
 from gpcn.diagnostics import qoi_exp_integral
 from gpcn.gaussian_ops import FactoredGamma, PriorSpec
 from gpcn.metropolis import (
@@ -11,6 +11,7 @@ from gpcn.metropolis import (
     S_HI,
     S_LO,
     ChainConfig,
+    ChainTrace,
     State,
     mh_step,
     read_trace_csv,
@@ -19,13 +20,21 @@ from gpcn.metropolis import (
     write_state_dump,
     write_trace_csv,
 )
-from gpcn.proposals import LOCAL_VARIANTS, VARIANTS, ProposalKernel, propose
+from gpcn.proposals import (
+    LOCAL_VARIANTS,
+    VARIANTS,
+    ProposalKernel,
+    prior_quadratic,
+    proposal_mean,
+    propose,
+)
 from helpers import (
     kernel_for,
     linear_posterior,
     reference_chain,
     reference_read_trace_csv,
     reference_tune,
+    reference_write_trace_csv,
 )
 
 
@@ -36,7 +45,15 @@ def flat_target(n):
 
 def initial_record(kernel, phi, u):
     value, aux = phi(u)
-    return State(u, value, aux, kernel.pack_at(u, aux))
+    pack = kernel.pack_at(u, aux)
+    return State(u, value, aux, pack, proposal_mean(kernel, u, pack), prior_quadratic(kernel, u))
+
+
+def assert_record_fields(kernel, state):
+    """The record's mean and prior quadratic are those computed afresh at its u."""
+    assert np.array_equal(state.mean, proposal_mean(kernel, state.u, state.pack))
+    want = prior_quadratic(kernel, state.u)
+    assert state.quad == want and (want is None) == (kernel.variant not in ("rw", "gn-rw"))
 
 
 def linear_gaussian_setup(n=6, sigma=0.3, seed=100):
@@ -102,6 +119,25 @@ class TestMhStep:
         state, accepted = mh_step(kernel, phi, start, rng, radius=1e-3)
         assert accepted is False
         assert state is start
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_nonfinite_correction_counts_as_rejection(self, bad, monkeypatch):
+        # A flat target accepts every finite step; a non-finite correction
+        # rejects, after the step has drawn its normal vector and its uniform.
+        prior, phi = flat_target(3)
+        kernel = ProposalKernel("pcn", prior, 0.7)
+        calls = []
+        monkeypatch.setattr(metropolis, "log_acceptance_correction",
+                            lambda *args: calls.append(1) or bad)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        start = initial_record(kernel, phi, np.zeros(3))
+        for k in range(50):
+            state, accepted = mh_step(kernel, phi, start, rng)
+            twin.standard_normal(prior.dim)
+            twin.random()
+            assert accepted is False and state is start
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert len(calls) == 50
 
     def test_nonfinite_phi_counts_as_rejection(self):
         prior = PriorSpec(2)
@@ -171,11 +207,16 @@ class TestRunChain:
         for name in qoi:
             assert np.array_equal(bare.qoi_series[name], full.qoi_series[name])
 
-    @pytest.mark.parametrize("thin", (0, -3, 1.5, 2.0, True, "2"))
-    def test_thin_must_be_none_or_a_positive_integer(self, thin):
+    @pytest.mark.parametrize(("name", "value"), [
+        *(pytest.param("thin", value, id=str(value)) for value in (0, -3, 1.5, 2.0, True, "2")),
+        *(pytest.param(name, value, id=f"{name}={value}")
+          for name in ("n", "n0") for value in (-1, 2.5, 10.0, True, False, "10"))])
+    def test_thin_must_be_none_or_a_positive_integer(self, name, value):
+        # n and n0 are checked the same way: integers, bool excluded, >= 0
         prior, phi = flat_target(2)
-        with pytest.raises(ValueError, match="thin"):
-            ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, n=10, n0=0, seed=0, thin=thin)
+        counts = {"n": 10, "n0": 0, "thin": 1, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            ChainConfig(ProposalKernel("pcn", prior, 0.5), phi, seed=0, **counts)
 
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
         prior, phi = flat_target(2)
@@ -261,7 +302,8 @@ class TestRunChain:
 
 
 class TestStateRecords:
-    """Every variant carries the record State(u, phi, aux, pack) as the chain state."""
+    """Every variant carries the record State(u, phi, aux, pack, mean, quad) as
+    the chain state."""
 
     def local_setup(self, n=20):
         model = elliptic.ForwardModel(n)
@@ -279,11 +321,13 @@ class TestStateRecords:
         qoi = {"exp_integral": lambda u, solve: qoi_exp_integral(u, model, solve)}
         return prior, phi, xi_map, gamma_map, calls, qoi
 
-    @pytest.mark.parametrize("variant", LOCAL_VARIANTS, ids=("local_gpcn", "local_gpcn2"))
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.replace("-", "_"))
     def test_chain_matches_the_step_rule_without_records(self, variant):
         prior, phi, xi_map, gamma_map, _, qoi = self.local_setup()
+        gamma = gamma_map(xi_map, None)
+        s = 0.05 if variant == "rw" else 0.3
         for radius in (None, np.linalg.norm(xi_map) + 0.05):
-            kernel = ProposalKernel(variant, prior, 0.3, gamma_map=gamma_map)
+            kernel = kernel_for(variant, prior, s, gamma=gamma, gamma_map=gamma_map)
             cfg = ChainConfig(kernel, phi, n=50, n0=10, seed=31, initial_state=xi_map,
                               restriction_radius=radius, qoi=qoi)
             trace = run_chain(cfg)
@@ -326,6 +370,7 @@ class TestStateRecords:
                 assert all(np.array_equal(a, b) for a, b in zip(new.aux, solve, strict=True))
                 fresh = kernel.pack_at(new.u, solve)
                 assert np.array_equal(new.pack.v, fresh.v) and np.array_equal(new.pack.w, fresh.w)
+                assert_record_fields(kernel, new)
             else:
                 assert new is state
             state = new
@@ -344,6 +389,7 @@ class TestStateRecords:
                 state, accepted = mh_step(kernel, phi, state, rng)
                 moves += accepted
                 assert state.pack is kernel.pack
+                assert_record_fields(kernel, state)
             assert moves > 0
 
 
@@ -577,6 +623,27 @@ class TestExports:
         write_trace_csv(trace, p1, header={"seed": 12})
         write_trace_csv(trace, p2, header={"seed": 12})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("names", ((), ("f",), ("f", "g")), ids=("0-qoi", "1-qoi", "2-qoi"))
+    def test_csv_bytes_match_the_row_writer(self, tmp_path, names):
+        values = np.array([1.5, -2.25, np.nan, np.inf, -np.inf, 1e-300, -0.0, 0.1 + 0.2])
+        accepts = np.array([True, False, True, True, False, False, True, True, False, True])
+        for n0, n in ((2, 8), (10, 0)):          # the second keeps no post burn-in step
+            series = {name: np.roll(values, k)[:n] for k, name in enumerate(names)}
+            trace = ChainTrace(states=np.empty((0, 2)), accepts=accepts, qoi_series=series,
+                               acceptance_rate=0.6, wall_time=0.0, n=n, n0=n0)
+            for header in (None, {"seed": 12, "cell": "pcn_N2"}):
+                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+                write_trace_csv(trace, got, header=header)
+                reference_write_trace_csv(trace, want, header=header)
+                assert got.read_bytes() == want.read_bytes()
+        if names:                                # a series one step short writes nothing
+            short = ChainTrace(states=np.empty((0, 2)), accepts=accepts,
+                               qoi_series={name: values[:7] for name in names},
+                               acceptance_rate=0.6, wall_time=0.0, n=8, n0=2)
+            with pytest.raises(ValueError):
+                write_trace_csv(short, tmp_path / "short.csv")
+            assert not (tmp_path / "short.csv").exists()
 
     def test_state_dump_round_trip(self, tmp_path):
         trace = self.make_trace(tmp_path)
