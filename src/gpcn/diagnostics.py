@@ -8,6 +8,7 @@ autocovariance, which is the standard choice for the pair-sum estimator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,7 +98,12 @@ def ess_ims(series) -> DiagnosticsReport:
 
 
 def ess_batch_means(series, n_batches: int = 100) -> DiagnosticsReport:
-    """Batch-means ESS with ``n_batches`` equal batches (tail truncated if ragged)."""
+    """Batch-means ESS with ``n_batches`` equal batches (tail truncated if
+    ragged); ``n_batches`` must be an integer >= 2, since one batch mean has
+    no variance."""
+    if (isinstance(n_batches, bool) or not isinstance(n_batches, numbers.Integral)
+            or n_batches < 2):
+        raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
     x = _finite(series)
     n = x.shape[0]
     size = n // n_batches

@@ -18,6 +18,8 @@ kernels, cost O(N r); no N x N matrix is formed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +38,9 @@ class PriorSpec:
     eigenvalues: np.ndarray = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         if self.eigenvalues is None:
             lam = 1.0 / np.arange(1, self.dim + 1, dtype=float) ** 2
         else:
@@ -70,10 +73,12 @@ class OperatorPack:
     """All Gamma-derived operators for one (Gamma, s), from H = V diag(w) V^T.
 
     ``logdet_ih`` = log det(I + H), ``h_norm`` = ||H|| and ``a0`` are
-    derived on construction.  The s-scaled factors of A and R are built on
-    first use and kept, since a rejected local-variant candidate reads at
-    most one of them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed on access
-    (only the moment bound reads it).
+    derived on construction, by the ufunc reductions that ``np.sum`` and
+    ``ndarray.max`` run, without their Python wrappers (a local-variant
+    step builds a pack per candidate).  The s-scaled factors of A and R are
+    built on first use and kept, since a rejected local-variant candidate
+    reads at most one of them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed
+    on access (only the moment bound reads it).
     """
 
     prior: PriorSpec
@@ -85,9 +90,9 @@ class OperatorPack:
         s, w = self.s, self.w
         if not 0.0 <= s < 1.0:
             raise ValueError(f"step size s must lie in [0, 1), got {s}")
-        object.__setattr__(self, "logdet_ih", float(np.sum(np.log1p(w))))
-        object.__setattr__(self, "h_norm", float(w.max(initial=0.0)))
-        object.__setattr__(self, "a0", np.sqrt(1.0 - s * s))
+        object.__setattr__(self, "logdet_ih", float(np.add.reduce(np.log1p(w))))
+        object.__setattr__(self, "h_norm", float(np.maximum.reduce(w, initial=0.0)))
+        object.__setattr__(self, "a0", math.sqrt(1.0 - s * s))
 
     @cached_property
     def _left(self) -> np.ndarray:
@@ -112,13 +117,19 @@ class OperatorPack:
 
     def apply_a(self, u: np.ndarray) -> np.ndarray:
         """A u = a0 u + C^{1/2} V (f(w) - a0) V^T C^{-1/2} u."""
-        return self.a0 * u + self._left @ (self._mean_right @ u)
+        return self.a0 * u + self._left.dot(self._mean_right.dot(u))
 
     def scaled_noise(self, z: np.ndarray) -> np.ndarray:
         """s R z with R = C^{1/2}(I + V((1+w)^{-1/2} - 1) V^T).
 
-        R R^T = C_Gamma, so s R z ~ N(0, s^2 C_Gamma); R is not symmetric."""
-        return self.s * (self.prior.std * z) + self._left @ (self._noise_right @ z)
+        R R^T = C_Gamma, so s R z ~ N(0, s^2 C_Gamma); R is not symmetric.
+        Returns a new array, which the caller may update in place.  Here and
+        in ``apply_a``, ``ndarray.dot`` makes the BLAS call of ``@`` (the
+        same bits) with less call overhead, since a step makes it."""
+        noise = self.prior.std * z
+        noise *= self.s
+        noise += self._left.dot(self._noise_right.dot(z))
+        return noise
 
 
 def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> OperatorPack:
@@ -136,11 +147,11 @@ def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> Ope
     factor = np.asarray(gamma.factor, dtype=float)
     if factor.ndim != 2 or factor.shape[1] != n:
         raise ValueError(f"factor must have shape (r, {n}), got {factor.shape}")
-    bad = ~np.isfinite(factor)
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
+    finite = np.isfinite(factor)
+    if not finite.all():
+        i, j = map(int, np.argwhere(~finite)[0])
         raise ValueError(f"gamma factor must be finite, got factor[{i},{j}] = {factor[i, j]}")
-    _, sv, vt = np.linalg.svd(factor * prior.std[None, :], full_matrices=False)
+    _, sv, vt = np.linalg.svd(factor * prior.std, full_matrices=False)
     return OperatorPack(prior, s, vt.T, sv * sv)
 
 

@@ -68,7 +68,8 @@ def mh_step(kernel, phi, state, rng, radius=None):
     u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
     times the indicator ||v|| < radius when a radius is given.  A non-finite
     phi(v) or correction counts as a rejection.  The record's mean plus
-    ``proposal_noise`` is ``propose``'s candidate bit for bit.
+    ``proposal_noise`` is ``propose``'s candidate bit for bit; the noise is
+    a new array, so the mean is added into it in place.
     ``kernel.pack_at(v, aux)`` runs once, only for a v that passed the ball
     and phi checks.  Returns ``(state, accepted)``: the candidate's record on
     accept, the given one otherwise.
@@ -76,7 +77,8 @@ def mh_step(kernel, phi, state, rng, radius=None):
     u, phi_u, _, pack_u, mean_u, quad_u = state
     z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
-    v = mean_u + proposal_noise(kernel, z, pack_u)
+    v = proposal_noise(kernel, z, pack_u)
+    v += mean_u
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
     phi_v, aux_v = phi(v)
@@ -191,11 +193,12 @@ def run_chain(config: ChainConfig,
     state = State(u, phi_u, aux_u, pack, proposal_mean(kernel, u, pack), prior_quadratic(kernel, u))
 
     total = n0 + n
-    accepts = np.zeros(total, dtype=bool)
+    accepts = bytearray(total)
     qoi_series = {name: np.empty(n) for name in config.qoi}
     recorders = [(qoi_series[name], fn) for name, fn in config.qoi.items()]
     n_kept = 0 if thin is None else len(range(0, n, thin))
     states = np.empty((n_kept, kernel.prior.dim))
+    records = bool(recorders) or n_kept > 0          # a tuner pilot records nothing
 
     t0 = time.perf_counter()
     kept = 0
@@ -204,7 +207,7 @@ def run_chain(config: ChainConfig,
         state, accepted = mh_step(kernel, phi, state, rng, radius=radius)
         accepts[i] = accepted
         j = i - n0
-        if j >= 0:
+        if records and j >= 0:
             for series, fn in recorders:
                 series[j] = fn(state.u, state.aux) if j == 0 or accepted else series[j - 1]
             if thin is not None and j % thin == 0:
@@ -217,7 +220,7 @@ def run_chain(config: ChainConfig,
                 break
     wall = time.perf_counter() - t0
 
-    accepts = accepts[:steps]
+    accepts = np.frombuffer(accepts, dtype=bool, count=steps)
     n_run = max(steps - n0, 0)
     rate = float(accepts.mean()) if steps > 0 else 0.0
     return ChainTrace(states=states[:kept], accepts=accepts,

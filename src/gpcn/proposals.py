@@ -22,6 +22,7 @@ per state, so a step computes them only for its candidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -108,7 +109,7 @@ def proposal_mean(kernel: ProposalKernel, u: np.ndarray,
     if variant in WALK_VARIANTS:
         return u
     if variant == "pcn":
-        return np.sqrt(1.0 - kernel.s * kernel.s) * u
+        return math.sqrt(1.0 - kernel.s * kernel.s) * u
     if variant == "local-gpcn2":
         return pack.a0 * u
     return pack.apply_a(u)
@@ -117,9 +118,12 @@ def proposal_mean(kernel: ProposalKernel, u: np.ndarray,
 def proposal_noise(kernel: ProposalKernel, z: np.ndarray,
                    pack: Optional[OperatorPack]) -> np.ndarray:
     """The centred part of the draw that the standard normal z gives under the
-    kernel's law at the state whose pack is ``pack``."""
+    kernel's law at the state whose pack is ``pack``: a new array, which the
+    caller may update in place; z is left as it is."""
     if kernel.variant in ("rw", "pcn"):
-        return kernel.s * (kernel.prior.std * z)
+        noise = kernel.prior.std * z
+        noise *= kernel.s
+        return noise
     return pack.scaled_noise(z)
 
 
@@ -136,6 +140,11 @@ def prior_quadratic(kernel: ProposalKernel, u: np.ndarray) -> Optional[float]:
     if kernel.variant not in WALK_VARIANTS:
         return None
     return (u * u / kernel.prior.eigenvalues).sum()
+
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal(a, b)`` for two arrays, without its input conversion."""
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
@@ -162,8 +171,7 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
         if quad_v is None:
             quad_v = prior_quadratic(kernel, v)
         return float(0.5 * (quad_u - quad_v))
-    if variant == "local-gpcn" and np.array_equal(pack_u.w, pack_v.w) and np.array_equal(
-            pack_u.v, pack_v.v):
+    if variant == "local-gpcn" and _equal(pack_u.w, pack_v.w) and _equal(pack_u.v, pack_v.v):
         # Constant curvature map: one Gamma gives bit-identical packs, the two
         # density factors coincide and the correction is exactly the
         # global-gpcn one (zero).

@@ -83,8 +83,14 @@ class TestEssBatchMeans:
         assert abs(report.ess - n / 3) <= 0.2 * n / 3
 
     def test_rejects_short_series(self):
+        x = np.random.default_rng(0).standard_normal(500)
         with pytest.raises(ValueError, match="short"):
-            ess_batch_means(np.random.default_rng(0).standard_normal(500), n_batches=100)
+            ess_batch_means(x, n_batches=100)
+        # One batch mean has no variance; 0, fractions and bools are no batch count.
+        for bad in (1, 0, -2, 2.5, 2.0, True, False, "10"):
+            with pytest.raises(ValueError, match=f"n_batches must be an integer >= 2, got {bad!r}"):
+                ess_batch_means(x, n_batches=bad)
+        assert ess_batch_means(x, n_batches=np.int64(2)).method == "batch-means"
 
     def test_agrees_with_ims_on_sampler_output(self):
         model = elliptic.ForwardModel(10)

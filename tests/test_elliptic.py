@@ -66,6 +66,15 @@ class TestModelAndField:
             with pytest.raises(ValueError, match="Nyquist"):
                 ForwardModel(n_modes)
 
+    def test_mode_count_must_be_a_positive_integer(self):
+        # 0 or -3 modes would give a zero field, and 2.5 a 3-row table that no
+        # coefficient vector of shape (2.5,) could be synthesized on
+        for bad in (0, -3, 2.5, 3.0, True, False, "3"):
+            with pytest.raises(ValueError, match=f"n_modes must be an integer >= 1, got {bad!r}"):
+                ForwardModel(bad)
+        model = ForwardModel(np.int64(3))
+        assert kl_to_field(np.ones(3), model).shape == (model.n_nodes,)
+
     def test_fft_side_allocates_no_table(self):
         tracemalloc.start()
         try:
@@ -138,6 +147,52 @@ class TestPhi:
         obs = make_obs(rng.standard_normal(4) + LINEAR_G)
         r = (obs.y - forward(xi, model)) / obs.sigma_eps
         assert np.isclose(phi(xi, obs, model)[0], 0.5 * r @ r)
+
+    @pytest.mark.parametrize("n_modes, dx", [(50, 2.0 ** -9), (800, 2.0 ** -10)],
+                             ids=["table", "fft"])
+    def test_same_bits_as_the_array_formulas(self, n_modes, dx):
+        # phi forms the residual in Python floats: the IEEE operations that
+        # numpy applies elementwise to y - forward(xi), so the same bits; its
+        # products call ndarray.dot, the BLAS routine that @ calls
+        model = ForwardModel(n_modes, dx=dx)
+        prior = PriorSpec(n_modes)
+        rng = np.random.default_rng(12)
+        for sigma in (0.1, 0.01):
+            obs = generate_data(default_truth, sigma, model, rng)
+            for scale in (0.3, 1.0, 3.0):
+                for _ in range(50):
+                    xi = scale * prior.sample(rng)
+                    r = obs.y - forward(xi, model)
+                    value, (field, w, flux) = phi(xi, obs, model)
+                    assert type(value) is float
+                    assert value == 0.5 * (r @ r) / obs.sigma_eps ** 2
+                    if model.sine_table is not None:
+                        assert np.array_equal(field, xi @ model.sine_table)
+                    assert np.array_equal(w, np.exp(-field))
+                    assert np.array_equal(flux, model.weights @ np.exp(-field))
+
+    @pytest.mark.parametrize("n_modes, dx", [(50, 2.0 ** -9), (800, 2.0 ** -10)],
+                             ids=["table", "fft"])
+    def test_overflowing_state_gives_a_nonfinite_value(self, n_modes, dx, monkeypatch):
+        # Python float division raises where numpy only warns, so phi must
+        # still return a non-finite value, not raise, where e^{-u} overflows
+        model = ForwardModel(n_modes, dx=dx)
+        obs = make_obs(LINEAR_G)
+        xi = np.zeros(n_modes)
+        for bad in (-1e4, -np.inf, np.nan):
+            xi[0] = bad
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(phi(xi, obs, model)[0])
+        # and an overflowing or non-finite flux gives what the array formula gives
+        for flux in ([np.inf] * 5, [np.nan] * 5, [1e308] * 5, [1.0, 1.0, np.inf, 1.0, np.inf],
+                     [1.0, 2.0, 3.0, 4.0, np.inf]):
+            flux = np.array(flux)
+            monkeypatch.setattr(elliptic, "forward_solve", lambda xi, model: (None, None, flux))
+            with np.errstate(all="ignore"):
+                r = obs.y - 2.0 * flux[:-1] / flux[-1]
+                want = 0.5 * (r @ r) / obs.sigma_eps ** 2
+            value = phi(xi, obs, model)[0]
+            assert value == want or (np.isnan(value) and np.isnan(want))
 
 
 class TestJacobian:

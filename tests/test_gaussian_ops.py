@@ -50,8 +50,10 @@ class TestPriorSpec:
             PriorSpec(2, eigenvalues=np.array([bad, 1.0]))
 
     def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            PriorSpec(0)
+        for bad in (0, -3, 2.5, 3.0, True, False, "3", None):
+            with pytest.raises(ValueError, match=f"dim must be an integer >= 1, got {bad!r}"):
+                PriorSpec(bad)
+        assert PriorSpec(np.int64(3)).eigenvalues.shape == (3,)
 
     def test_equality_and_hash_do_not_raise(self):
         # ndarray fields: equality and hashing are by identity, not by value.
@@ -185,6 +187,18 @@ class TestLazyFactors:
                 got = getattr(pack, name)
                 assert np.array_equal(got, want), name
                 assert getattr(pack, name) is got, name          # built once, then kept
+
+    def test_eager_terms_equal_the_reduction_formulas(self):
+        # __post_init__ calls the ufunc reductions without np.sum's wrapper
+        # and takes a0 by math.sqrt: the same bits as these formulas
+        rng = np.random.default_rng(44)
+        for n, r in ((6, 0), (7, 3), (5, 5), (20, 4), (8, 12)):
+            for s in (0.0, float(rng.uniform(0.05, 0.95)), 0.999):
+                pack = build_operator_pack(PriorSpec(n), FactoredGamma(rng.standard_normal((r, n))), s)
+                assert pack.logdet_ih == float(np.sum(np.log1p(pack.w)))
+                assert pack.h_norm == float(pack.w.max(initial=0.0))
+                assert pack.a0 == np.sqrt(1.0 - s * s)
+                assert {type(pack.logdet_ih), type(pack.h_norm), type(pack.a0)} == {float}
 
     def test_replace_rebuilds_them_at_the_new_step(self):
         pack = build_operator_pack(PriorSpec(9), random_factor(9, np.random.default_rng(47)), 0.3)

@@ -10,6 +10,8 @@ from gpcn.proposals import (
     VARIANTS,
     ProposalKernel,
     log_acceptance_correction,
+    proposal_mean,
+    proposal_noise,
     propose,
 )
 from helpers import (
@@ -118,6 +120,36 @@ class TestPropose:
             draws = np.array([propose(kernel, u, rng.standard_normal(4), pack) for _ in range(50000)])
             mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_mean_and_noise_are_the_product_formulas(self, variant):
+        # proposal_noise builds the noise in a new array, which mh_step adds
+        # the mean into, and the pack's products call ndarray.dot: the same
+        # bits as these formulas, with z left untouched
+        rng = np.random.default_rng(14)
+        for n, r in ((1, 1), (6, 0), (7, 3), (30, 4)):
+            prior = PriorSpec(n)
+            gamma = FactoredGamma(rng.standard_normal((r, n)))
+            kernel = kernel_for(variant, prior, 0.43, gamma=gamma, gamma_map=make_gamma_map(gamma))
+            for _ in range(20):
+                u, z = prior.sample(rng), rng.standard_normal(n)
+                pack = kernel.pack_at(u, None)
+                z_before = z.copy()
+                noise = proposal_noise(kernel, z, pack)
+                if variant in ("rw", "pcn"):
+                    want = kernel.s * (prior.std * z)
+                else:
+                    want = pack.s * (prior.std * z) + pack._left @ (pack._noise_right @ z)
+                assert np.array_equal(noise, want)
+                assert not np.shares_memory(noise, z) and np.array_equal(z, z_before)
+                mean = proposal_mean(kernel, u, pack)
+                if variant == "pcn":
+                    assert np.array_equal(mean, np.sqrt(1.0 - kernel.s * kernel.s) * u)
+                elif variant in ("gpcn", "local-gpcn"):
+                    assert np.array_equal(mean, pack.a0 * u + pack._left @ (pack._mean_right @ u))
+                v = propose(kernel, u, z, pack)
+                assert np.array_equal(v, mean + want)
+                assert np.array_equal(z, z_before)
 
 
 class TestCorrections:
