@@ -34,7 +34,6 @@ from .gaussian_ops import (
     PriorSpec,
     build_operator_pack,
     integrability_bound,
-    log_pi_cm,
     log_pi_gamma,
     log_rho_gamma,
 )

@@ -55,12 +55,10 @@ class DiagnosticsReport:
     ess: float
     method: str
     n: int
-    n0: int = 0
     n_pairs: Optional[int] = None     # pair sums kept by the monotone truncation
 
     def to_dict(self) -> dict:
-        out = {"iact": self.iact, "ess": self.ess, "method": self.method,
-               "n": self.n, "n0": self.n0}
+        out = {"iact": self.iact, "ess": self.ess, "method": self.method, "n": self.n}
         if self.n_pairs is not None:
             out["n_pairs"] = self.n_pairs
         return out

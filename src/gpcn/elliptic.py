@@ -32,7 +32,6 @@ import numpy as np
 
 from .gaussian_ops import FactoredGamma, PriorSpec
 
-DEFAULT_DX = 2.0 ** -9
 OBS_POINTS = (0.2, 0.4, 0.6, 0.8)
 # Models with n_modes * n_nodes at or above this apply the sine basis by FFT
 # instead of a dense table.  Measured on a 2-core Xeon VM, 1 BLAS thread, field
@@ -69,15 +68,21 @@ class ForwardModel:
     cumulative trapezoid weights to x with the linear interpolation between
     the two nearest nodes folded in, and a last row of full trapezoid
     weights, so ``W @ f`` gives S_x(f) at every observation point and S_1(f).
+
+    ``dx`` defaults to 2^-max(9, bit_length(n_modes)): the largest 2^-k <=
+    2^-9 whose grid resolves every mode, so N <= 511 runs on 513 nodes and
+    N = 800 on 1025.
     """
 
     n_modes: int
-    dx: float = DEFAULT_DX
+    dx: Optional[float] = None
 
     def __post_init__(self):
         n_modes = self.n_modes
         if isinstance(n_modes, bool) or not isinstance(n_modes, numbers.Integral) or n_modes < 1:
             raise ValueError(f"n_modes must be an integer >= 1, got {n_modes!r}")
+        if self.dx is None:
+            object.__setattr__(self, "dx", 2.0 ** -max(9, int(n_modes).bit_length()))
         steps = grid_steps(self.dx)
         if self.n_modes >= steps:
             # mode steps + m aliases to -(mode steps - m) on the grid

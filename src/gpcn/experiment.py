@@ -59,7 +59,7 @@ class ExperimentConfig:
     variants: list
     n: int
     n0: int
-    dx: float
+    dx: Optional[float] = None
     truth: str = "default"
     s: Optional[float] = None
     target_acceptance: float = 0.25
@@ -109,7 +109,7 @@ _FIELDS = (
     ("seed", "seed", int, _as_is),
     ("problem.N", "n_modes", _int_list, _joined(str)),
     ("problem.sigma_eps", "sigma_eps", _float_list, _joined("{:g}".format)),
-    ("problem.dx", "dx", float, "{:.17g}".format),
+    ("problem.dx", "dx", float, lambda dx: "auto" if dx is None else f"{dx:.17g}"),
     ("problem.truth", "truth", str, _as_is),
     ("sampler.variant", "variants", _str_list, _joined(str)),
     ("sampler.s", "s", float, lambda s: "tuned" if s is None else f"{s:.17g}"),
@@ -148,20 +148,18 @@ def resolve_config(text: str) -> ExperimentConfig:
         if repeated:
             raise ConfigError(f"line {lines[key]}: {key} lists {repeated[0]} more than once; "
                               f"its cells would share artifact names")
-    n_max = max(fields["n_modes"])
-    dx = fields.pop("dx", None)
-    if dx is None:
-        # one dx for every cell: the largest 2^-k <= 2^-9 whose grid resolves n_max modes
-        dx = 2.0 ** -max(9, n_max.bit_length())
-    else:
+    # without problem.dx each ForwardModel picks the grid of its own N
+    dx = fields.get("dx")
+    if dx is not None:
         try:
             steps = elliptic.grid_steps(dx)
         except ValueError as exc:
             raise ConfigError(f"line {lines['problem.dx']}: {exc}") from None
+        n_max = max(fields["n_modes"])
         if n_max >= steps:
             raise ConfigError(f"line {lines['problem.dx']}: dx = {dx:g} does not resolve "
                               f"problem.N = {n_max} modes (need N < 1/dx)")
-    cfg = ExperimentConfig(dx=dx, **fields)
+    cfg = ExperimentConfig(**fields)
     known = {key for key, *_ in _FIELDS}
     for key in values:
         if key not in known:
@@ -276,7 +274,7 @@ def write_problem(cfg: ExperimentConfig, problem: Problem) -> None:
     np.save(os.path.join(cfg.out_dir, f"xi_map_{stem}.npy"), result.xi)
     np.save(os.path.join(cfg.out_dir, f"gamma_factor_{stem}.npy"), problem.gamma.factor)
     summary = {
-        "config": dict(cfg.items()), "N": model.n_modes, "sigma_eps": obs.sigma_eps,
+        "config": dict(cfg.items()), "N": model.n_modes, "dx": model.dx, "sigma_eps": obs.sigma_eps,
         "data_seed": obs.seed, "phi_at_map": elliptic.phi(result.xi, obs, model)[0],
         "converged": result.converged, "iterations": result.iterations,
         "gradient_norm": result.gradient_norm, "stop": result.stop,
@@ -339,7 +337,8 @@ def run_group(cfg: ExperimentConfig, problem: Problem, iv: int, reps) -> list:
         stem = f"{variant}_N{n_modes}_sig{sigma:g}_r{rep}"
         cell_seeds = {"data_seed": obs.seed, "chain_seed": chain_seed}
         header = dict(cfg.items())
-        header.update({"cell": stem, "cell.s": format(s, ".17g"), **cell_seeds})
+        header.update({"cell": stem, "cell.s": format(s, ".17g"),
+                       "cell.dx": format(model.dx, ".17g"), **cell_seeds})
         os.makedirs(cfg.out_dir, exist_ok=True)
         if "csv" in cfg.formats:
             write_trace_csv(trace, os.path.join(cfg.out_dir, f"trace_{stem}.csv"), header=header)
@@ -348,8 +347,8 @@ def run_group(cfg: ExperimentConfig, problem: Problem, iv: int, reps) -> list:
         if "json" in cfg.formats:
             report = {
                 "config": dict(cfg.items()), "cell": stem,
-                "variant": variant, "N": n_modes, "sigma_eps": sigma, "replicate": rep,
-                **cell_seeds, "s": s, "tuned": tuned,
+                "variant": variant, "N": n_modes, "dx": model.dx, "sigma_eps": sigma,
+                "replicate": rep, **cell_seeds, "s": s, "tuned": tuned,
                 "acceptance_rate": trace.acceptance_rate,
                 "phi_at_map": phi(xi_map)[0],
                 "map": {"iterations": map_result.iterations,

@@ -155,15 +155,6 @@ def build_operator_pack(prior: PriorSpec, gamma: FactoredGamma, s: float) -> Ope
     return OperatorPack(prior, s, vt.T, sv * sv)
 
 
-def log_pi_cm(prior: PriorSpec, h: np.ndarray, v: np.ndarray) -> float:
-    """log of the shifted-mean density dN(h,C)/dN(0,C) at v.
-
-    Equals -1/2 ||C^{-1/2} h||^2 + <C^{-1} h, v>.
-    """
-    lam = prior.eigenvalues
-    return float(-0.5 * np.sum(h * h / lam) + np.sum(h * v / lam))
-
-
 def log_pi_gamma(pack: OperatorPack, v: np.ndarray) -> float:
     """log of dN(0,C)/dN(0,C_Gamma) at v: 1/2 <Gamma v, v> - 1/2 log det(I+H)."""
     x = pack.v.T @ (v / pack.prior.std)               # <Gamma v, v> = sum w x^2
@@ -176,9 +167,11 @@ def log_rho_gamma(pack: OperatorPack, u: np.ndarray, v: np.ndarray) -> float:
     rho(u, v) = dN(sqrt(1-s^2) u, s^2 C) / dN(A u, s^2 C_Gamma) evaluated at
     v.  With the residual t = (v - A u)/s it is the composition
 
-        log rho = log_pi_cm(Delta u / s, t) + log_pi_gamma(t),
+        log rho = log pi_C(Delta u / s, t) + log_pi_gamma(t),
 
-    the shift carrying the 1/s from the change of variables.  Both factors
+    with log pi_C(h, t) = -1/2 ||C^{-1/2} h||^2 + <C^{-1} h, t>, the log of
+    the shifted-mean density dN(h, C)/dN(0, C) at t, and the shift carrying
+    the 1/s from the change of variables.  Both factors
     live in range(V): C^{-1/2} Delta u / s = -V c with c = (f(w) - a0)
     V^T C^{-1/2} u / s, and x = V^T C^{-1/2} t = V^T C^{-1/2} (v - a0 u) / s - c,
     so in those r coordinates

@@ -57,6 +57,13 @@ def dense_operators(prior, gamma, s):
             "h_norm": float(w[-1]), "cm_norm": float(np.linalg.norm(delta / std[:, None], 2))}
 
 
+def log_pi_cm(prior, h, v):
+    """log of the shifted-mean density dN(h, C)/dN(0, C) at v:
+    -1/2 ||C^{-1/2} h||^2 + <C^{-1} h, v>."""
+    lam = prior.eigenvalues
+    return float(-0.5 * np.sum(h * h / lam) + np.sum(h * v / lam))
+
+
 def oracle_log_pi_gamma(ops, v):
     """log dN(0, C)/dN(0, C_Gamma) at v = 1/2 <Gamma v, v> - 1/2 log det(I + H)."""
     return float(0.5 * v @ ops["gamma"] @ v - 0.5 * ops["logdet_ih"])

@@ -18,7 +18,7 @@ from gpcn.experiment import (
     run_experiment,
     worker_pool,
 )
-from gpcn.metropolis import ChainConfig, ChainTrace, run_chain, write_trace_csv
+from gpcn.metropolis import ChainConfig, ChainTrace, read_trace_csv, run_chain, write_trace_csv
 from gpcn.proposals import ProposalKernel
 from helpers import ar1_series, dense_gamma, observation_from_json
 
@@ -85,18 +85,15 @@ class TestConfigParsing:
         items = dict(cfg.items())
         assert items["run.thin"] == 1
         assert items["sampler.target_acceptance"] == "0.25"
-        assert items["problem.dx"] == format(2.0**-9, ".17g")
+        assert items["problem.dx"] == "auto" and cfg.dx is None
 
-    def test_dx_resolves_every_mode_of_the_sweep(self):
+    def test_explicit_dx_must_resolve_every_mode_of_the_sweep(self):
         base = ("seed = 1\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
                 "run.n = 10\nrun.n0 = 0\n")
-        for n_list, dx in (("511", 2.0**-9), ("50, 512", 2.0**-10), ("800", 2.0**-10),
-                           ("1024", 2.0**-11)):
-            cfg = resolve_config(base + f"problem.N = {n_list}\n")
-            assert dict(cfg.items())["problem.dx"] == format(dx, ".17g")
-        assert resolve_config(base + "problem.N = 800\nproblem.dx = 0.0009765625\n").dx == 2.0**-10
-        with pytest.raises(ConfigError, match="line 7"):
-            resolve_config(base + "problem.N = 800\nproblem.dx = 0.001953125\n")
+        cfg = resolve_config(base + "problem.N = 50, 800\nproblem.dx = 0.0009765625\n")
+        assert cfg.dx == 2.0**-10 and dict(cfg.items())["problem.dx"] == "0.0009765625"
+        with pytest.raises(ConfigError, match="line 7: .* does not resolve problem.N = 800"):
+            resolve_config(base + "problem.N = 50, 800\nproblem.dx = 0.001953125\n")
 
     def test_nonfinite_or_negative_step_size_names_its_line(self):
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"
@@ -219,6 +216,8 @@ class TestRunCommand:
         assert report["config"]["run.n"] == 1000
         assert set(report["map"]) == {"iterations", "gradient_norm", "converged", "stop"}
         assert "tune" not in report               # s is fixed
+        # the config block records run.n0; the ESS block covers the post burn-in series
+        assert "n0" not in report["ess"]["ims"] and report["ess"]["ims"]["n"] == 1000
 
     def test_tuned_cell_records_the_tuner_outcome(self, tmp_path):
         out = tmp_path / "tuned"
@@ -250,6 +249,32 @@ class TestRunCommand:
         lines = [l for l in (out / "summary.csv").read_text().splitlines()
                  if not l.startswith("#")]
         assert len(lines) == 1 + 5
+
+    def test_each_n_runs_on_its_own_grid_unless_dx_is_set(self, tmp_path):
+        # dx = 2^-max(9, bit_length(N)) per N, so next to N = 800 (1025 nodes)
+        # N = 50 keeps its 513 nodes and the trace it has in a sweep of its own
+        base = ("seed = 3\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\nsampler.s = 0.3\n"
+                "run.n = 200\nrun.n0 = 0\n")
+        runs = {"mixed": "problem.N = 50, 800\n", "alone": "problem.N = 50\n",
+                "explicit": "problem.N = 50, 800\nproblem.dx = 0.0009765625\n"}
+        for name, extra in runs.items():
+            run_experiment(resolve_config(base + extra + f"output.dir = {tmp_path / name}\n"))
+
+        def grid(name, n_modes):
+            out = tmp_path / name
+            dx = float(read_trace_csv(out / f"trace_pcn_N{n_modes}_sig0.1_r0.csv")[0]["cell.dx"])
+            for report in (f"diagnostics_pcn_N{n_modes}_sig0.1_r0.json", f"map_N{n_modes}_sig0.1.json"):
+                assert json.loads((out / report).read_text())["dx"] == dx
+            return round(1.0 / dx) + 1
+
+        def rows(name):
+            text = (tmp_path / name / "trace_pcn_N50_sig0.1_r0.csv").read_text()
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        assert (grid("mixed", 50), grid("mixed", 800)) == (513, 1025)
+        assert rows("mixed") == rows("alone")
+        assert (grid("explicit", 50), grid("explicit", 800)) == (1025, 1025)
+        assert rows("explicit") != rows("alone")
 
     def test_rerun_reproduces_identical_artifacts(self, tmp_path):
         # N = 10 applies the sine basis by table, N = 300 (dx 2^-9) by FFT;

@@ -53,6 +53,13 @@ class TestModelAndField:
         assert model.n_nodes == 513
         assert np.isclose(model.dx * (model.n_nodes - 1), 1.0)
 
+    @pytest.mark.parametrize("n_modes, dx", [(1, 2.0 ** -9), (511, 2.0 ** -9), (512, 2.0 ** -10),
+                                             (800, 2.0 ** -10), (1023, 2.0 ** -10),
+                                             (1024, 2.0 ** -11)])
+    def test_default_grid_is_the_coarsest_that_resolves_every_mode(self, n_modes, dx):
+        model = ForwardModel(n_modes)
+        assert model.dx == dx and model.n_nodes == round(1.0 / dx) + 1
+
     def test_bad_dx_rejected(self):
         with pytest.raises(ValueError):
             ForwardModel(3, dx=0.3)
@@ -61,10 +68,10 @@ class TestModelAndField:
         # mode 512 vanishes on the 512-interval grid and 512 + m aliases to -(512 - m)
         model = ForwardModel(512, dx=2.0 ** -10)
         assert np.abs(sine_basis(model)[511, ::2]).max() < 1e-13
-        ForwardModel(511)
+        ForwardModel(511, dx=2.0 ** -9)
         for n_modes in (512, 800):
             with pytest.raises(ValueError, match="Nyquist"):
-                ForwardModel(n_modes)
+                ForwardModel(n_modes, dx=2.0 ** -9)
 
     def test_mode_count_must_be_a_positive_integer(self):
         # 0 or -3 modes would give a zero field, and 2.5 a 3-row table that no

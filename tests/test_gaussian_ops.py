@@ -9,13 +9,13 @@ from gpcn.gaussian_ops import (
     admissible_exponent_bound,
     build_operator_pack,
     integrability_bound,
-    log_pi_cm,
     log_pi_gamma,
     log_rho_gamma,
 )
 from helpers import (
     dense_operators,
     gaussian_logpdf,
+    log_pi_cm,
     oracle_log_pi_gamma,
     oracle_log_rho_gamma,
     random_factor,
