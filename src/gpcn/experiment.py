@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,38 +51,6 @@ def parse_kv(text: str):
     return values, lines
 
 
-@dataclass
-class ExperimentConfig:
-    seed: int
-    n_modes: list
-    sigma_eps: list
-    variants: list
-    n: int
-    n0: int
-    dx: Optional[float] = None
-    truth: str = "default"
-    s: Optional[float] = None
-    target_acceptance: float = 0.25
-    gamma_source: str = "map"
-    gamma_points: int = 5
-    thin: int = 1
-    replicates: int = 1
-    pilot_n: int = 2000
-    out_dir: str = "out"
-    formats: list = field(default_factory=lambda: ["csv", "json"])
-
-    def items(self):
-        """Fully resolved flat view, defaults included."""
-        return [(key, show(getattr(self, name))) for key, name, _, show in _FIELDS]
-
-
-def _typed(values, lines, key, cast):
-    try:
-        return cast(values[key])
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"line {lines[key]}: bad value for {key!r}: {exc}") from exc
-
-
 def _int_list(text):
     return [int(v) for v in text.split(",") if v.strip()]
 
@@ -103,37 +71,55 @@ def _joined(show):
     return lambda values: ",".join(show(v) for v in values)
 
 
-# config key, ExperimentConfig field, parser, formatter for ``items()``; a
-# key that is absent leaves the field at its default.
-_FIELDS = (
-    ("seed", "seed", int, _as_is),
-    ("problem.N", "n_modes", _int_list, _joined(str)),
-    ("problem.sigma_eps", "sigma_eps", _float_list, _joined("{:g}".format)),
-    ("problem.dx", "dx", float, lambda dx: "auto" if dx is None else f"{dx:.17g}"),
-    ("problem.truth", "truth", str, _as_is),
-    ("sampler.variant", "variants", _str_list, _joined(str)),
-    ("sampler.s", "s", float, lambda s: "tuned" if s is None else f"{s:.17g}"),
-    ("sampler.target_acceptance", "target_acceptance", float, "{:g}".format),
-    ("sampler.gamma", "gamma_source", str, _as_is),
-    ("sampler.gamma_points", "gamma_points", int, _as_is),
-    ("run.n", "n", int, _as_is),
-    ("run.n0", "n0", int, _as_is),
-    ("run.thin", "thin", int, _as_is),
-    ("run.replicates", "replicates", int, _as_is),
-    ("run.pilot_n", "pilot_n", int, _as_is),
-    ("output.dir", "out_dir", str, _as_is),
-    ("output.formats", "formats", _str_list, _joined(str)),
-)
-_REQUIRED = ("seed", "problem.N", "problem.sigma_eps", "sampler.variant", "run.n", "run.n0")
+def _key(key, parse, show=_as_is, at_least=None, **default):
+    """A field read from config ``key`` by ``parse`` and printed by ``show`` in
+    ``items()``; a field without a default is a required key, and a key that is
+    absent leaves the field at its default."""
+    return field(**default, metadata={"key": key, "parse": parse, "show": show,
+                                      "at_least": at_least})
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig:
+    seed: int = _key("seed", int, at_least=0)
+    n_modes: list = _key("problem.N", _int_list, _joined(str))
+    sigma_eps: list = _key("problem.sigma_eps", _float_list, _joined("{:g}".format))
+    dx: Optional[float] = _key("problem.dx", float,
+                               lambda dx: "auto" if dx is None else f"{dx:.17g}", default=None)
+    truth: str = _key("problem.truth", str, default="default")
+    variants: list = _key("sampler.variant", _str_list, _joined(str))
+    s: Optional[float] = _key("sampler.s", float,
+                              lambda s: "tuned" if s is None else f"{s:.17g}", default=None)
+    target_acceptance: float = _key("sampler.target_acceptance", float, "{:g}".format,
+                                    default=0.25)
+    gamma_source: str = _key("sampler.gamma", str, default="map")
+    gamma_points: int = _key("sampler.gamma_points", int, default=5)
+    n: int = _key("run.n", int, at_least=0)
+    n0: int = _key("run.n0", int, at_least=0)
+    thin: int = _key("run.thin", int, at_least=1, default=1)
+    replicates: int = _key("run.replicates", int, at_least=1, default=1)
+    pilot_n: int = _key("run.pilot_n", int, default=2000)
+    out_dir: str = _key("output.dir", str, default="out")
+    formats: list = _key("output.formats", _str_list, _joined(str),
+                         default_factory=lambda: ["csv", "json"])
+
+    def items(self):
+        """Fully resolved flat view, defaults included."""
+        return [(f.metadata["key"], f.metadata["show"](getattr(self, f.name)))
+                for f in fields(self)]
 
 
 def resolve_config(text: str) -> ExperimentConfig:
     values, lines = parse_kv(text)
-    fields = {}
-    for key, name, cast, _ in _FIELDS:
+    parsed = {}
+    for f in fields(ExperimentConfig):
+        key = f.metadata["key"]
         if key in values:
-            fields[name] = _typed(values, lines, key, cast)
-        elif key in _REQUIRED:
+            try:
+                parsed[f.name] = f.metadata["parse"](values[key])
+            except ValueError as exc:
+                raise ConfigError(f"line {lines[key]}: bad value for {key!r}: {exc}") from exc
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key {key!r}")
     # A cell's artifacts are named by its variant, N and sigma_eps as printed
     # (``run_group``'s stem), so entries that print alike would overwrite
@@ -141,7 +127,7 @@ def resolve_config(text: str) -> ExperimentConfig:
     for key, name, show in (("problem.N", "n_modes", str),
                             ("problem.sigma_eps", "sigma_eps", "{:g}".format),
                             ("sampler.variant", "variants", str)):
-        shown = [show(v) for v in fields[name]]
+        shown = [show(v) for v in parsed[name]]
         if not shown:
             raise ConfigError(f"line {lines[key]}: {key} lists no values")
         repeated = [v for i, v in enumerate(shown) if v in shown[:i]]
@@ -149,18 +135,18 @@ def resolve_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lines[key]}: {key} lists {repeated[0]} more than once; "
                               f"its cells would share artifact names")
     # without problem.dx each ForwardModel picks the grid of its own N
-    dx = fields.get("dx")
+    dx = parsed.get("dx")
     if dx is not None:
         try:
             steps = elliptic.grid_steps(dx)
         except ValueError as exc:
             raise ConfigError(f"line {lines['problem.dx']}: {exc}") from None
-        n_max = max(fields["n_modes"])
+        n_max = max(parsed["n_modes"])
         if n_max >= steps:
             raise ConfigError(f"line {lines['problem.dx']}: dx = {dx:g} does not resolve "
                               f"problem.N = {n_max} modes (need N < 1/dx)")
-    cfg = ExperimentConfig(**fields)
-    known = {key for key, *_ in _FIELDS}
+    cfg = ExperimentConfig(**parsed)
+    known = {f.metadata["key"] for f in fields(cfg)}
     for key in values:
         if key not in known:
             raise ConfigError(f"line {lines[key]}: unknown key {key!r}")
@@ -192,9 +178,9 @@ def resolve_config(text: str) -> ExperimentConfig:
         if truth.size > n_min:
             raise ConfigError(f"{where} has {truth.size} coefficients, more than "
                               f"min(problem.N) = {n_min}")
-    for key, value, low in (("seed", cfg.seed, 0), ("run.n", cfg.n, 0), ("run.n0", cfg.n0, 0),
-                            ("run.thin", cfg.thin, 1), ("run.replicates", cfg.replicates, 1)):
-        if value < low:
+    for f in fields(cfg):
+        key, low, value = f.metadata["key"], f.metadata["at_least"], getattr(cfg, f.name)
+        if low is not None and value < low:
             raise ConfigError(f"line {lines[key]}: {key} must be at least {low}, got {value}")
     if cfg.s is None and cfg.pilot_n < 1000:
         raise ConfigError(f"line {lines['run.pilot_n']}: run.pilot_n must be at least 1000 "

@@ -23,6 +23,7 @@ therefore have gap = 1 - max|lambda|, not 1 - lambda_2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,8 @@ _HALF_MASS = 0.5 + 1e-12     # largest pi(A) a conductance or kappa_p subset may
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """Row-stochastic transition matrix with its stationary probability vector."""
+    """Row-stochastic transition matrix with its stationary probability vector; its
+    detailed-balance gap and spectrum are computed on first use."""
 
     p: np.ndarray
     pi: np.ndarray
@@ -66,14 +68,23 @@ class FiniteChain:
     def n_states(self) -> int:
         return self.pi.shape[0]
 
+    @cached_property
+    def balance_gap(self) -> float:
+        flow = self.pi[:, None] * self.p
+        return float(np.abs(flow - flow.T).max())
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the symmetrized operator, the Perron one last."""
+        return np.linalg.eigvalsh(_symmetrized(self))
+
 
 def detailed_balance_gap(chain: FiniteChain) -> float:
-    flow = chain.pi[:, None] * chain.p
-    return float(np.abs(flow - flow.T).max())
+    return chain.balance_gap
 
 
 def _require_reversible(chain: FiniteChain, what: str) -> None:
-    gap = detailed_balance_gap(chain)
+    gap = chain.balance_gap
     if gap > _REVERSIBLE_TOL:
         raise ValueError(f"{what} requires a reversible chain (detailed balance gap {gap:.3e})")
 
@@ -84,16 +95,10 @@ def _symmetrized(chain: FiniteChain) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def _centered_spectrum(chain: FiniteChain) -> np.ndarray:
-    """Eigenvalues of the symmetrized operator with one Perron eigenvalue removed."""
-    w = np.linalg.eigvalsh(_symmetrized(chain))
-    return w[:-1]
-
-
 def spectral_gap(chain: FiniteChain) -> float:
     """1 minus the largest absolute eigenvalue on the centered subspace."""
     _require_reversible(chain, "spectral_gap")
-    return float(1.0 - np.abs(_centered_spectrum(chain)).max(initial=0.0))
+    return float(1.0 - np.abs(chain.spectrum[:-1]).max(initial=0.0))
 
 
 def _check_enum_budget(n: int, what: str) -> None:
@@ -175,7 +180,7 @@ def cheeger_check(chain: FiniteChain) -> dict:
     """Both sides of phi^2/2 <= 1 - Lambda <= 2 phi, with pass flag."""
     _require_reversible(chain, "cheeger_check")
     phi = conductance(chain)
-    lam = float(_centered_spectrum(chain).max(initial=-1.0))
+    lam = float(chain.spectrum[:-1].max(initial=-1.0))
     lower, upper = 0.5 * phi * phi, 2.0 * phi
     ok = (lower <= 1.0 - lam + _EIG_SLACK) and (1.0 - lam <= upper + _EIG_SLACK)
     return {"phi": phi, "lambda_max": lam, "lower": lower, "upper": upper,
@@ -254,9 +259,11 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     gives at x_i times ``cell``; ``PRIOR_REVERSIBLE`` variants average log prior_i + log q_ij
     with its transpose (an exactly symmetric flow).  Entries whose transpose underflows are
     zeroed, q is divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's
-    Riemann sum), and the diagonal takes the rest of each row (the restricted chain).
-    ValueError naming s if the chain is reducible (a second eigenvalue within 1e-10 of 1): the
-    grid misses the step, or s = 0 and every proposal stays put."""
+    Riemann sum), entries that division rounds to 0 are zeroed with their transpose, and the
+    diagonal takes the rest of each row (the restricted chain).  ValueError if the target
+    underflows to 0 at a grid point, and one naming s if the chain is reducible (a second
+    eigenvalue within 1e-10 of 1): the grid misses the step, or s = 0 and every proposal
+    stays put."""
     reducible = f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible"
     if kernel.s == 0.0:
         raise ValueError(reducible)
@@ -274,17 +281,22 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     q = np.exp(log_q)
     q *= (q.T > 0.0) & ~np.eye(len(x), dtype=bool)
     q /= max(1.0, q.sum(axis=1).max())
+    q *= q.T > 0.0
     q[np.diag_indices_from(q)] = np.maximum(1.0 - q.sum(axis=1), 0.0)    # >= 0 despite rounding
     log_target = log_prior - np.array([value for value, _ in potentials])
-    chain = discretize_metropolis(np.exp(log_target - log_target.max()), q)
-    if _centered_spectrum(chain).max(initial=-1.0) < 1.0 - _EIG_SLACK:
+    target = np.exp(log_target - log_target.max())
+    if np.any(target == 0.0):
+        raise ValueError(f"{np.count_nonzero(target == 0.0)} of {len(x)} grid points have zero "
+                         f"target mass: prior(x) exp(-phi(x)) underflows there")
+    chain = discretize_metropolis(target, q)
+    if chain.spectrum[:-1].max(initial=-1.0) < 1.0 - _EIG_SLACK:
         return chain
     raise ValueError(reducible)
 
 
 def positivity_check(chain: FiniteChain) -> float:
     """Minimum eigenvalue of the symmetrized operator; >= -1e-10 certifies positivity."""
-    return float(np.linalg.eigvalsh(_symmetrized(chain)).min())
+    return float(chain.spectrum[0])
 
 
 def comparison_check(target_pmf, q1, q2, p: float) -> dict:

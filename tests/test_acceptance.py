@@ -328,3 +328,41 @@ def test_criterion_11_local_gpcn():
     report("criterion-11 local-gpcn", ok,
            f"max detailed-balance log asymmetry = {worst:.3e} over 100 pairs (< 1e-8); "
            f"constant-curvature correction is exactly the global one (0): {exact_zero}")
+
+
+def fixed_step_rates(n_modes, sigma, cells):
+    """Acceptance rate of each (variant, s) of ``cells`` on the elliptic posterior with
+    N modes (on their own grid) and noise sigma, data seed 1: one chain of 3000 steps
+    after 500 burn-in steps from the MAP, chain seed 1."""
+    model, prior = elliptic.ForwardModel(n_modes), PriorSpec(n_modes)
+    obs = elliptic.generate_data(elliptic.default_truth, sigma, model,
+                                 np.random.default_rng(1), seed=1)
+    phi = elliptic.make_posterior(obs, model)
+    xi_map = elliptic.map_estimate(obs, model, prior).xi
+    gamma = elliptic.build_gamma_from_map(xi_map, obs, model)
+    return {variant: run_chain(ChainConfig(kernel_for(variant, prior, s, gamma=gamma), phi,
+                                           n=3000, n0=500, seed=1, initial_state=xi_map,
+                                           thin=None)).acceptance_rate
+            for variant, s in cells}
+
+
+def test_criterion_12_fixed_step_acceptance():
+    # Bands from chain seeds 1-5: pcn 0.607-0.651 and gpcn 0.251-0.278 over N, rw
+    # 0.233-0.250 at N = 1600; gpcn 0.482-0.606 over sigma, pcn's fall 25-40x.
+    dim = {n: fixed_step_rates(n, 0.1, (("rw", 0.05), ("pcn", 0.2), ("gpcn", 0.8)))
+           for n in (25, 400, 1600)}
+    noise = {sigma: fixed_step_rates(100, sigma, (("pcn", 0.2), ("gpcn", 0.5)))
+             for sigma in (0.1, 0.01, 0.003)}
+    pcn_fall = noise[0.1]["pcn"] / max(noise[0.003]["pcn"], 1e-12)
+    ok = (all(0.55 <= r["pcn"] <= 0.72 and 0.22 <= r["gpcn"] <= 0.32 for r in dim.values())
+          and dim[1600]["rw"] < 0.35
+          and all(0.42 <= r["gpcn"] <= 0.67 for r in noise.values()) and pcn_fall >= 10.0)
+    report("criterion-12 fixed-step-acceptance", ok,
+           f"over N = 25, 400, 1600 at sigma = 0.1: pcn (s = 0.2) "
+           f"{[round(r['pcn'], 3) for r in dim.values()]} (need in [0.55, 0.72]), gpcn "
+           f"(s = 0.8) {[round(r['gpcn'], 3) for r in dim.values()]} (need in [0.22, 0.32]), "
+           f"rw (s = 0.05) {[round(r['rw'], 3) for r in dim.values()]} (need < 0.35 at "
+           f"N = 1600); over sigma = 0.1, 0.01, 0.003 at N = 100: gpcn (s = 0.5) "
+           f"{[round(r['gpcn'], 3) for r in noise.values()]} (need in [0.42, 0.67]), pcn "
+           f"(s = 0.2) {[round(r['pcn'], 3) for r in noise.values()]} falls {pcn_fall:.1f}x "
+           f"(need >= 10)")

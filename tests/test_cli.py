@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -86,6 +87,31 @@ class TestConfigParsing:
         assert items["run.thin"] == 1
         assert items["sampler.target_acceptance"] == "0.25"
         assert items["problem.dx"] == "auto" and cfg.dx is None
+
+    def test_config_fields_declare_every_key_once_in_print_order(self):
+        required = ("seed", "problem.N", "problem.sigma_eps", "sampler.variant",
+                    "run.n", "run.n0")
+        text = "seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n" \
+               "sampler.variant = pcn\nrun.n = 10\nrun.n0 = 0\n"
+        assert resolve_config(text).items() == [
+            ("seed", 1), ("problem.N", "4"), ("problem.sigma_eps", "0.1"),
+            ("problem.dx", "auto"), ("problem.truth", "default"), ("sampler.variant", "pcn"),
+            ("sampler.s", "tuned"), ("sampler.target_acceptance", "0.25"),
+            ("sampler.gamma", "map"), ("sampler.gamma_points", 5), ("run.n", 10),
+            ("run.n0", 0), ("run.thin", 1), ("run.replicates", 1), ("run.pilot_n", 2000),
+            ("output.dir", "out"), ("output.formats", "csv,json")]
+        config_fields = dataclasses.fields(experiment.ExperimentConfig)
+        keys = [f.metadata["key"] for f in config_fields]
+        assert len(keys) == 17 and len(set(keys)) == 17
+        assert tuple(f.metadata["key"] for f in config_fields
+                     if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING) == required
+        for i, key in enumerate(required):
+            lines = text.splitlines(keepends=True)
+            with pytest.raises(ConfigError, match=f"^missing required key '{key}'$"):
+                resolve_config("".join(lines[:i] + lines[i + 1:]))
+        with pytest.raises(ConfigError, match=r"^line 7: unknown key 'bogus\.key'$"):
+            resolve_config(text + "bogus.key = 3\n")
 
     def test_explicit_dx_must_resolve_every_mode_of_the_sweep(self):
         base = ("seed = 1\nproblem.sigma_eps = 0.1\nsampler.variant = pcn\n"

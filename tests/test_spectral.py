@@ -206,6 +206,31 @@ class TestDiscretizeKernel:
         assert detailed_balance_gap(chain) < 1e-12
         assert chain.p[39, 0] == 0.0 and chain.p[0, 39] == 0.0
 
+    @staticmethod
+    def linear_toy(variant, sigma):
+        """Prior N(0, diag(1, 1/4)) with y = 0.3 observed through u_1 at noise sigma, so one
+        coordinate is informed by the data and one is not, on a 21 x 21 grid of [-3, 3]^2."""
+        prior = PriorSpec(2, np.array([1.0, 0.25]))
+        kernel = ProposalKernel(variant, prior, 0.5,
+                                gamma=FactoredGamma([[1.0 / sigma, 0.0]]) if variant == "gpcn"
+                                else None)
+        axis = np.linspace(-3.0, 3.0, 21)
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        return kernel, lambda u: (0.5 * ((0.3 - u[0]) / sigma) ** 2, None), points, 0.09
+
+    @pytest.mark.parametrize("variant", ["pcn", "gpcn"])
+    def test_linear_toy_builds(self, variant):
+        # gpcn's q holds subnormal pairs that the Riemann-sum division rounds to 0 on
+        # one side only; they are zeroed both ways, so the support stays symmetric
+        chain = discretize_kernel(*self.linear_toy(variant, 0.1))
+        assert chain.n_states == 441
+        assert detailed_balance_gap(chain) < 1e-12
+        assert np.array_equal(chain.p > 0.0, (chain.p > 0.0).T)
+
+    def test_target_underflow_counts_the_zero_mass_points(self):
+        with pytest.raises(ValueError, match=r"^378 of 441 grid points have zero target mass"):
+            discretize_kernel(*self.linear_toy("gpcn", 0.01))
+
     def test_unresolved_step_is_rejected_by_name(self):
         # too narrow for the cell: no state reaches another, so the chain is reducible
         points = np.linspace(-4.0, 4.0, 15)[:, None]
@@ -241,6 +266,19 @@ class TestDiscretizeKernel:
 
 
 class TestSpectralGap:
+    def test_each_chain_is_solved_once(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        chain = random_reversible_chain(8, np.random.default_rng(3))
+        gap, min_eig, lam = (spectral_gap(chain), positivity_check(chain),
+                             cheeger_check(chain)["lambda_max"])
+        grid = lab_grid_chain()
+        assert positivity_check(grid) == float(eigvalsh(calls[1]).min())
+        assert len(calls) == 2
+        want = eigvalsh(calls[0])
+        assert (gap, min_eig, lam) == (1.0 - np.abs(want[:-1]).max(), want.min(), want[-2])
+
     def test_two_state_gap(self):
         assert np.isclose(spectral_gap(TWO_STATE), 0.5)
 
