@@ -34,7 +34,7 @@ from .proposals import (
     log_acceptance_correction,
     prior_quadratic,
     proposal_mean,
-    proposal_noise,
+    propose,
 )
 
 S_LO = 1e-4
@@ -65,11 +65,9 @@ def mh_step(kernel, phi, state, rng, radius=None):
     target exp(-phi) d(kernel.prior).
 
     Draws z, then the accept test's uniform, and accepts v = propose(kernel,
-    u, z, pack(u)) with probability min{1, exp(phi(u) - phi(v) + correction)},
-    times the indicator ||v|| < radius when a radius is given.  A non-finite
-    phi(v) or correction counts as a rejection.  The record's mean plus
-    ``proposal_noise`` is ``propose``'s candidate bit for bit; the noise is
-    a new array, so the mean is added into it in place.
+    mean(u), z, pack(u)) with probability min{1, exp(phi(u) - phi(v) +
+    correction)}, times the indicator ||v|| < radius when a radius is given.
+    A non-finite phi(v) or correction counts as a rejection.
     ``kernel.pack_at(v, aux)`` runs once, only for a v that passed the ball
     and phi checks.  Returns ``(state, accepted)``: the candidate's record on
     accept, the given one otherwise.
@@ -77,8 +75,7 @@ def mh_step(kernel, phi, state, rng, radius=None):
     u, phi_u, _, pack_u, mean_u, quad_u = state
     z = rng.standard_normal(kernel.prior.dim)
     accept_u = rng.random()
-    v = proposal_noise(kernel, z, pack_u)
-    v += mean_u
+    v = propose(kernel, mean_u, z, pack_u)
     if radius is not None and np.linalg.norm(v) >= radius:
         return state, False
     phi_v, aux_v = phi(v)

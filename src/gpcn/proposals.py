@@ -11,10 +11,10 @@ local-gpcn2  v = sqrt(1-s^2) u + s C_{Gamma(u)}^{1/2} z
 
 ``ProposalKernel.pack_at(u, aux)`` is the one source of a state's operator
 pack; aux is what the chain's potential returned at u with phi(u).
-``propose`` is pure: it maps u, a standard normal draw z and the pack at u
-to the candidate v = ``proposal_mean`` + ``proposal_noise``, the law's mean
-at u plus its centred draw.  ``log_acceptance_correction`` reads the packs at
-u and v and gives the additive log term completing
+``propose`` is the one place a candidate is formed: it maps the law's mean
+at u, ``proposal_mean``, a standard normal draw z and the pack at u to the
+candidate v, the mean plus the law's centred draw.  ``log_acceptance_correction``
+reads the packs at u and v and gives the additive log term completing
 phi(u) - phi(v) + correction(u, v); for rw and gn-rw it reads the states'
 ``prior_quadratic`` terms.  A chain computes the mean and the quadratic once
 per state, so a step computes them only for its candidate.
@@ -115,23 +115,20 @@ def proposal_mean(kernel: ProposalKernel, u: np.ndarray,
     return pack.apply_a(u)
 
 
-def proposal_noise(kernel: ProposalKernel, z: np.ndarray,
-                   pack: Optional[OperatorPack]) -> np.ndarray:
-    """The centred part of the draw that the standard normal z gives under the
-    kernel's law at the state whose pack is ``pack``: a new array, which the
-    caller may update in place; z is left as it is."""
-    if kernel.variant in ("rw", "pcn"):
-        noise = kernel.prior.std * z
-        noise *= kernel.s
-        return noise
-    return pack.scaled_noise(z)
-
-
-def propose(kernel: ProposalKernel, u: np.ndarray, z: np.ndarray,
+def propose(kernel: ProposalKernel, mean: np.ndarray, z: np.ndarray,
             pack: Optional[OperatorPack]) -> np.ndarray:
-    """The candidate that the standard normal draw z gives from u under the
-    kernel's law at u; ``pack`` is ``kernel.pack_at(u, aux)``."""
-    return proposal_mean(kernel, u, pack) + proposal_noise(kernel, z, pack)
+    """The candidate that the standard normal draw z gives under the kernel's
+    law at u, whose mean is ``mean = proposal_mean(kernel, u, pack)`` and
+    whose pack is ``pack = kernel.pack_at(u, aux)``: the centred draw, in a
+    new array, plus the mean.  Neither ``mean`` (for rw and gn-rw, u itself)
+    nor z is written."""
+    if kernel.variant in ("rw", "pcn"):
+        v = kernel.prior.std * z
+        v *= kernel.s
+    else:
+        v = pack.scaled_noise(z)
+    v += mean
+    return v
 
 
 def prior_quadratic(kernel: ProposalKernel, u: np.ndarray) -> Optional[float]:
@@ -150,14 +147,15 @@ def _equal(a: np.ndarray, b: np.ndarray) -> bool:
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
                               pack_u: Optional[OperatorPack],
                               pack_v: Optional[OperatorPack],
-                              quad_u: Optional[float] = None,
-                              quad_v: Optional[float] = None) -> float:
+                              quad_u: Optional[float],
+                              quad_v: Optional[float]) -> float:
     """Additive log term completing the acceptance ratio phi(u) - phi(v) + correction.
 
     pcn and gpcn are prior-reversible, so their correction vanishes.  rw and
     gn-rw are symmetric Lebesgue proposals; keeping the chain reversible for
     the posterior requires the prior log-density ratio, read from
-    ``quad_u`` and ``quad_v`` (``prior_quadratic`` at u and v) when given.
+    ``quad_u`` and ``quad_v``, ``prior_quadratic`` at u and v (None for the
+    variants that do not read them).
     The local variants carry the density ratio of their state-dependent
     laws, from their packs at u and v, ``kernel.pack_at(u, aux_u)`` and
     ``kernel.pack_at(v, aux_v)``.
@@ -166,10 +164,6 @@ def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarr
     if variant in PRIOR_REVERSIBLE:
         return 0.0
     if variant in WALK_VARIANTS:
-        if quad_u is None:
-            quad_u = prior_quadratic(kernel, u)
-        if quad_v is None:
-            quad_v = prior_quadratic(kernel, v)
         return float(0.5 * (quad_u - quad_v))
     if variant == "local-gpcn" and _equal(pack_u.w, pack_v.w) and _equal(pack_u.v, pack_v.v):
         # Constant curvature map: one Gamma gives bit-identical packs, the two

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussian_ops import FactoredGamma, PriorSpec
-from .proposals import PRIOR_REVERSIBLE, ProposalKernel, propose
+from .proposals import PRIOR_REVERSIBLE, ProposalKernel, proposal_mean, propose
 
 MAX_ENUM_STATES = 22       # subset enumeration budget (a conductance call: about 15 ms at n = 22)
 _ENUM_BLOCK = 1 << 14      # subsets per block of the enumeration (cache-sized temporaries)
@@ -247,9 +247,11 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
 
 
 def _proposal_law(kernel: ProposalKernel, x: np.ndarray, aux) -> np.ndarray:
-    """Rows propose(kernel, x, z, kernel.pack_at(x, aux)) for z = 0, e_1, ..., e_N."""
+    """Rows propose(kernel, mean, z, pack) for z = 0, e_1, ..., e_N, with the pack
+    ``kernel.pack_at(x, aux)`` and the mean ``proposal_mean(kernel, x, pack)`` at x."""
     pack = kernel.pack_at(x, aux)
-    return np.array([propose(kernel, x, z, pack) for z in np.eye(x.size + 1, x.size, -1)])
+    mean = proposal_mean(kernel, x, pack)
+    return np.array([propose(kernel, mean, z, pack) for z in np.eye(x.size + 1, x.size, -1)])
 
 
 def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> FiniteChain:
@@ -260,15 +262,19 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     with its transpose (an exactly symmetric flow).  Entries whose transpose underflows are
     zeroed, q is divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's
     Riemann sum), entries that division rounds to 0 are zeroed with their transpose, and the
-    diagonal takes the rest of each row (the restricted chain).  ValueError if the target
-    underflows to 0 at a grid point, and one naming s if the chain is reducible (a second
-    eigenvalue within 1e-10 of 1): the grid misses the step, or s = 0 and every proposal
-    stays put."""
+    diagonal takes the rest of each row (the restricted chain).  ValueError if a potential is
+    NaN or -inf or the target underflows to 0 at a grid point, and one naming s if the chain
+    is reducible (a second eigenvalue within 1e-10 of 1): the grid misses the step, or s = 0
+    and every proposal stays put."""
     reducible = f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible"
     if kernel.s == 0.0:
         raise ValueError(reducible)
     x = np.asarray(points, dtype=float)
     potentials = [phi(u) for u in x]
+    values = np.array([value for value, _ in potentials])
+    bad = np.count_nonzero(np.isnan(values) | (values == -np.inf))
+    if bad:
+        raise ValueError(f"{bad} of {len(x)} grid points have a NaN or -inf potential")
     # means, then means + root columns
     draws = np.array([_proposal_law(kernel, u, aux) for u, (_, aux) in zip(x, potentials)])
     means, roots = draws[:, 0], (draws[:, 1:] - draws[:, :1]).transpose(0, 2, 1)
@@ -283,7 +289,7 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     q /= max(1.0, q.sum(axis=1).max())
     q *= q.T > 0.0
     q[np.diag_indices_from(q)] = np.maximum(1.0 - q.sum(axis=1), 0.0)    # >= 0 despite rounding
-    log_target = log_prior - np.array([value for value, _ in potentials])
+    log_target = log_prior - values
     target = np.exp(log_target - log_target.max())
     if np.any(target == 0.0):
         raise ValueError(f"{np.count_nonzero(target == 0.0)} of {len(x)} grid points have zero "

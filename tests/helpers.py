@@ -223,14 +223,15 @@ def elliptic_pipeline(xi, model):
 
 def reference_chain(config):
     """``run_chain`` by the step rule without state records: every step
-    draws z and the uniform itself, and evaluates phi and looks up the packs
-    at u and v afresh with ``kernel.pack_at``, so no record outlives its step;
-    each QoI reads the aux of a fresh phi at its state.
+    draws z and the uniform itself, and evaluates phi, looks up the packs
+    with ``kernel.pack_at`` and computes the proposal mean and the prior
+    quadratics at u and v afresh, so no record outlives its step; each QoI
+    reads the aux of a fresh phi at its state.
 
     Returns (accepts, retained states, QoI series, steps that reached the
     acceptance test), with the QoI evaluated at every post burn-in state.
     """
-    from gpcn.proposals import log_acceptance_correction, propose
+    from gpcn.proposals import log_acceptance_correction, prior_quadratic, proposal_mean, propose
 
     rng = np.random.default_rng(config.seed)
     kernel, phi, radius = config.kernel, config.phi, config.restriction_radius
@@ -242,14 +243,16 @@ def reference_chain(config):
         accept_u = rng.random()
         phi_u, aux_u = phi(u)
         pack_u = kernel.pack_at(u, aux_u)
-        v = propose(kernel, u, z, pack_u)
+        v = propose(kernel, proposal_mean(kernel, u, pack_u), z, pack_u)
         accepted = False
         if radius is None or np.linalg.norm(v) < radius:
             phi_v, aux_v = phi(v)
             if np.isfinite(phi_v):
                 tested += 1
                 correction = log_acceptance_correction(kernel, u, v, pack_u,
-                                                       kernel.pack_at(v, aux_v))
+                                                       kernel.pack_at(v, aux_v),
+                                                       prior_quadratic(kernel, u),
+                                                       prior_quadratic(kernel, v))
                 log_alpha = phi_u - phi_v + correction
                 accepted = bool(np.log(accept_u) < log_alpha)
         if accepted:

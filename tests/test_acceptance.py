@@ -323,7 +323,7 @@ def test_criterion_11_local_gpcn():
     const_kernel = ProposalKernel("local-gpcn", prior, 0.4, gamma_map=lambda u, aux: gamma)
     u, v = prior.sample(rng), prior.sample(rng)
     exact_zero = log_acceptance_correction(const_kernel, u, v, const_kernel.pack_at(u, None),
-                                           const_kernel.pack_at(v, None)) == 0.0
+                                           const_kernel.pack_at(v, None), None, None) == 0.0
     ok = worst < 1e-8 and exact_zero
     report("criterion-11 local-gpcn", ok,
            f"max detailed-balance log asymmetry = {worst:.3e} over 100 pairs (< 1e-8); "

@@ -640,3 +640,14 @@ class TestLabCommand:
 
     def test_two_states_pass(self, capsys):
         assert main(["lab", "--seed", "0", "--instances", "1", "--states", "2"]) == 0
+
+    def test_failed_check_exits_1_and_still_emits_the_report(self, tmp_path, capsys,
+                                                             monkeypatch):
+        report = {"all_pass": False, "checks": ["one failed"]}
+        monkeypatch.setattr("gpcn.cli.run_lab", lambda seed, n_instances, n_states: report)
+        out = tmp_path / "lab.json"
+        assert main(["lab", "--out", str(out)]) == 1
+        assert json.loads(out.read_text()) == report
+        assert capsys.readouterr().out == ""
+        assert main(["lab"]) == 1
+        assert json.loads(capsys.readouterr().out) == report

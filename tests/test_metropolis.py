@@ -92,7 +92,7 @@ class TestMhStep:
         state = initial_record(kernel, phi, np.zeros(prior.dim))
         accepted = outside = 0
         for _ in range(40):
-            v = propose(kernel, state.u, twin.standard_normal(prior.dim), state.pack)
+            v = propose(kernel, state.mean, twin.standard_normal(prior.dim), state.pack)
             twin.random()
             outside += radius is not None and np.linalg.norm(v) >= radius
             state, step_accepted = mh_step(kernel, phi, state, rng, radius=radius)
@@ -101,6 +101,31 @@ class TestMhStep:
             assert not step_accepted or np.array_equal(state.u, v)
         assert accepted > 0
         assert radius is None or outside > 0       # some steps were rejected at the ball
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_candidate_is_proposed_from_the_state_mean(self, variant, monkeypatch):
+        # the chain forms every candidate through propose, the law function the
+        # exact checks verify, fed from the record of the state it steps from
+        prior, phi, _, _, gamma = linear_gaussian_setup()
+        kernel = kernel_of(variant, prior, gamma, 0.5)
+        proposed, stepped = [], []
+        step = metropolis.mh_step
+
+        def recording_propose(*args):
+            proposed.append(args)
+            return propose(*args)
+
+        def recording_step(kernel, phi, state, rng, radius=None):
+            stepped.append(state)
+            return step(kernel, phi, state, rng, radius=radius)
+
+        monkeypatch.setattr(metropolis, "propose", recording_propose)
+        monkeypatch.setattr(metropolis, "mh_step", recording_step)
+        trace = run_chain(ChainConfig(kernel, phi, n=30, n0=10, seed=41))
+        assert 0 < trace.accepts.sum() < 40
+        assert len(proposed) == len(stepped) == 40
+        for (k, mean, _, pack), state in zip(proposed, stepped):
+            assert k is kernel and mean is state.mean and pack is state.pack
 
     def test_flat_target_always_accepts(self):
         prior, phi = flat_target(4)

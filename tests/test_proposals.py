@@ -10,8 +10,8 @@ from gpcn.proposals import (
     VARIANTS,
     ProposalKernel,
     log_acceptance_correction,
+    prior_quadratic,
     proposal_mean,
-    proposal_noise,
     propose,
 )
 from helpers import (
@@ -24,13 +24,17 @@ from helpers import (
 
 
 def draw(kernel, u, rng):
-    """One candidate from u: one standard normal draw and the pack at u."""
-    return propose(kernel, u, rng.standard_normal(kernel.prior.dim), kernel.pack_at(u, None))
+    """One candidate from u: one standard normal draw, the pack and the mean at u."""
+    pack = kernel.pack_at(u, None)
+    z = rng.standard_normal(kernel.prior.dim)
+    return propose(kernel, proposal_mean(kernel, u, pack), z, pack)
 
 
 def correction(kernel, u, v):
-    """The acceptance correction with the packs at u and v, as a chain looks them up."""
-    return log_acceptance_correction(kernel, u, v, kernel.pack_at(u, None), kernel.pack_at(v, None))
+    """The acceptance correction with the packs and prior quadratics at u and v, as a
+    chain looks them up."""
+    return log_acceptance_correction(kernel, u, v, kernel.pack_at(u, None), kernel.pack_at(v, None),
+                                     prior_quadratic(kernel, u), prior_quadratic(kernel, v))
 
 
 def make_gamma_map(base):
@@ -117,15 +121,16 @@ class TestPropose:
         for variant, uses_adapted_mean in (("local-gpcn", True), ("local-gpcn2", False)):
             kernel = ProposalKernel(variant, prior, 0.35, gamma_map=make_gamma_map(base))
             pack = kernel.pack_at(u, None)
-            draws = np.array([propose(kernel, u, rng.standard_normal(4), pack) for _ in range(50000)])
+            at_u = proposal_mean(kernel, u, pack)
+            draws = np.array([propose(kernel, at_u, rng.standard_normal(4), pack) for _ in range(50000)])
             mean = pack.apply_a(u) if uses_adapted_mean else np.sqrt(1 - 0.35**2) * u
             assert np.allclose(draws.mean(axis=0), mean, atol=0.01)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_mean_and_noise_are_the_product_formulas(self, variant):
-        # proposal_noise builds the noise in a new array, which mh_step adds
-        # the mean into, and the pack's products call ndarray.dot: the same
-        # bits as these formulas, with z left untouched
+        # propose builds the noise in a new array and adds the mean into it, and
+        # the pack's products call ndarray.dot: the same bits as these formulas,
+        # with the mean (for rw and gn-rw, u itself) and z left untouched
         rng = np.random.default_rng(14)
         for n, r in ((1, 1), (6, 0), (7, 3), (30, 4)):
             prior = PriorSpec(n)
@@ -134,22 +139,22 @@ class TestPropose:
             for _ in range(20):
                 u, z = prior.sample(rng), rng.standard_normal(n)
                 pack = kernel.pack_at(u, None)
-                z_before = z.copy()
-                noise = proposal_noise(kernel, z, pack)
+                mean = proposal_mean(kernel, u, pack)
+                if variant in ("rw", "gn-rw"):
+                    assert mean is u
+                elif variant == "pcn":
+                    assert np.array_equal(mean, np.sqrt(1.0 - kernel.s * kernel.s) * u)
+                elif variant in ("gpcn", "local-gpcn"):
+                    assert np.array_equal(mean, pack.a0 * u + pack._left @ (pack._mean_right @ u))
                 if variant in ("rw", "pcn"):
                     want = kernel.s * (prior.std * z)
                 else:
                     want = pack.s * (prior.std * z) + pack._left @ (pack._noise_right @ z)
-                assert np.array_equal(noise, want)
-                assert not np.shares_memory(noise, z) and np.array_equal(z, z_before)
-                mean = proposal_mean(kernel, u, pack)
-                if variant == "pcn":
-                    assert np.array_equal(mean, np.sqrt(1.0 - kernel.s * kernel.s) * u)
-                elif variant in ("gpcn", "local-gpcn"):
-                    assert np.array_equal(mean, pack.a0 * u + pack._left @ (pack._mean_right @ u))
-                v = propose(kernel, u, z, pack)
-                assert np.array_equal(v, mean + want)
-                assert np.array_equal(z, z_before)
+                mean_before, z_before = mean.copy(), z.copy()
+                v = propose(kernel, mean, z, pack)
+                assert np.array_equal(v, want + mean)
+                assert not np.shares_memory(v, mean) and not np.shares_memory(v, z)
+                assert np.array_equal(mean, mean_before) and np.array_equal(z, z_before)
 
 
 class TestCorrections:

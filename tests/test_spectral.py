@@ -231,6 +231,18 @@ class TestDiscretizeKernel:
         with pytest.raises(ValueError, match=r"^378 of 441 grid points have zero target mass"):
             discretize_kernel(*self.linear_toy("gpcn", 0.01))
 
+    @pytest.mark.parametrize("bad, problem", ((np.nan, "a NaN or -inf potential$"),
+                                              (-np.inf, "a NaN or -inf potential$"),
+                                              (np.inf, "zero target mass")))
+    def test_nonfinite_potential_is_counted(self, bad, problem):
+        # one such point: a NaN poisons the target, and a -inf one's infinite mass
+        # would leave the 14 finite points with none; +inf is a point of zero mass
+        points = np.linspace(-4.0, 4.0, 15)[:, None]
+        kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.5)
+        with pytest.raises(ValueError, match=rf"^1 of 15 grid points have {problem}"):
+            discretize_kernel(kernel, lambda u: (bad if u[0] > 3.5 else 0.0, None), points,
+                              8.0 / 14.0)
+
     def test_unresolved_step_is_rejected_by_name(self):
         # too narrow for the cell: no state reaches another, so the chain is reducible
         points = np.linspace(-4.0, 4.0, 15)[:, None]
