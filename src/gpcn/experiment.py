@@ -342,7 +342,7 @@ def run_group(cfg: ExperimentConfig, problem: Problem, iv: int, reps) -> list:
                         "converged": map_result.converged,
                         "stop": map_result.stop},
                 "observation": json.loads(obs.to_json()),
-                "ess": {"ims": ess["ims"], "batch_means": ess_bm},
+                "ess": ess,
             }
             if tuned:
                 report["tune"] = {"converged": result.converged,

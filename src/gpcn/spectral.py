@@ -22,6 +22,7 @@ therefore have gap = 1 - max|lambda|, not 1 - lambda_2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -223,7 +224,9 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
 
 def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> FiniteChain:
     """Discrete Metropolis chain: off-diagonal flow min(pi_i q_ij, pi_j q_ji)/pi_i,
-    rejection mass on the diagonal.  Reversible w.r.t. the target by construction.
+    rejection mass on the diagonal.  The flow matrix is symmetric for any support of q
+    (a move that cannot be proposed back has flow 0 both ways), so the chain is
+    reversible w.r.t. the target by construction.
     """
     pi = np.asarray(target_pmf, dtype=float)
     # Each check is written to fail for NaN, which compares False.
@@ -236,8 +239,6 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
         raise ValueError("proposal matrix shape mismatch")
     if not (np.all(q >= 0.0) and np.max(np.abs(q.sum(axis=1) - 1.0)) <= _STOCHASTIC_TOL):
         raise ValueError("proposal must be row-stochastic")
-    if not np.array_equal(q > 0.0, (q > 0.0).T):
-        raise ValueError("proposal support must be symmetric (q_ij > 0 iff q_ji > 0)")
     scaled = pi[:, None] * q
     flow = np.minimum(scaled, scaled.T)     # exactly symmetric accepted flow
     m = flow / pi[:, None]
@@ -246,12 +247,14 @@ def discretize_metropolis(target_pmf: np.ndarray, proposal: np.ndarray) -> Finit
     return FiniteChain(m, pi)
 
 
-def _proposal_law(kernel: ProposalKernel, x: np.ndarray, aux) -> np.ndarray:
-    """Rows propose(kernel, mean, z, pack) for z = 0, e_1, ..., e_N, with the pack
-    ``kernel.pack_at(x, aux)`` and the mean ``proposal_mean(kernel, x, pack)`` at x."""
+def _proposal_law(kernel: ProposalKernel, x: np.ndarray, aux) -> tuple:
+    """(mean, root) of the kernel's law at x: the mean ``proposal_mean(kernel, x, pack)``
+    with the pack ``kernel.pack_at(x, aux)``, and the noise root whose column k is
+    ``propose(kernel, 0, e_k, pack)``, the noise itself, since the mean it adds is 0."""
     pack = kernel.pack_at(x, aux)
-    mean = proposal_mean(kernel, x, pack)
-    return np.array([propose(kernel, mean, z, pack) for z in np.eye(x.size + 1, x.size, -1)])
+    zero = np.zeros(x.size)
+    return (proposal_mean(kernel, x, pack),
+            np.column_stack([propose(kernel, zero, e, pack) for e in np.eye(x.size)]))
 
 
 def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> FiniteChain:
@@ -259,35 +262,42 @@ def discretize_kernel(kernel: ProposalKernel, phi, points, cell: float) -> Finit
     prior(x_i) exp(-phi(x_i)); phi returns (value, aux) as a chain's potential does, and each
     point's aux goes to ``kernel.pack_at``.  q_ij is the density at x_j of the law ``propose``
     gives at x_i times ``cell``; ``PRIOR_REVERSIBLE`` variants average log prior_i + log q_ij
-    with its transpose (an exactly symmetric flow).  Entries whose transpose underflows are
-    zeroed, q is divided by its largest off-diagonal row mass if that passes 1 (a coarse grid's
-    Riemann sum), entries that division rounds to 0 are zeroed with their transpose, and the
-    diagonal takes the rest of each row (the restricted chain).  ValueError if a potential is
-    NaN or -inf or the target underflows to 0 at a grid point, and one naming s if the chain
-    is reducible (a second eigenvalue within 1e-10 of 1): the grid misses the step, or s = 0
-    and every proposal stays put."""
+    with its transpose (exactly prior-reversible).  q is divided by its largest off-diagonal
+    row mass if that passes 1 (a coarse grid's Riemann sum), and the diagonal takes the rest
+    of each row (the restricted chain).  ValueError, before any phi call, if ``points`` is not
+    a finite (n, ``kernel.prior.dim``) array with n >= 1 or ``cell`` is not positive and
+    finite; ValueError if a potential is NaN or -inf or the target underflows to 0 at a grid
+    point, and one naming s if the chain is reducible (a second eigenvalue within 1e-10 of 1):
+    the grid misses the step, or s = 0 and every proposal stays put."""
+    x = np.asarray(points, dtype=float)
+    dim = kernel.prior.dim
+    if x.ndim != 2 or x.shape[1] != dim or len(x) < 1:
+        raise ValueError(f"points must be an (n, {dim}) array with n >= 1, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"points must be finite, got points[{i}] = {x[i]}")
+    if not 0.0 < cell < np.inf:     # False for NaN, so NaN fails
+        raise ValueError(f"cell must be positive and finite, got {cell}")
     reducible = f"the grid chain of {kernel.variant} at step size s = {kernel.s} is reducible"
     if kernel.s == 0.0:
         raise ValueError(reducible)
-    x = np.asarray(points, dtype=float)
     potentials = [phi(u) for u in x]
     values = np.array([value for value, _ in potentials])
     bad = np.count_nonzero(np.isnan(values) | (values == -np.inf))
     if bad:
         raise ValueError(f"{bad} of {len(x)} grid points have a NaN or -inf potential")
-    # means, then means + root columns
-    draws = np.array([_proposal_law(kernel, u, aux) for u, (_, aux) in zip(x, potentials)])
-    means, roots = draws[:, 0], (draws[:, 1:] - draws[:, :1]).transpose(0, 2, 1)
+    means, roots = map(np.array, zip(*(_proposal_law(kernel, u, aux)
+                                       for u, (_, aux) in zip(x, potentials))))
     white = np.linalg.solve(roots, (x[None, :, :] - means[:, None, :]).transpose(0, 2, 1))
-    log_q = (np.log(cell) - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
+    log_q = (np.log(cell) - 0.5 * dim * np.log(2.0 * np.pi)
              - np.linalg.slogdet(roots)[1][:, None] - 0.5 * (white * white).sum(axis=1))
     log_prior = -0.5 * (x * x / kernel.prior.eigenvalues).sum(axis=1)
     if kernel.variant in PRIOR_REVERSIBLE:
         log_q = 0.5 * (log_q + log_q.T + log_prior[None, :] - log_prior[:, None])
     q = np.exp(log_q)
-    q *= (q.T > 0.0) & ~np.eye(len(x), dtype=bool)
+    np.fill_diagonal(q, 0.0)
     q /= max(1.0, q.sum(axis=1).max())
-    q *= q.T > 0.0
     q[np.diag_indices_from(q)] = np.maximum(1.0 - q.sum(axis=1), 0.0)    # >= 0 despite rounding
     log_target = log_prior - values
     target = np.exp(log_target - log_target.max())
@@ -438,10 +448,9 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
     proposals are Metropolis kernels of one drawn pmf, so both are reversible
     with respect to it, as ``comparison_check`` presumes.
     """
-    if n_states < 2:
-        raise ValueError(f"run_lab needs n_states >= 2, got {n_states}")
-    if n_instances < 1:
-        raise ValueError(f"run_lab needs n_instances >= 1, got {n_instances}")
+    for name, count, least in (("n_states", n_states, 2), ("n_instances", n_instances, 1)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+            raise ValueError(f"run_lab needs an integer {name} >= {least}, got {count!r}")
     _check_enum_budget(n_states, "run_lab")
     instances = []
     for k in range(n_instances):

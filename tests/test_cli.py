@@ -580,17 +580,35 @@ class TestDiagnoseCommand:
         target = n * (1 - rho) / (1 + rho)
         assert abs(report["qoi"]["f"]["ims"]["ess"] - target) < 0.2 * target
 
-    def test_short_run_trace_reports_the_estimator_errors(self, tmp_path):
+    @staticmethod
+    def cell_and_diagnose_reports(tmp_path, n):
+        """The diagnostics JSON's ``ess`` block and ``gpcn diagnose``'s entry for the trace
+        of one gpcn cell run for n steps, both parsed as strict JSON."""
         out = tmp_path / "short"
-        cfg = write_config(tmp_path, MINIMAL.format(out=out).replace("run.n = 1000", "run.n = 50"))
+        cfg = write_config(tmp_path, MINIMAL.format(out=out).replace("run.n = 1000", f"run.n = {n}"))
         assert main(["run", "--config", str(cfg)]) == 0
         report_path = tmp_path / "diag.json"
         trace = out / "trace_gpcn_N10_sig0.1_r0.csv"
         assert main(["diagnose", str(trace), "--out", str(report_path)]) == 0
-        entry = json.loads(report_path.read_text())["qoi"]["exp_integral"]
-        cell = json.loads((out / "diagnostics_gpcn_N10_sig0.1_r0.json").read_text())
-        assert entry["ims"] == cell["ess"]["ims"]
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        entry = json.loads(report_path.read_text(), parse_constant=reject)["qoi"]["exp_integral"]
+        cell = json.loads((out / "diagnostics_gpcn_N10_sig0.1_r0.json").read_text(),
+                          parse_constant=reject)
+        return cell["ess"], entry
+
+    def test_short_run_trace_reports_the_estimator_errors(self, tmp_path):
+        cell, entry = self.cell_and_diagnose_reports(tmp_path, 50)
+        assert cell == entry
         assert "at least 100 samples" in entry["ims"]["error"]
+        assert "too short" in entry["batch_means"]["error"]
+
+    def test_trace_too_short_for_batch_means_only(self, tmp_path):
+        cell, entry = self.cell_and_diagnose_reports(tmp_path, 500)
+        assert cell == entry
+        assert entry["ims"]["n"] == 500 and entry["ims"]["ess"] > 0
         assert "too short" in entry["batch_means"]["error"]
 
     def test_nonfinite_qoi_gives_strict_json(self, tmp_path, capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gpcn import elliptic
+from gpcn import elliptic, spectral
 from gpcn.gaussian_ops import FactoredGamma, PriorSpec
-from gpcn.proposals import PRIOR_REVERSIBLE, VARIANTS, ProposalKernel
+from gpcn.proposals import PRIOR_REVERSIBLE, VARIANTS, ProposalKernel, propose
 from gpcn.spectral import (
     FiniteChain,
     _proposal_law,
@@ -106,10 +106,14 @@ class TestDiscretizeMetropolis:
             with pytest.raises(ValueError, match="row-stochastic"):
                 discretize_metropolis(np.array([0.5, 0.5]), np.array([[bad, 0.5], [0.5, 0.5]]))
 
-    def test_support_symmetry_enforced(self):
+    def test_one_way_support_gets_no_flow(self):
+        # q_21 > 0 but q_12 = 0: min(pi_2 q_21, pi_1 q_12) = 0, so neither move is made,
+        # as Metropolis-Hastings rejects a move that cannot be proposed back
         q = np.array([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0], [0.0, 0.5, 0.5]])
-        with pytest.raises(ValueError, match="support"):
-            discretize_metropolis(np.full(3, 1 / 3), q)
+        chain = discretize_metropolis(np.full(3, 1 / 3), q)
+        assert chain.p[1, 2] == 0.0 and chain.p[2, 1] == 0.0
+        assert detailed_balance_gap(chain) == 0.0
+        assert np.abs(chain.p.sum(axis=1) - 1.0).max() <= 1e-15
 
 
 def grid_points(prior, n_axis, width=3.0):
@@ -158,11 +162,29 @@ class TestDiscretizeKernel:
             return FactoredGamma(np.vstack([base.factor, u / np.sqrt(1.0 + u @ u)]))
         kernel = make_kernel(variant, prior, base, 0.6, gamma_map)
         for x in rng.standard_normal((3, dim)):
-            draws = _proposal_law(kernel, x, None)
-            mean, root = draws[0], (draws[1:] - draws[0]).T
+            mean, root = _proposal_law(kernel, x, None)
             want_mean, want_cov = oracle_law(kernel, base, x)
             np.testing.assert_allclose(mean, want_mean, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(root @ root.T, want_cov, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_law_is_read_with_one_propose_per_root_column(self, monkeypatch, dim, variant):
+        rng = np.random.default_rng([19, dim])
+        prior, base = PriorSpec(dim), FactoredGamma(rng.standard_normal((dim, dim)))
+        kernel = make_kernel(variant, prior, base, 0.5)
+        calls = []
+        monkeypatch.setattr(spectral, "propose",
+                            lambda *args: calls.append(args) or propose(*args))
+        points, cell = grid_points(prior, 5)
+        discretize_kernel(kernel, lambda u: (0.0, None), points, cell)
+        assert len(calls) == len(points) * dim
+        for x in points[:4]:
+            pack = kernel.pack_at(x, None)
+            noise = [kernel.s * (prior.std * e) if pack is None else pack.scaled_noise(e)
+                     for e in np.eye(dim)]
+            _, root = _proposal_law(kernel, x, None)
+            assert root.tobytes() == np.column_stack(noise).tobytes()
 
     @pytest.mark.parametrize("potential", ["linear", "elliptic"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -196,7 +218,7 @@ class TestDiscretizeKernel:
 
     def test_one_way_underflow_builds(self):
         # pcn at s = 0.15: log q straddles exp's range between x = -0.15 and x = -6, so
-        # q underflows one way only; the pair is zeroed both ways and the chain builds
+        # q underflows one way only; the pair gets no flow either way and the chain builds
         points, cell = np.linspace(-6.0, 6.0, 81)[:, None], 0.15
         kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.15)
         forth, back = (gaussian_logpdf(points[j], *oracle_law(kernel, None, points[i]))
@@ -221,11 +243,35 @@ class TestDiscretizeKernel:
     @pytest.mark.parametrize("variant", ["pcn", "gpcn"])
     def test_linear_toy_builds(self, variant):
         # gpcn's q holds subnormal pairs that the Riemann-sum division rounds to 0 on
-        # one side only; they are zeroed both ways, so the support stays symmetric
+        # one side only; such a pair gets no flow either way, so the support stays symmetric
         chain = discretize_kernel(*self.linear_toy(variant, 0.1))
         assert chain.n_states == 441
         assert detailed_balance_gap(chain) < 1e-12
         assert np.array_equal(chain.p > 0.0, (chain.p > 0.0).T)
+
+    @classmethod
+    def scaled_toy(cls, variant, sigma):
+        """The linear toy on a 21 x 21 grid scaled to its posterior: the u_1 axis spans the
+        posterior mean +- 4 posterior sd, the u_2 axis +-1.5 (three prior sd)."""
+        kernel, phi, _, _ = cls.linear_toy(variant, sigma)
+        precision = 1.0 + sigma**-2
+        mean, sd = 0.3 * sigma**-2 / precision, precision**-0.5
+        axes = np.linspace(mean - 4.0 * sd, mean + 4.0 * sd, 21), np.linspace(-1.5, 1.5, 21)
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        return kernel, phi, points, float(np.prod([a[1] - a[0] for a in axes]))
+
+    def test_gpcn_gap_is_robust_to_the_noise_level(self):
+        # the abstract's noise claim on exact gaps, s = 0.5; measured before these bounds
+        # were set: pcn 0.0328, 0.0103, 0.0034, 0.0010, gpcn 0.0827, then 0.0823 three
+        # times, every least eigenvalue >= 0.104, and 31 x 31 grids within 1%
+        sigmas = (0.1, 0.03, 0.01, 0.003)
+        gaps = {}
+        for variant in ("pcn", "gpcn"):
+            chains = [discretize_kernel(*self.scaled_toy(variant, sigma)) for sigma in sigmas]
+            assert min(positivity_check(chain) for chain in chains) >= -1e-10
+            gaps[variant] = np.array([spectral_gap(chain) for chain in chains])
+        assert gaps["gpcn"].max() <= 1.02 * gaps["gpcn"].min()
+        assert gaps["pcn"][0] >= 10.0 * gaps["pcn"][-1]
 
     def test_target_underflow_counts_the_zero_mass_points(self):
         with pytest.raises(ValueError, match=r"^378 of 441 grid points have zero target mass"):
@@ -260,6 +306,29 @@ class TestDiscretizeKernel:
         with pytest.raises(ValueError, match=rf"{variant} at step size s = 0\.0 is reducible"):
             discretize_kernel(kernel, lambda u: (0.0, None), points, 8.0 / 14.0)
 
+    @pytest.mark.parametrize("variant", ["rw", "pcn", "gpcn"])
+    @pytest.mark.parametrize("points, problem", [
+        (np.zeros((7, 1)), r"^points must be an \(n, 2\) array with n >= 1, got shape \(7, 1\)$"),
+        (np.zeros(7), r"^points must be an \(n, 2\) array with n >= 1, got shape \(7,\)$"),
+        (np.zeros((0, 2)), r"^points must be an \(n, 2\) array with n >= 1, got shape \(0, 2\)$"),
+        ([[0.0, 0.0], [np.nan, 1.0]], r"^points must be finite, got points\[1\] = \[nan  1\.\]$"),
+        ([[0.0, -np.inf]], r"^points must be finite, got points\[0\] = \[  0\. -inf\]$")],
+        ids=["one-column", "one-dim", "empty", "nan", "inf"])
+    def test_bad_points_are_named_before_any_potential(self, variant, points, problem):
+        kernel = make_kernel(variant, PriorSpec(2), FactoredGamma(np.eye(2)), 0.5)
+        def phi(u):
+            raise AssertionError("phi was called")
+        with pytest.raises(ValueError, match=problem):
+            discretize_kernel(kernel, phi, points, 0.1)
+
+    @pytest.mark.parametrize("cell", [0.0, -0.5, np.inf, np.nan])
+    def test_bad_cell_is_named_before_any_potential(self, cell):
+        kernel = ProposalKernel("pcn", PriorSpec(1, np.ones(1)), 0.5)
+        def phi(u):
+            raise AssertionError("phi was called")
+        with pytest.raises(ValueError, match=rf"^cell must be positive and finite, got {cell}$"):
+            discretize_kernel(kernel, phi, np.linspace(-4.0, 4.0, 15)[:, None], cell)
+
     def test_riemann_overshoot_is_scaled_out(self):
         # pcn at s = 0.4 on a unit grid: from x = 12 the proposal is centred on x = 11 and
         # its off-diagonal grid mass passes 1; q is divided by the largest such mass c, so
@@ -273,7 +342,7 @@ class TestDiscretizeKernel:
         assert c > 1.01
         chain = discretize_kernel(kernel, lambda u: (0.0, None), points, 1.0)
         assert chain.p.diagonal().min() >= 0.0
-        normal = off & (q > 1e-300)               # not the entries zeroed for a one-way underflow
+        normal = off & (q > 1e-300)               # not a pair that underflows one way (no flow)
         np.testing.assert_allclose(chain.p[normal] * c, q[normal], rtol=1e-10, atol=0.0)
 
 
@@ -577,6 +646,17 @@ class TestLab:
             run_lab(seed=0, n_instances=1, n_states=1)
         with pytest.raises(ValueError, match="n_instances"):
             run_lab(seed=0, n_instances=0, n_states=4)
+
+    @pytest.mark.parametrize("counts, name", [
+        ({"n_instances": 2.5}, "n_instances"), ({"n_instances": True}, "n_instances"),
+        ({"n_states": 6.5}, "n_states"), ({"n_states": np.float64(4.0)}, "n_states"),
+        ({"n_states": True}, "n_states")],
+        ids=["float-instances", "bool-instances", "float-states", "numpy-float-states",
+             "bool-states"])
+    def test_counts_must_be_integers(self, counts, name):
+        with pytest.raises(ValueError, match=rf"^run_lab needs an integer {name} >= [12], got"):
+            run_lab(0, **{"n_instances": 1, "n_states": 4, **counts})
+        assert run_lab(0, np.int64(1), np.int64(3))["all_pass"]
 
     def test_small_instances_pass(self):
         # proposals reversible w.r.t. one pmf; arbitrary row-stochastic ones
