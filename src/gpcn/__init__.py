@@ -55,7 +55,6 @@ from .spectral import (
     cheeger_check,
     comparison_check,
     conductance,
-    detailed_balance_gap,
     discretize_kernel,
     discretize_metropolis,
     kappa_p,

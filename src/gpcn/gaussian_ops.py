@@ -78,7 +78,8 @@ class OperatorPack:
     step builds a pack per candidate).  The s-scaled factors of A and R are
     built on first use and kept, since a rejected local-variant candidate
     reads at most one of them; ``cm_norm`` = ||C^{-1/2} Delta|| is computed
-    on access (only the moment bound reads it).
+    on access (only the moment bound reads it).  At rank r = 0 (rw and pcn)
+    ``apply_a`` and ``scaled_noise`` skip their empty products.
     """
 
     prior: PriorSpec
@@ -117,6 +118,8 @@ class OperatorPack:
 
     def apply_a(self, u: np.ndarray) -> np.ndarray:
         """A u = a0 u + C^{1/2} V (f(w) - a0) V^T C^{-1/2} u."""
+        if self.w.size == 0:
+            return self.a0 * u
         return self.a0 * u + self._left.dot(self._mean_right.dot(u))
 
     def scaled_noise(self, z: np.ndarray) -> np.ndarray:
@@ -128,7 +131,8 @@ class OperatorPack:
         same bits) with less call overhead, since a step makes it."""
         noise = self.prior.std * z
         noise *= self.s
-        noise += self._left.dot(self._noise_right.dot(z))
+        if self.w.size:
+            noise += self._left.dot(self._noise_right.dot(z))
         return noise
 
 

@@ -55,7 +55,7 @@ class State(NamedTuple):
     u: np.ndarray
     phi: float
     aux: object
-    pack: Optional[OperatorPack]
+    pack: OperatorPack
     mean: np.ndarray
     quad: Optional[float]
 

@@ -1,4 +1,4 @@
-"""The five Gaussian proposal families behind one interface.
+"""The six Gaussian proposal families behind one interface.
 
 Variants
 --------
@@ -17,12 +17,12 @@ candidate v, the mean plus the law's centred draw.  ``log_acceptance_correction`
 reads the packs at u and v and gives the additive log term completing
 phi(u) - phi(v) + correction(u, v); for rw and gn-rw it reads the states'
 ``prior_quadratic`` terms.  A chain computes the mean and the quadratic once
-per state, so a step computes them only for its candidate.
+per state, so a step computes them only for its candidate.  rw and pcn are
+gn-rw and gpcn at Gamma = 0, so their pack is the zero-row factor's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,7 +38,7 @@ from .gaussian_ops import (
 )
 
 VARIANTS = ("rw", "pcn", "gn-rw", "gpcn", "local-gpcn", "local-gpcn2")
-PACK_VARIANTS = ("gn-rw", "gpcn")
+PACK_VARIANTS = ("gn-rw", "gpcn")     # read a fixed gamma; rw and pcn fix the rank-0 one
 LOCAL_VARIANTS = ("local-gpcn", "local-gpcn2")
 PRIOR_REVERSIBLE = ("pcn", "gpcn")     # reversible for the prior: zero acceptance correction
 WALK_VARIANTS = ("rw", "gn-rw")        # mean u; the correction is the prior density ratio
@@ -47,16 +47,13 @@ WALK_VARIANTS = ("rw", "gn-rw")        # mean u; the correction is the prior den
 def check_step_size(variant: str, s: float) -> None:
     """Raise ValueError, naming the admissible range, if ``variant`` cannot run at ``s``.
 
-    rw takes any s >= 0.  Every other variant needs s < 1: pcn and the gpCN
-    means take sqrt(1 - s^2), and an ``OperatorPack`` (gn-rw's too) exists
-    only for s in [0, 1).  The local corrections divide by s, so those
-    variants also need s > 0.
+    Every variant needs s in [0, 1): each draws through an ``OperatorPack``,
+    which takes sqrt(1 - s^2) and so exists only for s < 1.  The local
+    corrections divide by s, so those variants also need s > 0.
     """
     if not np.isfinite(s):
         raise ValueError(f"step size s must be finite, got {s}")
-    if variant == "rw":
-        ok, span = s >= 0.0, "[0, inf)"
-    elif variant in LOCAL_VARIANTS:
+    if variant in LOCAL_VARIANTS:
         ok, span = 0.0 < s < 1.0, "(0, 1)"
     else:
         ok, span = 0.0 <= s < 1.0, "[0, 1)"
@@ -68,9 +65,10 @@ def check_step_size(variant: str, s: float) -> None:
 class ProposalKernel:
     """One proposal law, fixed by its variant, ``prior`` (its chain's one
     prior) and step size ``s``.  ``gn-rw``/``gpcn`` take the curvature
-    ``gamma`` (a ``FactoredGamma``) and build their operator pack from it on
-    construction, so ``dataclasses.replace(kernel, s=...)`` rebuilds the pack
-    at the new s.  The local variants take a ``gamma_map`` (u, aux) -> Gamma(u)
+    ``gamma`` (a ``FactoredGamma``); rw and pcn take none and use the
+    zero-row factor.  These four build their operator pack on construction,
+    so ``dataclasses.replace(kernel, s=...)`` rebuilds the pack at the new s.
+    The local variants take a ``gamma_map`` (u, aux) -> Gamma(u)
     that returns a ``FactoredGamma``, aux being what the potential returned at u.
     Either argument given to a variant that does not read it is a ValueError."""
 
@@ -89,44 +87,37 @@ class ProposalKernel:
             given = getattr(self, name) is not None
             if given != (self.variant in readers):
                 raise ValueError(f"{self.variant} {'takes no' if given else 'requires a'} {name}")
-        object.__setattr__(self, "pack", build_operator_pack(self.prior, self.gamma, self.s)
-                           if self.variant in PACK_VARIANTS else None)
+        gamma = FactoredGamma(np.zeros((0, self.prior.dim))) if self.gamma is None else self.gamma
+        object.__setattr__(self, "pack", None if self.variant in LOCAL_VARIANTS
+                           else build_operator_pack(self.prior, gamma, self.s))
 
-    def pack_at(self, u: np.ndarray, aux) -> Optional[OperatorPack]:
+    def pack_at(self, u: np.ndarray, aux) -> OperatorPack:
         """The operator pack at u: built from Gamma(u) = ``gamma_map(u, aux)``
-        for the local variants, the kernel's fixed pack otherwise (None for rw
-        and pcn)."""
+        for the local variants, the kernel's fixed pack otherwise."""
         if self.variant in LOCAL_VARIANTS:
             return build_operator_pack(self.prior, self.gamma_map(u, aux), self.s)
         return self.pack
 
 
-def proposal_mean(kernel: ProposalKernel, u: np.ndarray,
-                  pack: Optional[OperatorPack]) -> np.ndarray:
+def proposal_mean(kernel: ProposalKernel, u: np.ndarray, pack: OperatorPack) -> np.ndarray:
     """The mean of the kernel's law at u; ``pack`` is ``kernel.pack_at(u, aux)``.
-    rw and gn-rw return u itself."""
+    rw and gn-rw return u itself; pcn's A u is a0 u."""
     variant = kernel.variant
     if variant in WALK_VARIANTS:
         return u
-    if variant == "pcn":
-        return math.sqrt(1.0 - kernel.s * kernel.s) * u
     if variant == "local-gpcn2":
         return pack.a0 * u
     return pack.apply_a(u)
 
 
 def propose(kernel: ProposalKernel, mean: np.ndarray, z: np.ndarray,
-            pack: Optional[OperatorPack]) -> np.ndarray:
+            pack: OperatorPack) -> np.ndarray:
     """The candidate that the standard normal draw z gives under the kernel's
     law at u, whose mean is ``mean = proposal_mean(kernel, u, pack)`` and
     whose pack is ``pack = kernel.pack_at(u, aux)``: the centred draw, in a
     new array, plus the mean.  Neither ``mean`` (for rw and gn-rw, u itself)
     nor z is written."""
-    if kernel.variant in ("rw", "pcn"):
-        v = kernel.prior.std * z
-        v *= kernel.s
-    else:
-        v = pack.scaled_noise(z)
+    v = pack.scaled_noise(z)
     v += mean
     return v
 
@@ -145,8 +136,7 @@ def _equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def log_acceptance_correction(kernel: ProposalKernel, u: np.ndarray, v: np.ndarray,
-                              pack_u: Optional[OperatorPack],
-                              pack_v: Optional[OperatorPack],
+                              pack_u: OperatorPack, pack_v: OperatorPack,
                               quad_u: Optional[float],
                               quad_v: Optional[float]) -> float:
     """Additive log term completing the acceptance ratio phi(u) - phi(v) + correction.

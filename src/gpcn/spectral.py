@@ -71,6 +71,7 @@ class FiniteChain:
 
     @cached_property
     def balance_gap(self) -> float:
+        """The detailed-balance gap max |pi_i p_ij - pi_j p_ji|, 0 for a reversible chain."""
         flow = self.pi[:, None] * self.p
         return float(np.abs(flow - flow.T).max())
 
@@ -78,10 +79,6 @@ class FiniteChain:
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of the symmetrized operator, the Perron one last."""
         return np.linalg.eigvalsh(_symmetrized(self))
-
-
-def detailed_balance_gap(chain: FiniteChain) -> float:
-    return chain.balance_gap
 
 
 def _require_reversible(chain: FiniteChain, what: str) -> None:
@@ -202,8 +199,9 @@ def kappa_p(q1: np.ndarray, q2: np.ndarray, target_pmf: np.ndarray, p: float) ->
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
     pi = np.asarray(target_pmf, dtype=float)
-    if pi.ndim != 1 or not np.all(pi > 0.0):
-        raise ValueError("target pmf must be a strictly positive vector")
+    # pi > 0 holds for inf, so finiteness is checked on its own.
+    if pi.ndim != 1 or not np.all((pi > 0.0) & np.isfinite(pi)):
+        raise ValueError("target pmf must be a finite, strictly positive vector")
     if q1.shape != (pi.size, pi.size) or q2.shape != q1.shape:
         raise ValueError("proposal matrix shape mismatch")
     for name, q in (("q1", q1), ("q2", q2)):
@@ -365,15 +363,28 @@ def comparison_check(target_pmf, q1, q2, p: float) -> dict:
     }
 
 
+def _state_indices(chain: FiniteChain, subset) -> np.ndarray:
+    """The sorted distinct states that ``subset`` names.  A ValueError names
+    anything but a nonempty 1-D array of integral indices into the chain's
+    states: a boolean mask, or a float like 0.5, would silently pick other states."""
+    raw = np.asarray(subset)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError("subset must be a nonempty 1-D array of state indices, "
+                         f"got shape {raw.shape}")
+    kind = raw.dtype.kind
+    if not (kind in "iu" or kind == "f" and np.all(np.isfinite(raw) & (raw == np.floor(raw)))):
+        raise ValueError(f"subset must hold integer state indices, got {raw.tolist()}")
+    if raw.min() < 0 or raw.max() >= chain.n_states:
+        raise ValueError(f"subset indices must lie in [0, {chain.n_states}), "
+                         f"got {raw.min()} to {raw.max()}")
+    return np.unique(raw.astype(int))
+
+
 def restrict_chain(chain: FiniteChain, subset) -> FiniteChain:
     """Restriction to a state subset: escaping mass moves to the diagonal,
     the stationary vector is renormalized.  Preserves reversibility exactly.
     """
-    idx = np.unique(np.asarray(subset, dtype=int))
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= chain.n_states:
-        raise ValueError("subset indices out of range")
+    idx = _state_indices(chain, subset)
     sub = chain.p[np.ix_(idx, idx)].copy()
     escape = 1.0 - sub.sum(axis=1)
     sub[np.diag_indices_from(sub)] += escape
@@ -384,8 +395,8 @@ def restrict_chain(chain: FiniteChain, subset) -> FiniteChain:
 def restriction_check(chain: FiniteChain, subset) -> dict:
     """Verify the norm relation ||K_R|| <= ||K|| + sup escape mass."""
     _require_reversible(chain, "restriction_check")
-    restricted = restrict_chain(chain, subset)
-    idx = np.unique(np.asarray(subset, dtype=int))
+    idx = _state_indices(chain, subset)
+    restricted = restrict_chain(chain, idx)
     escape = 1.0 - chain.p[np.ix_(idx, idx)].sum(axis=1)
     max_escape = float(escape.max())
     norm_full = 1.0 - spectral_gap(chain)
@@ -395,7 +406,7 @@ def restriction_check(chain: FiniteChain, subset) -> dict:
         "norm_full": norm_full,
         "norm_restricted": norm_restricted,
         "max_escape": max_escape,
-        "db_gap_restricted": detailed_balance_gap(restricted),
+        "db_gap_restricted": restricted.balance_gap,
         "ok": bool(norm_restricted <= norm_full + max_escape + _EIG_SLACK),
     }
 
@@ -409,6 +420,9 @@ def asymptotic_variance(chain: FiniteChain, f) -> dict:
     """
     _require_reversible(chain, "asymptotic_variance")
     f = np.asarray(f, dtype=float)
+    if f.shape != (chain.n_states,):
+        raise ValueError(f"f must hold one value per state, shape ({chain.n_states},), "
+                         f"got shape {f.shape}")
     w, vecs = np.linalg.eigh(_symmetrized(chain))
     root = np.sqrt(chain.pi)
     f0 = f - float(chain.pi @ f)
@@ -456,7 +470,7 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
     for k in range(n_instances):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
         chain = random_reversible_chain(n_states, rng)
-        db = detailed_balance_gap(chain)
+        db = chain.balance_gap
         cheeger = cheeger_check(chain)
         prior = rng.uniform(0.2, 1.0, n_states)
         q1, q2 = [discretize_metropolis(prior, random_proposal(n_states, rng)).p for _ in range(2)]

@@ -128,19 +128,22 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="line 7.*sampler.s"):
                 resolve_config(base + f"sampler.s = {value}\n")
 
-    @pytest.mark.parametrize("variant, value", [
-        ("pcn", "1.5"), ("pcn", "1"), ("gpcn", "1.0"), ("gn-rw", "1.5"), ("local-gpcn", "1.2"),
-        ("local-gpcn2", "1"), ("local-gpcn", "0"), ("local-gpcn2", "0.0")])
-    def test_step_size_outside_the_variants_range_names_its_line(self, variant, value):
+    @pytest.mark.parametrize("variants, value, rejecter", [
+        ("rw", "1", "rw"), ("pcn", "1.5", "pcn"), ("gpcn", "1.0", "gpcn"), ("gn-rw", "1.5", "gn-rw"),
+        ("local-gpcn", "1.2", "local-gpcn"), ("local-gpcn2", "1", "local-gpcn2"),
+        ("rw, local-gpcn", "0", "local-gpcn"), ("pcn, gpcn, local-gpcn2", "0.0", "local-gpcn2")])
+    def test_step_size_outside_the_variants_range_names_its_line(self, variants, value, rejecter):
+        # s >= 1 is outside every variant's range, s = 0 only outside the local
+        # ones': the message names the variant that rejects s, not the first listed.
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
-                f"sampler.variant = rw, {variant}\nrun.n = 10\nrun.n0 = 0\n")
-        with pytest.raises(ConfigError, match=f"line 7.*sampler.s.*{variant}"):
+                f"sampler.variant = {variants}\nrun.n = 10\nrun.n0 = 0\n")
+        with pytest.raises(ConfigError, match=f"line 7.*sampler.s.* for {rejecter},"):
             resolve_config(base + f"sampler.s = {value}\n")
 
     def test_step_size_within_the_variants_range_accepted(self):
         base = ("seed = 1\nproblem.N = 4\nproblem.sigma_eps = 0.1\n"
                 "run.n = 10\nrun.n0 = 0\n")
-        for variants, value in (("rw", 1.5), ("pcn, gpcn", 0.0), ("gn-rw", 0.999),
+        for variants, value in (("rw", 0.5), ("pcn, gpcn", 0.0), ("gn-rw", 0.999),
                                 ("local-gpcn, local-gpcn2", 0.999)):
             cfg = resolve_config(base + f"sampler.variant = {variants}\nsampler.s = {value}\n")
             assert cfg.s == value

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -66,13 +67,21 @@ class TestPriorSpec:
 
 class TestBuildOperatorPack:
     def test_zero_gamma_collapses_to_plain_operators(self):
+        # The rank-0 pack of rw and pcn draws pcn's law bit for bit: A = a0 I
+        # and R = C^{1/2}, with no empty product added.
         prior = PriorSpec(5)
         z = np.random.default_rng(1).standard_normal(5)
         for s in (0.0, 0.3, 0.9):
             pack = build_operator_pack(prior, FactoredGamma(np.zeros((0, 5))), s)
-            assert np.array_equal(pack.apply_a(z), np.sqrt(1.0 - s * s) * z)
-            assert np.array_equal(pack.scaled_noise(z), s * (prior.std * z))
+            assert pack.apply_a(z).tobytes() == (math.sqrt(1.0 - s * s) * z).tobytes()
+            noise = prior.std * z
+            noise *= s
+            assert pack.scaled_noise(z).tobytes() == noise.tobytes()
             assert pack.h_norm == 0.0 and pack.logdet_ih == 0.0 and pack.cm_norm == 0.0
+            if s > 0.0:
+                a, root = sampler_operators(pack)
+                assert np.array_equal(a, pack.a0 * np.eye(5))
+                assert np.allclose(root, np.diag(prior.std), rtol=1e-15, atol=0.0)
 
     def test_diagonal_case_scalar_values(self):
         # C = diag(1, 1/4), Gamma = diag(3, 4), s = 1/2: everything commutes, so

@@ -138,7 +138,7 @@ class TestMhStep:
 
     def test_restriction_rejects_outside_ball(self):
         prior, phi = flat_target(3)
-        kernel = ProposalKernel("rw", prior, 50.0)   # surely leaves the tiny ball
+        kernel = ProposalKernel("rw", prior, 0.9)   # surely leaves the tiny ball
         rng = np.random.default_rng(1)
         start = initial_record(kernel, phi, np.zeros(3))
         state, accepted = mh_step(kernel, phi, start, rng, radius=1e-3)
@@ -245,7 +245,7 @@ class TestRunChain:
 
     def test_stop_ends_the_run_with_the_steps_it_ran(self):
         prior, phi = flat_target(2)
-        cfg = ChainConfig(ProposalKernel("rw", prior, 2.0), phi, n=100, n0=10,
+        cfg = ChainConfig(ProposalKernel("rw", prior, 0.9), phi, n=100, n0=10,
                           seed=5, thin=3, qoi={"norm": lambda u, aux: float(np.linalg.norm(u))})
         full = run_chain(cfg)
         for steps in (4, 10, 11, 47, 110):
@@ -408,7 +408,7 @@ class TestStateRecords:
             rng = np.random.default_rng(3)
             state = initial_record(kernel, phi, np.zeros(prior.dim))
             assert state.pack is kernel.pack
-            assert (kernel.pack is None) == (variant in ("rw", "pcn"))
+            assert kernel.pack.w.size == (0 if variant in ("rw", "pcn") else gamma.factor.shape[0])
             moves = 0
             for _ in range(10):
                 state, accepted = mh_step(kernel, phi, state, rng)
@@ -416,6 +416,32 @@ class TestStateRecords:
                 assert state.pack is kernel.pack
                 assert_record_fields(kernel, state)
             assert moves > 0
+
+
+class TestRankZeroLaw:
+    """On the zero-row factor, Gamma = 0, gpcn's operators are A = sqrt(1-s^2) I
+    and C_Gamma = C: gpcn is pcn and gn-rw is rw, step for step."""
+
+    @pytest.mark.parametrize("n_modes", [50, 100, 800])
+    def test_adapted_chain_on_zero_curvature_is_the_plain_chain(self, n_modes):
+        model = elliptic.ForwardModel(n_modes)
+        assert (model.sine_table is None) == (n_modes == 800)      # N = 800 runs the FFT path
+        prior = PriorSpec(n_modes)
+        obs = elliptic.generate_data(elliptic.default_truth, 0.1, model,
+                                     np.random.default_rng(1), seed=1)
+        xi_map = elliptic.map_estimate(obs, model, prior).xi
+        phi = elliptic.make_posterior(obs, model)
+        qoi = {"exp_integral": lambda u, solve: qoi_exp_integral(u, model, solve)}
+        zero = FactoredGamma(np.zeros((0, n_modes)))
+        for plain, adapted, s in (("pcn", "gpcn", 0.5), ("rw", "gn-rw", 0.05)):
+            want, got = (run_chain(ChainConfig(kernel, phi, n=300, n0=0, seed=7,
+                                               initial_state=xi_map, qoi=qoi))
+                         for kernel in (ProposalKernel(plain, prior, s),
+                                        ProposalKernel(adapted, prior, s, gamma=zero)))
+            assert 0 < want.acceptance_rate < 1
+            assert np.array_equal(got.accepts, want.accepts)
+            assert np.array_equal(got.qoi_series["exp_integral"], want.qoi_series["exp_integral"])
+            assert np.array_equal(got.states, want.states)
 
 
 class TestSharedSolve:

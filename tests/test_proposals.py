@@ -320,6 +320,7 @@ class TestKernelPlumbing:
             with pytest.raises(TypeError, match="FactoredGamma, got ndarray"):
                 kernel.pack_at(np.zeros(3), None)
 
-    def test_rw_allows_step_above_one(self):
-        kernel = ProposalKernel("rw", PriorSpec(2), 1.7)
-        assert kernel.s == 1.7
+    def test_rw_rejects_a_step_of_one_or_more(self):
+        for s in (1.0, 1.7):
+            with pytest.raises(ValueError, match=r"\[0, 1\) for rw, got"):
+                ProposalKernel("rw", PriorSpec(2), s)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from gpcn.spectral import (
     cheeger_check,
     comparison_check,
     conductance,
-    detailed_balance_gap,
     discretize_kernel,
     discretize_metropolis,
     kappa_p,
@@ -95,7 +96,7 @@ class TestDiscretizeMetropolis:
             n = int(rng.integers(2, 9))
             pi = rng.uniform(0.1, 1.0, n)
             chain = discretize_metropolis(pi / pi.sum(), random_proposal(n, rng))
-            assert detailed_balance_gap(chain) < 1e-12
+            assert chain.balance_gap < 1e-12
 
     def test_nan_and_inf_inputs_rejected(self):
         q = np.full((2, 2), 0.5)
@@ -112,7 +113,7 @@ class TestDiscretizeMetropolis:
         q = np.array([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0], [0.0, 0.5, 0.5]])
         chain = discretize_metropolis(np.full(3, 1 / 3), q)
         assert chain.p[1, 2] == 0.0 and chain.p[2, 1] == 0.0
-        assert detailed_balance_gap(chain) == 0.0
+        assert chain.balance_gap == 0.0
         assert np.abs(chain.p.sum(axis=1) - 1.0).max() <= 1e-15
 
 
@@ -181,8 +182,7 @@ class TestDiscretizeKernel:
         assert len(calls) == len(points) * dim
         for x in points[:4]:
             pack = kernel.pack_at(x, None)
-            noise = [kernel.s * (prior.std * e) if pack is None else pack.scaled_noise(e)
-                     for e in np.eye(dim)]
+            noise = [pack.scaled_noise(e) for e in np.eye(dim)]
             _, root = _proposal_law(kernel, x, None)
             assert root.tobytes() == np.column_stack(noise).tobytes()
 
@@ -197,7 +197,7 @@ class TestDiscretizeKernel:
         chain = discretize_kernel(make_kernel(variant, prior, gamma, 0.5, gamma_map),
                                   phi, points, cell)
         assert chain.n_states == 81
-        assert detailed_balance_gap(chain) < 1e-12
+        assert chain.balance_gap < 1e-12
 
     @pytest.mark.parametrize("variant", ["rw", "pcn", "gn-rw", "gpcn"])
     def test_prior_reversible_flows_are_symmetric(self, variant):
@@ -225,7 +225,7 @@ class TestDiscretizeKernel:
                        + np.log(cell) for i, j in ((39, 0), (0, 39)))
         assert forth < -746.0 and back > -744.0
         chain = discretize_kernel(kernel, lambda u: (0.0, None), points, cell)
-        assert detailed_balance_gap(chain) < 1e-12
+        assert chain.balance_gap < 1e-12
         assert chain.p[39, 0] == 0.0 and chain.p[0, 39] == 0.0
 
     @staticmethod
@@ -246,7 +246,7 @@ class TestDiscretizeKernel:
         # one side only; such a pair gets no flow either way, so the support stays symmetric
         chain = discretize_kernel(*self.linear_toy(variant, 0.1))
         assert chain.n_states == 441
-        assert detailed_balance_gap(chain) < 1e-12
+        assert chain.balance_gap < 1e-12
         assert np.array_equal(chain.p > 0.0, (chain.p > 0.0).T)
 
     @classmethod
@@ -477,8 +477,10 @@ class TestKappaP:
         q = np.full((4, 4), 0.25)
         with pytest.raises(ValueError, match="shape"):
             kappa_p(q, q, np.array([1.0]), 2.0)
-        for pmf in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.5, -0.2]):
-            with pytest.raises(ValueError, match="strictly positive"):
+        # pi > 0 holds for inf, which used to return nan with two RuntimeWarnings
+        for pmf in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.5, -0.2], [0.5, np.inf, 0.5, 0.5],
+                    [0.5, 0.5, np.nan, 0.5]):
+            with pytest.raises(ValueError, match="finite, strictly positive"):
                 kappa_p(q, q, np.array(pmf), 2.0)
 
     @pytest.mark.parametrize("p", [np.nan, np.inf, 1.0, 0.5, -np.inf])
@@ -553,7 +555,7 @@ class TestPositivity:
 
     def test_grid_adapted_metropolis_is_positive(self):
         chain = lab_grid_chain()
-        assert detailed_balance_gap(chain) < 1e-12
+        assert chain.balance_gap < 1e-12
         assert positivity_check(chain) >= -1e-10
         assert positivity_check(chain) == run_lab(0, 1, 2)["grid_gpcn_min_eig"]
 
@@ -577,6 +579,18 @@ class TestRestriction:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             restrict_chain(TWO_STATE, [])
+
+    @pytest.mark.parametrize("subset, message", [
+        ([0.5, 2.7], r"integer .* got \[0.5, 2.7\]"),      # used to truncate to states {0, 2}
+        ([0.0, np.nan], r"integer .* got \[0.0, nan\]"),
+        ([True, False, True], r"integer .* got \[True, False, True\]"),    # read as states {1, 0}
+        ([[0, 1]], r"1-D .* shape \(1, 2\)"),
+        ([0, 3], r"\[0, 3\), got 0 to 3")], ids=["half", "nan", "mask", "2-d", "out_of_range"])
+    def test_subset_that_is_not_integer_state_indices_is_named(self, subset, message):
+        chain = random_reversible_chain(3, np.random.default_rng(2))
+        for check in (restrict_chain, restriction_check):
+            with pytest.raises(ValueError, match=f"subset.*{message}"):
+                check(chain, subset)
 
     def test_norm_inequality_on_random_instances(self):
         rng = np.random.default_rng(8)
@@ -623,6 +637,13 @@ class TestAsymptoticVariance:
         means /= length
         empirical = length * means.var(ddof=1)
         assert abs(empirical - 0.72) < 0.072
+
+    @pytest.mark.parametrize("f", [np.ones(3), np.ones((2, 1)), np.float64(1.0)],
+                             ids=["three_states", "column", "scalar"])
+    def test_function_of_the_wrong_shape_is_named(self, f):
+        shape = re.escape(str(f.shape))
+        with pytest.raises(ValueError, match=f"one value per state.*got shape {shape}"):
+            asymptotic_variance(TWO_STATE, f)
 
     def test_gap_requirement(self):
         chain = FiniteChain(np.eye(2), np.array([0.5, 0.5]))
