@@ -8,7 +8,6 @@ method relies on.
 
 from .diagnostics import (
     DiagnosticsReport,
-    autocorrelation,
     ess_batch_means,
     ess_ims,
     qoi_exp_integral,

@@ -212,6 +212,8 @@ def truth_object(cfg: ExperimentConfig):
         return elliptic.default_truth
     if cfg.truth.startswith("coeffs:"):
         coeffs = np.asarray(_float_list(cfg.truth[len("coeffs:"):]), dtype=float)
+        if coeffs.size == 0:
+            raise ValueError("truth spec 'coeffs:' lists no coefficients")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"truth coefficients must be finite, got {coeffs.tolist()}")
         return coeffs

@@ -46,6 +46,12 @@ S_HI = 0.999
 # log factor ln(2n / delta) is 14.5 for n = 1000: a tenfold smaller delta
 # would lengthen every pilot the confidence rule stops by about 16%.
 PILOT_DELTA = 1e-3
+# Half-width of the tuner's acceptance band.  At 0.05 a 0.25 target accepts
+# 0.20-0.30, three times a 1000-step pilot's binomial sd (0.016 at most).
+BAND_TOL = 0.05
+# Bisection pilots: 30 halvings narrow log s over [S_LO, S_HI], a span of 9.2,
+# to 1e-8, below any change of s that the band can tell apart.
+MAX_PILOTS = 30
 
 
 class State(NamedTuple):
@@ -233,9 +239,9 @@ class TuneResult(NamedTuple):
 
 
 def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
-                   initial_state=None, radius=None, tol=0.05, max_iters=30) -> TuneResult:
+                   initial_state=None) -> TuneResult:
     """Bisection on log s over [1e-4, 0.999] until a pilot chain's acceptance
-    rate lands within ``tol`` of ``target_rate``.
+    rate lands within ``BAND_TOL`` of ``target_rate``.
 
     Acceptance decreases monotonically in s for these proposal families, so
     bisection applies; if even a boundary step size cannot reach the target
@@ -260,16 +266,12 @@ def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
     search and does not guarantee the branch a full pilot would take.  What
     holds regardless: every returned rate comes from a pilot that ran all
     ``pilot_n`` steps, so a converged s has a full-length pilot in the band,
-    and an unconverged s is a boundary or the last of ``max_iters`` pilots.
+    and an unconverged s is a boundary or the last of ``MAX_PILOTS`` pilots.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must lie in (0, 1)")
     if pilot_n < 1000:
         raise ValueError("pilot_n must be at least 1000")
-    if not (np.isfinite(tol) and 0.0 < tol < 1.0):
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
 
     pilots = []
     log_term = math.log(2 * pilot_n / PILOT_DELTA)
@@ -287,7 +289,7 @@ def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
 
         cfg = ChainConfig(replace(kernel, s=s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
-                          initial_state=initial_state, restriction_radius=radius, thin=None)
+                          initial_state=initial_state, thin=None)
         trace = run_chain(cfg, stop=None if decides is None else stop)
         pilots.append((s, int(trace.accepts.size), int(trace.accepts.sum())))
         return trace.acceptance_rate
@@ -297,7 +299,7 @@ def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
 
     def band_side(rate):
         """-1 below the target band, 0 inside it, +1 above it."""
-        if abs(rate - target_rate) <= tol:
+        if abs(rate - target_rate) <= BAND_TOL:
             return 0
         return 1 if rate > target_rate else -1
 
@@ -310,15 +312,15 @@ def tune_step_size(kernel, phi, target_rate, pilot_n, rng,
     # band cannot be bracketed.
     hi_rate = pilot(S_HI, lambda low, high: high < target_rate)
     if hi_rate >= target_rate:
-        return result(S_HI, hi_rate, hi_rate <= target_rate + tol)
+        return result(S_HI, hi_rate, hi_rate <= target_rate + BAND_TOL)
     lo_rate = pilot(S_LO, lambda low, high: low > target_rate)
     if lo_rate <= target_rate:
-        return result(S_LO, lo_rate, lo_rate >= target_rate - tol)
+        return result(S_LO, lo_rate, lo_rate >= target_rate - BAND_TOL)
 
     lo, hi = S_LO, S_HI
-    for i in range(max_iters):
+    for i in range(MAX_PILOTS):
         mid = float(np.sqrt(lo * hi))
-        rate = pilot(mid, out_of_band if i < max_iters - 1 else None)
+        rate = pilot(mid, out_of_band if i < MAX_PILOTS - 1 else None)
         side = band_side(rate)
         if side == 0:
             return result(mid, rate, True)

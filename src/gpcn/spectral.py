@@ -37,6 +37,7 @@ _STOCHASTIC_TOL = 1e-12
 _REVERSIBLE_TOL = 1e-12
 _EIG_SLACK = 1e-10
 _HALF_MASS = 0.5 + 1e-12     # largest pi(A) a conductance or kappa_p subset may have
+LAB_EXPONENT = 2.0           # the exponent p of run_lab's comparison checks
 
 
 @dataclass(frozen=True)
@@ -423,6 +424,9 @@ def asymptotic_variance(chain: FiniteChain, f) -> dict:
     if f.shape != (chain.n_states,):
         raise ValueError(f"f must hold one value per state, shape ({chain.n_states},), "
                          f"got shape {f.shape}")
+    if not np.isfinite(f).all():
+        i = int(np.argmin(np.isfinite(f)))
+        raise ValueError(f"f must be finite, got f[{i}] = {f[i]}")
     w, vecs = np.linalg.eigh(_symmetrized(chain))
     root = np.sqrt(chain.pi)
     f0 = f - float(chain.pi @ f)
@@ -454,7 +458,7 @@ def random_proposal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0) -> dict:
+def run_lab(seed: int, n_instances: int = 20, n_states: int = 10) -> dict:
     """Randomized verification battery; the report is replayable from its seed.
 
     Each instance draws a reversible chain for the Cheeger, restriction and
@@ -474,7 +478,7 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
         cheeger = cheeger_check(chain)
         prior = rng.uniform(0.2, 1.0, n_states)
         q1, q2 = [discretize_metropolis(prior, random_proposal(n_states, rng)).p for _ in range(2)]
-        comparison = comparison_check(chain.pi, q1, q2, p)
+        comparison = comparison_check(chain.pi, q1, q2, LAB_EXPONENT)
         subset = rng.choice(n_states, size=max(2, n_states // 2), replace=False)
         restriction = restriction_check(chain, subset)
         avar = asymptotic_variance(chain, rng.standard_normal(n_states))
@@ -491,7 +495,7 @@ def run_lab(seed: int, n_instances: int = 20, n_states: int = 10, p: float = 2.0
     grid_min_eig = positivity_check(grid)
     grid_ok = grid_min_eig >= -_EIG_SLACK
     return {
-        "seed": int(seed), "n_instances": n_instances, "n_states": n_states, "p": p,
+        "seed": int(seed), "n_instances": n_instances, "n_states": n_states, "p": LAB_EXPONENT,
         "instances": instances,
         "grid_gpcn_min_eig": grid_min_eig, "grid_gpcn_positive": bool(grid_ok),
         "all_pass": bool(grid_ok and all(inst["ok"] for inst in instances)),

@@ -304,7 +304,7 @@ def reference_read_trace_csv(path):
 
 
 def reference_tune(kernel, phi, target_rate, pilot_n, rng, initial_state=None,
-                   radius=None, tol=0.05, max_iters=30):
+                   tol=0.05, max_iters=30):
     """``tune_step_size`` with every pilot run to its end: the bisection on
     log s as it stood before pilots stopped early.  Each entry of
     ``pilots`` is (s, pilot_n, accepted)."""
@@ -315,7 +315,7 @@ def reference_tune(kernel, phi, target_rate, pilot_n, rng, initial_state=None,
     def pilot(s):
         cfg = ChainConfig(replace(kernel, s=s), phi, n=pilot_n, n0=0,
                           seed=int(rng.integers(0, 2**63)),
-                          initial_state=initial_state, restriction_radius=radius)
+                          initial_state=initial_state)
         trace = run_chain(cfg)
         pilots.append((s, pilot_n, int(trace.accepts.sum())))
         return trace.acceptance_rate

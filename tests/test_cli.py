@@ -63,7 +63,8 @@ class TestConfigParsing:
                "sampler.variant = pcn\nrun.n = 10\nrun.n0 = 0\n"
         twelve = ",".join(["0.1"] * 12)
         for truth, match in (("bogus", "unknown truth spec"), ("coeffs:1,x", "could not convert"),
-                             ("coeffs:1,nan", "must be finite"),
+                             ("coeffs:1,nan", "must be finite"), ("coeffs:", "lists no coefficients"),
+                             ("coeffs: , ", "lists no coefficients"),
                              (f"coeffs:{twelve}", r"12 coefficients.*min\(problem.N\) = 10")):
             with pytest.raises(ConfigError, match=f"line 7: problem.truth.*{match}"):
                 resolve_config(base + f"problem.truth = {truth}\n")
@@ -194,19 +195,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 7: dx = .* does not evenly divide"):
             resolve_config(text)
 
-    @pytest.mark.parametrize("key, value, context", [
-        ("run.pilot_n", "500", {}),
-        ("run.thin", "0", {}),
-        ("run.replicates", "0", {}),
-        ("sampler.gamma_points", "0", {"sampler.gamma": "averaged"}),
-        ("run.n", "-1", {}),
-        ("run.n0", "-5", {}),
-        ("seed", "-3", {})])
-    def test_count_below_its_minimum_names_its_line(self, key, value, context):
+    @pytest.mark.parametrize("key, value, context, message", [
+        ("run.pilot_n", "500", {}, "run.pilot_n must be at least 1000 when sampler.s is tuned"),
+        ("run.thin", "0", {}, "run.thin must be at least 1"),
+        ("run.replicates", "0", {}, "run.replicates must be at least 1"),
+        ("sampler.gamma_points", "0", {"sampler.gamma": "averaged"},
+         "sampler.gamma_points must be at least 1"),
+        ("run.n", "-1", {}, "run.n must be at least 0"),
+        ("run.n0", "-5", {}, "run.n0 must be at least 0"),
+        ("seed", "-3", {}, "seed must be at least 0"),
+        ("problem.N", "4, 0", {}, "N must be positive"),
+        ("sampler.target_acceptance", "0", {}, r"target_acceptance must be in \(0, 1\)"),
+        ("sampler.target_acceptance", "1", {}, r"target_acceptance must be in \(0, 1\)"),
+        ("sampler.target_acceptance", "nan", {}, r"target_acceptance must be in \(0, 1\)"),
+        ("output.formats", "csv, parquet", {}, "unknown format 'parquet'")])
+    def test_value_outside_its_range_names_its_line(self, key, value, context, message):
         lines = {"seed": "1", "problem.N": "4", "problem.sigma_eps": "0.1",
                  "sampler.variant": "gpcn", "run.n": "10", "run.n0": "0", **context, key: value}
         text = "".join(f"{k} = {v}\n" for k, v in lines.items())
-        with pytest.raises(ConfigError, match=f"line {list(lines).index(key) + 1}: {key}"):
+        with pytest.raises(ConfigError, match=f"line {list(lines).index(key) + 1}: {message}"):
             resolve_config(text)
 
     @pytest.mark.parametrize("source", ["zero", "dense"])

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from gpcn import elliptic
 from gpcn.diagnostics import (
-    autocorrelation,
+    _acf_full,
     ess_batch_means,
     ess_ims,
     qoi_exp_integral,
@@ -18,28 +20,24 @@ from helpers import ar1_series, simpson
 class TestAutocorrelation:
     def test_white_noise_has_negligible_lags(self):
         x = np.random.default_rng(0).standard_normal(100000)
-        acf = autocorrelation(x, 50)
+        acf = _acf_full(x)[:51]
         assert acf[0] == 1.0
         assert np.abs(acf[1:]).max() < 0.01
 
     def test_ar1_matches_analytic_decay(self):
         x = ar1_series(100000, 0.5, np.random.default_rng(10))
-        acf = autocorrelation(x, 5)
+        acf = _acf_full(x)[:6]
         assert np.abs(acf[1:] - 0.5 ** np.arange(1, 6)).max() < 0.02
 
     def test_alternating_series(self):
         n = 10000
         x = np.tile([1.0, -1.0], n // 2)
-        acf = autocorrelation(x, 1)
+        acf = _acf_full(x)
         assert np.isclose(acf[1], -(n - 1) / n)
 
-    def test_rejects_constant_and_short_series(self):
+    def test_rejects_constant_series(self):
         with pytest.raises(ValueError, match="variance"):
-            autocorrelation(np.ones(100), 5)
-        with pytest.raises(ValueError, match="short"):
-            autocorrelation(np.arange(10.0), 10)
-        with pytest.raises(ValueError, match="max_lag"):
-            autocorrelation(np.arange(10.0), 0)
+            _acf_full(np.ones(100))
 
 
 class TestEssIms:
@@ -61,7 +59,7 @@ class TestEssIms:
     def test_truncation_respects_first_negative_pair_sum(self):
         x = ar1_series(5000, 0.6, np.random.default_rng(12))
         report = ess_ims(x)
-        acf = autocorrelation(x, len(x) - 1)
+        acf = _acf_full(x)
         pairs = acf[0:-1:2] + acf[1::2]
         first_bad = int(np.argmax(pairs <= 0.0)) if np.any(pairs <= 0.0) else len(pairs)
         assert report.n_pairs <= first_bad
@@ -85,12 +83,7 @@ class TestEssBatchMeans:
     def test_rejects_short_series(self):
         x = np.random.default_rng(0).standard_normal(500)
         with pytest.raises(ValueError, match="short"):
-            ess_batch_means(x, n_batches=100)
-        # One batch mean has no variance; 0, fractions and bools are no batch count.
-        for bad in (1, 0, -2, 2.5, 2.0, True, False, "10"):
-            with pytest.raises(ValueError, match=f"n_batches must be an integer >= 2, got {bad!r}"):
-                ess_batch_means(x, n_batches=bad)
-        assert ess_batch_means(x, n_batches=np.int64(2)).method == "batch-means"
+            ess_batch_means(x)
 
     def test_agrees_with_ims_on_sampler_output(self):
         model = elliptic.ForwardModel(10)
@@ -110,8 +103,7 @@ class TestEssBatchMeans:
 
 class TestNonFiniteSeries:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("estimator", [ess_ims, ess_batch_means,
-                                           lambda x: autocorrelation(x, 5)])
+    @pytest.mark.parametrize("estimator", [ess_ims, ess_batch_means, _acf_full])
     def test_first_nonfinite_index_is_named(self, estimator, bad):
         # each returned NaN, which a diagnostics report then wrote as a bare NaN
         x = np.random.default_rng(2).standard_normal(2000)
@@ -125,6 +117,19 @@ class TestNonFiniteSeries:
         summary = ess_summary(x)
         assert summary == {name: {"error": "series must be finite, got series[3] = nan"}
                            for name in ("ims", "batch_means")}
+
+
+class TestSeriesShape:
+    @pytest.mark.parametrize("shape", [(200, 2), ()], ids=["two_columns", "scalar"])
+    @pytest.mark.parametrize("estimator", [ess_ims, ess_batch_means])
+    def test_series_that_is_not_1d_is_named(self, estimator, shape):
+        # On (200, 2), ess_ims read 200 samples but an ACF over all 400 values
+        # (ESS 200.0) and batch means took the 400 values as one series; on a
+        # scalar, ess_ims raised a TypeError from len()
+        x = np.asarray(np.random.default_rng(0).standard_normal(shape))
+        shape_text = re.escape(str(shape))
+        with pytest.raises(ValueError, match=f"series must be 1-D, got shape {shape_text}"):
+            estimator(x)
 
 
 class TestEstimatorProperties:

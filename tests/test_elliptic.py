@@ -334,7 +334,9 @@ class TestMapEstimate:
         result = map_estimate(obs, model, prior)
         assert result.stop == "step" and result.converged
         assert result.gradient_norm > 1e-8        # flagged converged above the tolerance
-        result = map_estimate(obs, model, prior, max_iter=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(elliptic, "MAP_MAX_ITER", 2)
+            result = map_estimate(obs, model, prior)
         assert (result.stop, result.iterations, result.converged) == ("max_iter", 2, False)
         # every candidate but the start is worse, so the damping grows until it is capped
         lin = np.random.default_rng(1).standard_normal((4, 12))

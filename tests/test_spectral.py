@@ -530,8 +530,6 @@ class TestComparison:
         for p in (np.nan, np.inf):
             with pytest.raises(ValueError, match="1 < p < inf"):
                 comparison_check(np.full(3, 1 / 3), q, q, p)
-            with pytest.raises(ValueError, match="1 < p < inf"):
-                run_lab(0, 1, 3, p)
 
     def test_negative_chain_is_lazified(self):
         # q1's Metropolis chain is the flip, whose least eigenvalue is -1
@@ -644,6 +642,12 @@ class TestAsymptoticVariance:
         shape = re.escape(str(f.shape))
         with pytest.raises(ValueError, match=f"one value per state.*got shape {shape}"):
             asymptotic_variance(TWO_STATE, f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_nonfinite_function_is_named(self, bad):
+        chain = random_reversible_chain(4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"f must be finite, got f\[2\] = {bad}"):
+            asymptotic_variance(chain, np.array([0.0, 1.0, bad, np.nan]))
 
     def test_gap_requirement(self):
         chain = FiniteChain(np.eye(2), np.array([0.5, 0.5]))
